@@ -10,9 +10,8 @@
 //! hierarchical agent (`~64` hosts per shard, the `hier` CLI default)
 //! and a flat Megh agent over the same PlanetLab trace, captures a
 //! mid-run view, and times bare `Scheduler::decide` calls — learning
-//! mode and frozen-CSR evaluation mode (observe + decide, so the
-//! critic's preview products run against the frozen snapshot and its
-//! 4-lane unrolled kernels).
+//! mode and frozen (learning-paused) evaluation mode (observe + decide,
+//! so the critic's preview products run).
 //!
 //! Appends a `{snapshot, results}` entry to `FILE` (default
 //! `BENCH_hier_scale.json`, repo root) in the same series schema
@@ -21,7 +20,7 @@
 //!
 //! - `hier/decide/<m>`, `megh/decide/<m>` — learning-mode decide ns;
 //! - `hier/decide_frozen/<m>`, `megh/decide_frozen/<m>` — eval-mode
-//!   observe+decide ns against the frozen CSR snapshot;
+//!   observe+decide ns with learning paused and the critic previewing;
 //! - `hier/state_max_shard_qnnz/<m>`, `hier/state_dim_per_shard/<m>`,
 //!   `megh/state_qnnz/<m>`, `megh/state_dim/<m>` — **state probes**:
 //!   the value fields carry counts (entries), not nanoseconds. They
@@ -181,7 +180,7 @@ fn main() {
         let shards = m.div_ceil(HOSTS_PER_SHARD).max(1);
         eprintln!("hier_scale: {m} hosts x {n} VMs ({shards} shards), warming {warmup} steps");
 
-        // Hierarchical agent: learning decide, then frozen-CSR decide.
+        // Hierarchical agent: learning decide, then frozen (paused) decide.
         let mk_hier = || {
             let mut cfg = HierConfig::paper_defaults(n, m, shards);
             cfg.base.seed = 7;

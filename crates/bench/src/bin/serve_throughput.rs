@@ -7,7 +7,7 @@
 //!
 //! Starts an in-process daemon on a loopback TCP port, keeps one
 //! background connection streaming `observe` updates (so the writer
-//! thread continuously thaws/learns/re-freezes snapshots), and measures
+//! thread continuously learns and republishes snapshots), and measures
 //! `--clients` concurrent connections each issuing `--decides` seeded
 //! decide requests. Appends a `{snapshot, results}` entry to `FILE`
 //! (default `BENCH_serve_throughput.json`, repo root) in the same

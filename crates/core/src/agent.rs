@@ -199,57 +199,40 @@ impl MeghAgent {
         }
     }
 
-    /// Enters an evaluation phase with the learned operator frozen into
-    /// a contiguous CSR snapshot.
+    /// Enters an evaluation phase: learning paused, critic previews.
     ///
     /// While frozen the agent still samples actions and runs its critic
     /// pass every step, but the critic only *previews* the Sherman–
     /// Morrison step ([`SparseLspi::preview_update`]) — `B`, `z`, `θ`
-    /// and the Boltzmann temperature all stay fixed, and the `B·u` /
-    /// `Bᵀ·v` products run on the flat CSR arrays. Calling
-    /// [`MeghAgent::thaw`] (or any direct `lspi` update) resumes
-    /// learning transparently.
+    /// and the Boltzmann temperature all stay fixed. Each call starts a
+    /// fresh phase: the preview diagnostics behind
+    /// [`MeghAgent::eval_residual_mean`] restart from zero.
     pub fn freeze(&mut self) {
-        self.enter_eval();
-        self.lspi.freeze();
+        self.learning = false;
+        self.eval_residual_abs = 0.0;
+        self.eval_previews = 0;
     }
 
-    /// Enters the same evaluation phase as [`MeghAgent::freeze`] but
-    /// keeps the critic products on the mutable DOK backend.
+    /// Resumes learning and temperature annealing.
     ///
-    /// Exists so experiments (and the `csr_decide` bench probe) can
-    /// isolate the CSR snapshot's contribution: a suspended agent and a
-    /// frozen agent make bitwise-identical decisions and differ only in
-    /// the product kernels.
-    pub fn suspend_learning(&mut self) {
-        self.enter_eval();
-        self.lspi.thaw();
-    }
-
-    /// Resumes learning, dropping any frozen snapshot and the current
-    /// evaluation-phase diagnostics.
+    /// The finished phase's preview diagnostics are left in place, so
+    /// [`MeghAgent::eval_residual_mean`] stays readable after the thaw;
+    /// the next [`MeghAgent::freeze`] resets them.
     pub fn thaw(&mut self) {
         self.learning = true;
-        self.lspi.thaw();
     }
 
     /// Whether the agent is in an evaluation phase (critic previews
-    /// instead of updating). Backend in use: `lspi().is_frozen()`.
+    /// instead of updating).
     pub fn is_frozen(&self) -> bool {
         !self.learning
     }
 
-    /// Mean |preview coefficient| over the current evaluation phase —
+    /// Mean |preview coefficient| over the latest evaluation phase —
     /// how much the frozen policy's value estimates would still move if
     /// learning were on. `None` before the first preview.
     pub fn eval_residual_mean(&self) -> Option<f64> {
         (self.eval_previews > 0).then(|| self.eval_residual_abs / self.eval_previews as f64)
-    }
-
-    fn enter_eval(&mut self) {
-        self.learning = false;
-        self.eval_residual_abs = 0.0;
-        self.eval_previews = 0;
     }
 
     /// Learns from the stored `(a_t, C_{t+1})` pair, if any. Drains
@@ -262,8 +245,8 @@ impl MeghAgent {
                 if self.learning {
                     self.lspi.update(a_prev, a_next, cost);
                 } else if let Some(coeff) = self.lspi.preview_update(a_prev, a_next, cost) {
-                    // Evaluation phase: same products (CSR when frozen),
-                    // no state change — accumulate the drift diagnostic.
+                    // Evaluation phase: same products, no state change —
+                    // accumulate the drift diagnostic.
                     self.eval_residual_abs += coeff.abs();
                     self.eval_previews += 1;
                 }
@@ -485,7 +468,6 @@ mod tests {
 
         agent.freeze();
         assert!(agent.is_frozen());
-        assert!(agent.lspi().is_frozen());
         sim.run(&mut agent);
         // Evaluation ran the critic previews but changed nothing learned.
         assert_eq!(agent.qtable_nnz(), learned_nnz);
@@ -498,58 +480,9 @@ mod tests {
 
         agent.thaw();
         assert!(!agent.is_frozen());
-        assert!(!agent.lspi().is_frozen());
         sim.run(&mut agent);
         assert!(agent.lspi().updates() > learned_updates);
         assert!(agent.temperature() < learned_temp);
-    }
-
-    #[test]
-    fn frozen_csr_and_suspended_dok_decide_identically() {
-        // The backend swap must be invisible: a frozen (CSR) agent and a
-        // suspended (DOK) agent with identical learned state must produce
-        // bitwise-identical runs.
-        let sim = mini_sim(4, 8, 50);
-        let mut warmed = MeghAgent::new(MeghConfig::paper_defaults(8, 4));
-        sim.run(&mut warmed);
-
-        let mut csr_agent = warmed.clone();
-        let mut dok_agent = warmed;
-        csr_agent.freeze();
-        dok_agent.suspend_learning();
-        assert!(csr_agent.lspi().is_frozen());
-        assert!(!dok_agent.lspi().is_frozen());
-
-        let a = sim.run(&mut csr_agent);
-        let b = sim.run(&mut dok_agent);
-        // Compare everything except decision_micros, the one wall-clock
-        // (hence nondeterministic) field in a step record.
-        assert_eq!(a.records().len(), b.records().len());
-        for (ra, rb) in a.records().iter().zip(b.records()) {
-            assert_eq!(ra.total_cost_usd, rb.total_cost_usd, "step {}", ra.step);
-            assert_eq!(ra.energy_cost_usd, rb.energy_cost_usd);
-            assert_eq!(ra.sla_cost_usd, rb.sla_cost_usd);
-            assert_eq!(ra.cumulative_migrations, rb.cumulative_migrations);
-            assert_eq!(ra.active_hosts, rb.active_hosts);
-        }
-        assert_eq!(a.final_placement(), b.final_placement());
-        assert_eq!(
-            csr_agent.eval_residual_mean(),
-            dok_agent.eval_residual_mean()
-        );
-    }
-
-    #[test]
-    fn direct_update_during_freeze_thaws_lspi() {
-        let sim = mini_sim(3, 6, 30);
-        let mut agent = MeghAgent::new(MeghConfig::paper_defaults(6, 3));
-        sim.run(&mut agent);
-        agent.freeze();
-        // thaw() is the intended exit, but the lspi also falls back to
-        // DOK transparently if an update arrives while frozen.
-        agent.thaw();
-        sim.run(&mut agent);
-        assert!(!agent.lspi().is_frozen());
     }
 
     #[test]

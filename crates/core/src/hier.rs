@@ -22,14 +22,12 @@
 //!   every shard keeps receiving traffic.
 //! * Each shard runs the full Megh actor–critic of `agent.rs` over its
 //!   local basis, with its own [`SparseLspi`], Boltzmann policy, and
-//!   exploration RNG, and its own `freeze()`-able CSR snapshot.
+//!   exploration RNG, and its own learning-paused (frozen) state.
 //! * [`PeriodicMeghAgent`](crate::PeriodicMeghAgent)-style phase
 //!   windows drive **auto-freeze**: a shard whose Q-table stopped
-//!   growing over a phase window freezes into the CSR fast path (the
-//!   4-lane unrolled kernels of `megh_linalg::CsrMatrix`), and a frozen
-//!   shard whose preview residual drifts past its baseline thaws back
-//!   to learning. Steady-state fleets therefore serve evaluation
-//!   traffic almost entirely from frozen shards.
+//!   growing over a phase window freezes — learning and annealing
+//!   pause, the critic only previews — and a frozen shard whose preview
+//!   residual drifts past its baseline thaws back to learning.
 //!
 //! A VM's *home* shard is fixed; the local action space covers exactly
 //! the home shard's hosts, so every emitted [`MigrationRequest`]
@@ -217,12 +215,10 @@ impl Shard {
         self.frozen_baseline = None;
         self.eval_residual_abs = 0.0;
         self.eval_previews = 0;
-        self.lspi.freeze();
     }
 
     fn thaw(&mut self) {
         self.learning = true;
-        self.lspi.thaw();
     }
 
     /// Critic pass over the previous action(s) of this shard: update
@@ -492,7 +488,7 @@ impl HierMegh {
             .unwrap_or(0)
     }
 
-    /// Number of shards currently frozen into their CSR fast path.
+    /// Number of shards whose learning is currently paused (frozen).
     pub fn frozen_shards(&self) -> usize {
         self.shards.iter().filter(|s| !s.learning).count()
     }
@@ -507,7 +503,7 @@ impl HierMegh {
         &self.shards[s].lspi
     }
 
-    /// Freezes every shard into its CSR snapshot (evaluation mode).
+    /// Pauses learning on every shard (evaluation mode: critic previews).
     pub fn freeze_all(&mut self) {
         for shard in &mut self.shards {
             shard.freeze();
@@ -751,11 +747,6 @@ mod tests {
             agent.frozen_shards() > 0,
             "no shard froze after 400 quiet steps"
         );
-        for s in 0..agent.n_shards() {
-            if !agent.shards[s].learning {
-                assert!(agent.shard_lspi(s).is_frozen(), "frozen shard without CSR");
-            }
-        }
     }
 
     #[test]

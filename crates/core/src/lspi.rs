@@ -25,7 +25,7 @@
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
 
-use megh_linalg::{CsrMatrix, DokMatrix, SparseMatVec, SparseVec};
+use megh_linalg::{DokMatrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
 #[cfg(feature = "check-invariants")]
@@ -75,11 +75,6 @@ pub struct SparseLspi {
     /// Cached `(action, value)` of the smallest explicit `θ` entry,
     /// maintained incrementally across updates.
     min_entry: Option<(usize, f64)>,
-    /// Frozen CSR snapshot of `delta_b` for read-heavy evaluation
-    /// phases. `Some` between [`SparseLspi::freeze`] and the next
-    /// [`SparseLspi::thaw`] or [`SparseLspi::update`]; derived state,
-    /// never serialized.
-    frozen: Option<CsrMatrix>,
     // Reusable scratch for the Sherman–Morrison step; never serialized.
     scratch_u: SparseVec,
     scratch_v: SparseVec,
@@ -115,7 +110,6 @@ impl SparseLspi {
             explored: vec![false; dim], // lint: allow(alloc) — construction
             explored_count: 0,
             min_entry: None,
-            frozen: None,
             scratch_u: SparseVec::zeros(dim),
             scratch_v: SparseVec::zeros(dim),
             scratch_bu: SparseVec::zeros(dim),
@@ -246,10 +240,6 @@ impl SparseLspi {
         assert!(a_prev < self.dim, "a_prev out of range");
         assert!(a_next < self.dim, "a_next out of range");
 
-        // A learning step invalidates any frozen snapshot: thaw
-        // transparently and continue through the mutable DOK backend.
-        self.frozen = None;
-
         let den = self.sherman_products(a_prev, a_next);
         if den.abs() < 1e-12 {
             self.skipped_singular += 1;
@@ -288,12 +278,8 @@ impl SparseLspi {
     }
 
     /// Builds `u = φ_{a_prev}`, `v = u − γ·φ_{a_next}` in scratch and
-    /// computes `bu = B·u`, `vb = Bᵀ·v` through the active backend — the
-    /// frozen CSR snapshot when present, the mutable DOK otherwise —
-    /// returning the Sherman–Morrison denominator `1 + v·bu`.
-    ///
-    /// Both backends walk entries in identical order, so the scratch
-    /// products are bitwise equal whichever is active.
+    /// computes `bu = B·u`, `vb = Bᵀ·v`, returning the Sherman–Morrison
+    /// denominator `1 + v·bu`.
     fn sherman_products(&mut self, a_prev: usize, a_next: usize) -> f64 {
         // Basis vectors built in scratch so the steady-state step never
         // touches the allocator.
@@ -304,74 +290,16 @@ impl SparseLspi {
         self.scratch_v.add_at(a_next, -self.gamma);
 
         // bu = B·u = u/δ + Δ·u ; vb = Bᵀ·v = v/δ + Δᵀ·v.
-        let op: &dyn SparseMatVec = match self.frozen.as_ref() {
-            Some(csr) => csr,
-            None => &self.delta_b,
-        };
-        op.mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
+        self.delta_b
+            .mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
         self.scratch_bu
             .add_scaled_assign(&self.scratch_u, self.inv_delta);
-        op.mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
+        self.delta_b
+            .mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
         self.scratch_vb
             .add_scaled_assign(&self.scratch_v, self.inv_delta);
 
         1.0 + self.scratch_v.dot(&self.scratch_bu)
-    }
-
-    /// Freezes the sparse correction `Δ` into a contiguous CSR snapshot
-    /// so read-only critics ([`SparseLspi::preview_update`]) run on flat
-    /// arrays instead of the per-row/per-column DOK adjacency.
-    ///
-    /// Idempotent; the snapshot is dropped by [`SparseLspi::thaw`] or
-    /// transparently by the next [`SparseLspi::update`]. Under the
-    /// `check-invariants` feature every freeze asserts that the snapshot
-    /// stores the same entries as the DOK and that both backends produce
-    /// bitwise-identical products along every basis direction.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_some() {
-            return;
-        }
-        let csr = self.delta_b.to_csr();
-        #[cfg(feature = "check-invariants")]
-        self.verify_freeze(&csr);
-        self.frozen = Some(csr);
-    }
-
-    /// Drops the frozen CSR snapshot, returning products to the mutable
-    /// DOK backend. Idempotent.
-    pub fn thaw(&mut self) {
-        self.frozen = None;
-    }
-
-    /// Whether products are currently routed through a frozen CSR
-    /// snapshot.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// Asserts CSR ≡ DOK after a freeze: identical stored entries and
-    /// bitwise-identical `M·e_a` / `e_aᵀ·M` products for every basis
-    /// direction `a` (which spans both product kernels and, since every
-    /// multi-entry product is a fixed-order sum of these walks, pins the
-    /// backends to the same summation order).
-    #[cfg(feature = "check-invariants")]
-    fn verify_freeze(&self, csr: &CsrMatrix) {
-        let entries = csr.check_matches_dok(&self.delta_b);
-        assert!(
-            entries.is_ok(),
-            "CSR snapshot diverges from DOK after freeze: {entries:?}"
-        );
-        let mut dok_out = SparseVec::zeros(self.dim);
-        let mut csr_out = SparseVec::zeros(self.dim);
-        for a in 0..self.dim {
-            let e = SparseVec::basis(self.dim, a);
-            self.delta_b.mul_sparse_vec_into(&e, &mut dok_out);
-            csr.mul_sparse_vec_into(&e, &mut csr_out);
-            assert_eq!(dok_out, csr_out, "CSR Δ·e_{a} diverges from DOK");
-            self.delta_b.mul_sparse_vec_left_into(&e, &mut dok_out);
-            csr.mul_sparse_vec_left_into(&e, &mut csr_out);
-            assert_eq!(dok_out, csr_out, "CSR e_{a}ᵀ·Δ diverges from DOK");
-        }
     }
 
     /// Computes the Sherman–Morrison step for `(a_prev, a_next, cost)`
@@ -381,8 +309,7 @@ impl SparseLspi {
     ///
     /// This is the read-only critic evaluation phases run in place of
     /// [`SparseLspi::update`]: it performs the same `B·u` / `Bᵀ·v`
-    /// products (routed through the frozen CSR snapshot when one is
-    /// active) but leaves `B`, `z`, `θ` and all counters untouched.
+    /// products but leaves `B`, `z`, `θ` and all counters untouched.
     /// Returns `None` when the denominator vanishes, mirroring the
     /// skipped-update case.
     ///
@@ -577,7 +504,6 @@ impl<'de> Deserialize<'de> for SparseLspi {
             explored,
             explored_count,
             min_entry: None,
-            frozen: None,
             scratch_u: SparseVec::zeros(repr.dim),
             scratch_v: SparseVec::zeros(repr.dim),
             scratch_bu: SparseVec::zeros(repr.dim),
@@ -818,69 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn freeze_is_idempotent_and_thaw_reverses_it() {
-        let mut lspi = learned_lspi();
-        assert!(!lspi.is_frozen());
-        lspi.freeze();
-        assert!(lspi.is_frozen());
-        lspi.freeze(); // no-op
-        assert!(lspi.is_frozen());
-        lspi.thaw();
-        assert!(!lspi.is_frozen());
-        lspi.thaw(); // no-op
-        assert!(!lspi.is_frozen());
-    }
-
-    #[test]
-    fn frozen_preview_matches_dok_preview_bitwise() {
-        let dok = learned_lspi();
-        let mut csr = dok.clone();
-        csr.freeze();
-        let mut dok = dok;
-        for (a_prev, a_next, cost) in [(0usize, 1usize, 1.0), (3, 2, -0.5), (6, 6, 0.0)] {
-            let want = dok.preview_update(a_prev, a_next, cost);
-            let got = csr.preview_update(a_prev, a_next, cost);
-            // Identical summation order in both backends ⇒ identical bits.
-            assert_eq!(want, got, "preview({a_prev}, {a_next}, {cost}) diverged");
-        }
-        assert!(csr.is_frozen(), "preview must not thaw");
-    }
-
-    #[test]
     fn preview_update_leaves_state_untouched() {
         let mut lspi = learned_lspi();
-        lspi.freeze();
         let before = serde_json::to_string(&lspi).unwrap();
         let coeff = lspi.preview_update(1, 4, 3.0);
         assert!(coeff.is_some());
         assert_eq!(lspi.updates(), 6);
         assert_eq!(serde_json::to_string(&lspi).unwrap(), before);
-    }
-
-    #[test]
-    fn update_thaws_transparently_and_matches_unfrozen_twin() {
-        let mut frozen = learned_lspi();
-        let mut plain = learned_lspi();
-        frozen.freeze();
-        assert!(frozen.update(4, 0, 1.25));
-        assert!(plain.update(4, 0, 1.25));
-        assert!(!frozen.is_frozen(), "update must drop the snapshot");
-        for a in 0..8 {
-            assert_eq!(frozen.q(a), plain.q(a), "q({a}) diverged after thaw");
-        }
-        assert_eq!(frozen.explicit_nnz(), plain.explicit_nnz());
-    }
-
-    #[test]
-    fn frozen_state_is_not_serialized() {
-        let mut lspi = learned_lspi();
-        lspi.freeze();
-        let json = serde_json::to_string(&lspi).unwrap();
-        let back: SparseLspi = serde_json::from_str(&json).unwrap();
-        assert!(!back.is_frozen(), "snapshot is derived state");
-        for a in 0..8 {
-            assert_eq!(back.q(a), lspi.q(a));
-        }
     }
 
     #[test]

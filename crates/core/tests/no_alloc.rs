@@ -2,11 +2,12 @@
 //! state, using a counting global allocator.
 //!
 //! This lives in its own integration-test binary because the
-//! `#[global_allocator]` attribute is process-wide; the test harness
-//! runs the assertions below in a single thread (`--test-threads` does
-//! not matter: each `#[test]` snapshots the counter around its own
-//! critical section, and nothing else allocates concurrently in this
-//! binary).
+//! `#[global_allocator]` attribute — and so the counter — is
+//! process-wide. The binary is built without the libtest harness
+//! (`harness = false` in `Cargo.toml`) and runs the checks one after
+//! another on the main thread: under the harness, other tests' warm-ups
+//! and the harness's own bookkeeping allocate on parallel threads
+//! inside a check's counted section.
 
 use megh_core::diagnostics::CountingAllocator;
 use megh_core::{BoltzmannPolicy, SparseLspi};
@@ -31,7 +32,6 @@ fn warmed_lspi() -> SparseLspi {
     lspi
 }
 
-#[test]
 fn steady_state_sample_is_allocation_free() {
     let lspi = warmed_lspi();
     let policy = BoltzmannPolicy::new(1.5, 0.0);
@@ -57,7 +57,6 @@ fn steady_state_sample_is_allocation_free() {
     );
 }
 
-#[test]
 fn steady_state_greedy_is_allocation_free() {
     let lspi = warmed_lspi();
     let policy = BoltzmannPolicy::new(1.5, 0.0);
@@ -74,7 +73,6 @@ fn steady_state_greedy_is_allocation_free() {
     assert_eq!(ALLOC.allocations() - before, 0, "greedy hit the heap");
 }
 
-#[test]
 fn steady_state_update_on_seen_actions_is_allocation_free() {
     // Learning on previously seen action pairs reuses every buffer:
     // the scratch vectors, θ's entry list, and Δ's adjacency rows all
@@ -92,4 +90,10 @@ fn steady_state_update_on_seen_actions_is_allocation_free() {
         0,
         "update on a previously seen action pair hit the heap"
     );
+}
+
+fn main() {
+    steady_state_sample_is_allocation_free();
+    steady_state_greedy_is_allocation_free();
+    steady_state_update_on_seen_actions_is_allocation_free();
 }

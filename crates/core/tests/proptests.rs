@@ -154,7 +154,7 @@ proptest! {
         sim.run(Check(HierMegh::new(HierConfig::paper_defaults(n_vms, n_hosts, n_shards))));
     }
 
-    /// Freezing every shard into its CSR snapshot and thawing back is
+    /// Freezing (pausing learning on) every shard and thawing back is
     /// invisible to the value function: every per-shard Q entry
     /// round-trips bit for bit, for any fleet shape and seed.
     #[test]

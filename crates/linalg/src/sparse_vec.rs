@@ -165,30 +165,6 @@ impl SparseVec {
         self.entries.clear();
     }
 
-    /// Appends an entry whose index is strictly greater than every index
-    /// already stored, skipping the binary search that [`SparseVec::set`]
-    /// performs.
-    ///
-    /// Zero values are dropped so the no-explicit-zeros invariant holds.
-    /// This is the bulk-fill primitive behind the CSR product fast paths:
-    /// kernels that produce entries in ascending index order stream them
-    /// straight into the output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= dim` or if `index` does not exceed the last
-    /// stored index.
-    pub fn push_sorted(&mut self, index: usize, value: f64) {
-        assert!(index < self.dim, "index {index} out of range");
-        assert!(
-            self.entries.last().is_none_or(|&(last, _)| last < index),
-            "push_sorted index not strictly increasing"
-        );
-        if value != 0.0 {
-            self.entries.push((index, value));
-        }
-    }
-
     /// Overwrites `self` with `other`'s contents, reusing `self`'s
     /// entry buffer when it is already large enough.
     pub fn copy_from(&mut self, other: &SparseVec) {
@@ -407,23 +383,6 @@ mod tests {
         let src = SparseVec::from_pairs(4, [(1, -1.5)]);
         scratch.copy_from(&src);
         assert_eq!(scratch, src);
-    }
-
-    #[test]
-    fn push_sorted_streams_ascending_entries() {
-        let mut v = SparseVec::zeros(5);
-        v.push_sorted(1, 2.0);
-        v.push_sorted(2, 0.0); // explicit zero is dropped
-        v.push_sorted(4, -1.0);
-        assert_eq!(v, SparseVec::from_pairs(5, [(1, 2.0), (4, -1.0)]));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn push_sorted_rejects_non_increasing_index() {
-        let mut v = SparseVec::zeros(5);
-        v.push_sorted(3, 1.0);
-        v.push_sorted(3, 1.0);
     }
 
     #[test]

@@ -7,18 +7,6 @@ use megh_linalg::{
 };
 use proptest::prelude::*;
 
-fn dok_strategy(dim: usize, max_entries: usize) -> impl Strategy<Value = DokMatrix> {
-    prop::collection::vec(((0..dim, 0..dim), -4.0..4.0f64), 0..max_entries).prop_map(
-        move |entries| {
-            let mut m = DokMatrix::zeros(dim);
-            for ((r, c), val) in entries {
-                m.set(r, c, val);
-            }
-            m
-        },
-    )
-}
-
 fn sparse_vec_strategy(dim: usize) -> impl Strategy<Value = SparseVec> {
     prop::collection::vec((0..dim, -5.0..5.0f64), 0..dim)
         .prop_map(move |pairs| SparseVec::from_pairs(dim, pairs))
@@ -115,76 +103,6 @@ proptest! {
             let want = t.inverse().expect("T must stay invertible when SM succeeded");
             prop_assert!(b.to_dense().max_abs_diff(&want) < 1e-6);
         }
-    }
-
-    /// The CSR freeze contract: a snapshot is not an approximation of
-    /// the DOK operator but the *same* operator — identical structure
-    /// and, because the kernels replay DOK's walk order exactly,
-    /// **bitwise** identical products in both orientations.
-    #[test]
-    fn csr_products_match_dok_bitwise(
-        m in dok_strategy(7, 24),
-        v in sparse_vec_strategy(7),
-    ) {
-        let csr = m.to_csr();
-        prop_assert!(csr.check_matches_dok(&m).is_ok());
-        let right_dok = m.mul_sparse_vec(&v);
-        let right_csr = csr.mul_sparse_vec(&v);
-        prop_assert_eq!(right_csr.to_dense(), right_dok.to_dense());
-        let left_dok = m.mul_sparse_vec_left(&v);
-        let left_csr = csr.mul_sparse_vec_left(&v);
-        prop_assert_eq!(left_csr.to_dense(), left_dok.to_dense());
-    }
-
-    /// SIMD-vs-scalar: the 4-lane unrolled nnz==1 kernels must
-    /// reproduce a scalar replay of the same multiplies bit for bit,
-    /// for arbitrary adjacency lengths (so every `len % 4` remainder is
-    /// exercised) in both product orientations.
-    #[test]
-    fn csr_unrolled_kernels_match_scalar_replay_bitwise(
-        m in dok_strategy(9, 48),
-        pivot in 0..9usize,
-        value in -1e6..1e6f64,
-    ) {
-        let csr = m.to_csr();
-        let e = SparseVec::from_pairs(9, [(pivot, value)]);
-
-        // Right product `M·e`: scalar replay over the selected column.
-        // `iter()` is row-major, so filtering by column yields rows in
-        // strictly increasing order — the same walk the kernel takes.
-        let mut want = SparseVec::zeros(9);
-        for ((r, c), w) in csr.iter() {
-            if c == pivot {
-                want.push_sorted(r, value * w);
-            }
-        }
-        prop_assert_eq!(csr.mul_sparse_vec(&e).to_dense(), want.to_dense());
-
-        // Left product `eᵀ·M`: scalar replay over the selected row.
-        let mut want = SparseVec::zeros(9);
-        for ((r, c), w) in csr.iter() {
-            if r == pivot {
-                want.push_sorted(c, value * w);
-            }
-        }
-        prop_assert_eq!(csr.mul_sparse_vec_left(&e).to_dense(), want.to_dense());
-    }
-
-    /// A CSR snapshot agrees with the source matrix entry for entry and
-    /// round-trips through `iter()` in the same row-major order.
-    #[test]
-    fn csr_snapshot_preserves_every_entry(m in dok_strategy(6, 20)) {
-        let csr = m.to_csr();
-        prop_assert_eq!(csr.order(), m.order());
-        prop_assert_eq!(csr.nnz(), m.nnz());
-        for r in 0..m.order() {
-            for c in 0..m.order() {
-                prop_assert_eq!(csr.get(r, c), m.get(r, c));
-            }
-        }
-        let dok_triplets: Vec<((usize, usize), f64)> = m.iter().collect();
-        let csr_triplets: Vec<((usize, usize), f64)> = csr.iter().collect();
-        prop_assert_eq!(csr_triplets, dok_triplets);
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn hot_path_marker_rule_requires_deny_alloc_on_listed_files() {
 
     // The marker satisfies the rule (and arms the alloc rule).
     let marked = "// lint: deny_alloc\nfn kernel() {}\n";
-    let found = scan_source("crates/linalg/src/csr.rs", marked);
+    let found = scan_source("crates/linalg/src/dok.rs", marked);
     assert!(rules(&found).iter().all(|r| *r != "hot_path_marker"));
 
     // Unlisted files may skip the marker freely.
@@ -317,7 +317,7 @@ pub fn scratch(n: usize) -> usize {
     v.len()
 }
 ";
-    let sources = vec![("crates/linalg/src/csr.rs".to_string(), hot.to_string())];
+    let sources = vec![("crates/linalg/src/dok.rs".to_string(), hot.to_string())];
     let a = analyze_sources(&sources);
     let b = analyze_sources(&sources);
     assert_eq!(

@@ -1,26 +1,25 @@
-//! The decision daemon: a lock-free read path over a frozen CSR
-//! snapshot, one writer thread batching learning updates, and
+//! The decision daemon: a read path over an immutable snapshot of the
+//! learned state, one writer thread batching learning updates, and
 //! crash-safe versioned checkpoints.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (frozen CSR, read-only)
+//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (immutable θ, read-only)
 //!   clients ──observe─▶ handler threads ──▶ mpsc ──▶ writer thread
 //!                                                     │ drains a batch
 //!                                                     │ applies Sherman–Morrison updates
-//!                                                     │ clones + freezes → publishes new Arc
+//!                                                     │ clones → publishes new Arc
 //!                                                     └ checkpoints (atomic rename)
 //! ```
 //!
 //! Decide requests never take the writer's path: each handler clones
 //! the current `Arc<Snapshot>` under a briefly held read lock and
-//! samples from the frozen CSR with a request-seeded RNG, so any number
+//! samples from its `θ` with a request-seeded RNG, so any number
 //! of decides run concurrently against immutable state and the same
 //! `(snapshot, seed)` pair always returns the same action. The writer
 //! owns the only mutable copy; after applying a batch it publishes a
-//! freshly frozen clone, so readers never observe a half-applied
-//! update.
+//! fresh clone, so readers never observe a half-applied update.
 //!
 //! # Crash safety
 //!
@@ -180,8 +179,8 @@ fn mix_seed(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the read path serves from: an immutable, frozen view of the
-/// learned state at some publish instant.
+/// What the read path serves from: an immutable view of the learned
+/// state at some publish instant.
 struct Snapshot {
     lspi: SparseLspi,
     steps: usize,
@@ -221,12 +220,10 @@ struct Writer {
 }
 
 impl Writer {
-    /// Publishes a frozen clone of the current state for the read path.
+    /// Publishes a clone of the current state for the read path.
     fn publish(&self) {
-        let mut frozen = self.lspi.clone();
-        frozen.freeze();
         let snapshot = Arc::new(Snapshot {
-            lspi: frozen,
+            lspi: self.lspi.clone(),
             steps: self.steps,
             temperature: self.policy.temperature(),
         });
@@ -382,11 +379,9 @@ impl Server {
         };
 
         let space = ActionSpace::new(state.config.n_vms, state.config.n_hosts);
-        let mut initial = state.lspi.clone();
-        initial.freeze();
         let shared = Arc::new(Shared {
             snapshot: RwLock::new(Arc::new(Snapshot {
-                lspi: initial,
+                lspi: state.lspi.clone(),
                 steps: state.steps,
                 temperature: state.temperature,
             })),
@@ -402,12 +397,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
 
-        let mut master = state.lspi;
-        master.thaw();
         let writer_state = Writer {
             policy: BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon),
             config: state.config,
-            lspi: master,
+            lspi: state.lspi,
             steps: state.steps,
             rng: StdRng::seed_from_u64(opts.writer_seed),
             shared: Arc::clone(&shared),

@@ -18,7 +18,7 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! A `decide` is served entirely from the currently published frozen
+//! A `decide` reads `θ` from the currently published immutable
 //! snapshot; `seed` makes it reproducible — the same seed against the
 //! same snapshot returns the same action. An `observe` enqueues one
 //! learning update (`action` was taken, `cost` was observed) for the

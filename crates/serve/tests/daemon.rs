@@ -5,8 +5,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use megh_core::{load_checkpoint, Config, MeghConfig};
+use megh_core::{load_checkpoint, ActionSpace, BoltzmannPolicy, Config, MeghConfig, SparseLspi};
 use megh_serve::{Client, Listen, Request, Response, ServeOptions, Server};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("megh-serve-{tag}-{}", std::process::id()));
@@ -151,6 +153,64 @@ fn tcp_listener_serves_decides_and_reports_addr() {
             assert_eq!(&replay, line);
         }
     }
+
+    assert!(matches!(client.shutdown().unwrap(), Response::Bye));
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn published_snapshot_decides_like_an_in_process_agent() {
+    // A published snapshot must carry everything `decide` reads: after
+    // every sync the daemon's answer for a seed is the action an
+    // in-process LSPI + policy, fed the same updates in the same order,
+    // samples with that seed.
+    let dir = temp_dir("reference");
+    let checkpoint = dir.join("checkpoint.json");
+    let opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), checkpoint);
+    let config = MeghConfig::paper_defaults(8, 4);
+    let server = Server::bind(config.clone(), &opts).expect("bind");
+    let addr = server.local_addr().expect("tcp addr");
+    let listen = Listen::parse(&addr.to_string());
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    let mut client = connect(&listen);
+
+    let dim = ActionSpace::new(config.n_vms, config.n_hosts).dim();
+    let mut lspi = SparseLspi::new(dim, config.delta, config.gamma);
+    let mut policy = BoltzmannPolicy::new(config.temp0, config.epsilon);
+    let mut writer_rng = StdRng::seed_from_u64(opts.writer_seed);
+
+    let mut sent = 0;
+    for round in 0..4 {
+        for i in 0..24 {
+            let action = (round * 11 + i * 7) % dim;
+            // Costs on the scale of the temperature, so θ shapes the softmax.
+            let cost = 0.5 + ((round + i) % 9) as f64 * 0.5;
+            let r = client.observe(action, cost).unwrap();
+            assert!(matches!(r, Response::Queued { .. }), "{r:?}");
+            let a_next = policy.greedy(&lspi, &mut writer_rng);
+            lspi.update(action, a_next, cost);
+            policy.decay();
+            sent += 1;
+        }
+        let Response::Synced { steps } = client.sync().unwrap() else {
+            panic!("expected synced");
+        };
+        assert_eq!(steps, sent);
+
+        for seed in 0..64 {
+            let Response::Decision { action, .. } = client.decide(seed).unwrap() else {
+                panic!("expected decision");
+            };
+            let want = policy.sample(&lspi, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(Some(action), want, "round {round}, seed {seed}");
+        }
+        let Response::Stats { steps, nnz, .. } = client.request(&Request::Stats).unwrap() else {
+            panic!("expected stats");
+        };
+        assert_eq!((steps, nnz), (sent, lspi.explicit_nnz()), "round {round}");
+    }
+    assert!(lspi.explicit_nnz() > 0, "the recorded sequence must learn");
 
     assert!(matches!(client.shutdown().unwrap(), Response::Bye));
     handle.join().unwrap();
