@@ -51,7 +51,7 @@ cargo test --workspace --features check-invariants -q
 echo "==> sweep determinism under check-invariants"
 cargo test -q -p megh-cli --features megh-core/check-invariants sweep_determinism
 
-echo "==> streaming determinism (chunk-size / sim-thread invariance)"
+echo "==> streaming determinism (chunk-size invariance)"
 cargo test -q -p megh-sim streaming_
 cargo test -q -p megh-cli stream_
 
@@ -82,7 +82,6 @@ fi
 echo "==> bench-diff (latency warnings advisory; shape/alloc checks fatal)"
 cargo run -q -p megh-bench --bin bench-diff
 cargo run -q -p megh-bench --bin bench-diff BENCH_serve_throughput.json
-cargo run -q -p megh-bench --bin bench-diff BENCH_sim_step.json
 
 echo "==> serve smoke: checkpoint, kill -9, restart, byte-identical decides"
 SMOKE_DIR="$(mktemp -d)"

@@ -33,6 +33,13 @@ pub enum ArgsError {
     },
     /// The subcommand is unknown.
     UnknownCommand(String),
+    /// An option or switch the subcommand does not declare.
+    UnknownOption {
+        /// The subcommand it was passed to.
+        command: String,
+        /// Option name, without the leading `--`.
+        key: String,
+    },
 }
 
 impl fmt::Display for ArgsError {
@@ -47,6 +54,12 @@ impl fmt::Display for ArgsError {
                 write!(f, "option --{key}={value:?} is not a valid {expected}")
             }
             Self::UnknownCommand(cmd) => write!(f, "unknown command {cmd:?} (try `megh help`)"),
+            Self::UnknownOption { command, key } => {
+                write!(
+                    f,
+                    "unknown option --{key} for `{command}` (try `megh help`)"
+                )
+            }
         }
     }
 }
@@ -210,6 +223,10 @@ mod tests {
                 expected: "int",
             },
             ArgsError::UnknownCommand("zz".into()),
+            ArgsError::UnknownOption {
+                command: "c".into(),
+                key: "k".into(),
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -61,12 +61,6 @@ const ENGINE_FLAGS: FlagTable = FlagTable::new(
             "trace steps resident in memory per chunk",
         ),
         FlagSpec::opt(
-            "sim-threads",
-            "N",
-            "1",
-            "worker threads for per-step accounting",
-        ),
-        FlagSpec::opt(
             "progress-every",
             "N",
             "0",
@@ -111,7 +105,12 @@ const SWEEP_FLAGS: FlagTable = FlagTable::new(
             "sweep several schedulers over the same seeds and rank by mean total cost",
         ),
         FlagSpec::opt("seeds", "N", "8", "seeds --seed..--seed+N-1"),
-        FlagSpec::opt("threads", "T", "1", "sweep worker threads (byte-identical --out for any T)"),
+        FlagSpec::opt(
+            "threads",
+            "T",
+            "cores, at most --seeds",
+            "sweep worker threads (byte-identical --out for any T)",
+        ),
         FlagSpec::opt(
             "out",
             "FILE",
@@ -160,12 +159,6 @@ const SERVE_FLAGS: FlagTable = FlagTable::new(
         FlagSpec::opt("writer-seed", "N", "", "writer-thread RNG seed"),
         FlagSpec::opt("vms", "N", "40", "cold-start action space: VMs"),
         FlagSpec::opt("hosts", "N", "20", "cold-start action space: hosts"),
-        FlagSpec::opt(
-            "shards",
-            "N",
-            "1",
-            "hierarchical decide: serve each decide from the shard its seed hashes to (1 = flat)",
-        ),
     ],
 );
 
@@ -369,7 +362,7 @@ pub fn run_named_scheduler(
 }
 
 /// [`run_named_scheduler`] with explicit engine options
-/// (`--chunk-steps`, `--sim-threads`, `--progress-every`).
+/// (`--chunk-steps`, `--progress-every`).
 ///
 /// # Errors
 ///
@@ -515,8 +508,7 @@ pub fn run_streamed_file(
     .map_err(setup_error)
 }
 
-/// Parses the shared `--chunk-steps` / `--sim-threads` /
-/// `--progress-every` engine knobs.
+/// Parses the shared `--chunk-steps` / `--progress-every` engine knobs.
 ///
 /// # Errors
 ///
@@ -525,7 +517,6 @@ pub fn engine_options(args: &Args) -> Result<SimOptions, ArgsError> {
     let defaults = SimOptions::default();
     Ok(SimOptions {
         chunk_steps: ENGINE_FLAGS.positive_usize(args, "chunk-steps", defaults.chunk_steps)?,
-        sim_threads: ENGINE_FLAGS.positive_usize(args, "sim-threads", defaults.sim_threads)?,
         progress_every: ENGINE_FLAGS.parsed(args, "progress-every", 0, "integer")?,
     })
 }
@@ -725,7 +716,10 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgsError> {
         });
     }
     let n_seeds: usize = SWEEP_FLAGS.positive_usize(args, "seeds", 8)?;
-    let threads: usize = SWEEP_FLAGS.positive_usize(args, "threads", 1)?;
+    // The report bytes are thread-invariant, so the default is what
+    // the machine has; more workers than seeds would sit idle.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let threads: usize = SWEEP_FLAGS.positive_usize(args, "threads", cores.min(n_seeds))?;
     let (config, trace) = spec.build();
     // Validate every scheduler name once, up front: the factory closure
     // handed to the workers has no error channel.
@@ -886,7 +880,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgsError> {
     let mut opts = ServeOptions::new(listen, std::path::PathBuf::from(checkpoint));
     opts.checkpoint_every = SERVE_FLAGS.parsed(args, "checkpoint-every", 0, "integer")?;
     opts.writer_seed = SERVE_FLAGS.parsed(args, "writer-seed", opts.writer_seed, "integer")?;
-    opts.shards = SERVE_FLAGS.parsed(args, "shards", 1, "integer")?;
     let vms: usize = SERVE_FLAGS.parsed(args, "vms", 40, "integer")?;
     let hosts: usize = SERVE_FLAGS.parsed(args, "hosts", 20, "integer")?;
     let config = MeghConfig::paper_defaults(vms, hosts);
@@ -1025,23 +1018,56 @@ COMMANDS:
     out
 }
 
+type Command = fn(&Args) -> Result<String, ArgsError>;
+
+/// The flag tables a subcommand reads, and its implementation.
+fn command(name: &str) -> Option<(&'static [&'static FlagTable], Command)> {
+    Some(match name {
+        "simulate" => (
+            &[&COMMON_FLAGS, &ENGINE_FLAGS, &SIMULATE_FLAGS],
+            cmd_simulate,
+        ),
+        "compare" => (&[&COMMON_FLAGS], cmd_compare),
+        "sweep" => (&[&COMMON_FLAGS, &ENGINE_FLAGS, &SWEEP_FLAGS], cmd_sweep),
+        "trace-gen" => (&[&COMMON_FLAGS, &TRACE_GEN_FLAGS], cmd_trace_gen),
+        "trace-stats" => (&[&TRACE_STATS_FLAGS], cmd_trace_stats),
+        "serve" => (&[&SERVE_FLAGS], cmd_serve),
+        "client" => (&[&CLIENT_FLAGS], cmd_client),
+        _ => return None,
+    })
+}
+
+/// Rejects the first supplied option or switch that none of `tables`
+/// declares. `Args::parse` stores any `--key`, and the commands look up
+/// only the names they know, so without this a misspelt or removed flag
+/// would run with the default and say nothing.
+fn reject_undeclared(command: &str, args: &Args, tables: &[&FlagTable]) -> Result<(), ArgsError> {
+    let supplied = args.options.keys().chain(&args.flags);
+    for key in supplied {
+        if !tables.iter().any(|table| table.spec(key).is_some()) {
+            return Err(ArgsError::UnknownOption {
+                command: command.to_string(),
+                key: key.clone(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Dispatches a parsed command line.
 ///
 /// # Errors
 ///
-/// Returns [`ArgsError`] for unknown commands or bad arguments.
+/// Returns [`ArgsError`] for unknown commands, options the command does
+/// not declare, or bad arguments.
 pub fn dispatch(args: &Args) -> Result<String, ArgsError> {
-    match args.command.as_deref() {
-        Some("simulate") => cmd_simulate(args),
-        Some("compare") => cmd_compare(args),
-        Some("sweep") => cmd_sweep(args),
-        Some("trace-gen") => cmd_trace_gen(args),
-        Some("trace-stats") => cmd_trace_stats(args),
-        Some("serve") => cmd_serve(args),
-        Some("client") => cmd_client(args),
-        Some("help") | None => Ok(help()),
-        Some(other) => Err(ArgsError::UnknownCommand(other.to_string())),
-    }
+    let name = match args.command.as_deref() {
+        Some("help") | None => return Ok(help()),
+        Some(name) => name,
+    };
+    let (tables, run) = command(name).ok_or_else(|| ArgsError::UnknownCommand(name.to_string()))?;
+    reject_undeclared(name, args, tables)?;
+    run(args)
 }
 
 #[cfg(test)]
@@ -1346,7 +1372,7 @@ mod tests {
             .unwrap();
             let streamed = dispatch(&parse(&format!(
                 "simulate --workload {workload} --hosts 3 --vms 5 --days 1 --scheduler thr-mmt \
-                 --chunk-steps 7 --sim-threads 2 --stream"
+                 --chunk-steps 7 --stream"
             )))
             .unwrap();
             let total = |s: &str| {
@@ -1381,7 +1407,7 @@ mod tests {
         )))
         .unwrap();
         let streamed = dispatch(&parse(&format!(
-            "simulate --hosts 3 --scheduler megh --file {} --stream --chunk-steps 7 --sim-threads 2",
+            "simulate --hosts 3 --scheduler megh --file {} --stream --chunk-steps 7",
             csv.display()
         )))
         .unwrap();
@@ -1407,16 +1433,15 @@ mod tests {
     #[test]
     fn sweep_determinism_chunking_never_changes_out_file() {
         // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // chunk size and per-step worker count must never change the
-        // --out bytes.
+        // chunk size must never change the --out bytes.
         let dir = std::env::temp_dir().join(format!("megh-cli-chunk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = Vec::new();
-        for (chunk, threads) in [(288usize, 1usize), (7, 2)] {
-            let path = dir.join(format!("sweep-c{chunk}-t{threads}.json"));
+        for chunk in [288usize, 7] {
+            let path = dir.join(format!("sweep-c{chunk}.json"));
             let line = format!(
                 "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --scheduler megh \
-                 --chunk-steps {chunk} --sim-threads {threads} --out {}",
+                 --chunk-steps {chunk} --out {}",
                 path.display()
             );
             dispatch(&parse(&line)).unwrap();
@@ -1425,15 +1450,67 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             bytes[0], bytes[1],
-            "sweep report bytes must not depend on chunking or sim-threads"
+            "sweep report bytes must not depend on chunking"
         );
     }
 
     #[test]
     fn engine_flags_reject_zero() {
         assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --chunk-steps 0")).is_err());
-        assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --sim-threads 0")).is_err());
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --chunk-steps 0")).is_err());
+    }
+
+    #[test]
+    fn undeclared_options_are_rejected_and_documented_ones_accepted() {
+        // The two flags PR 13 removed, a misspelling of a real flag and
+        // a flag of another command must fail by name instead of running
+        // with the default. The removed names are spelt in two pieces so
+        // a grep for them over the sources stays empty.
+        for (command_line, flag) in [
+            ("simulate --hosts 2 --vms 2", concat!("sim", "-threads")),
+            ("serve --checkpoint x", concat!("sha", "rds")),
+            ("simulate", "chunk-step"),
+            ("compare", "stream"),
+        ] {
+            let line = format!("{command_line} --{flag} 2");
+            let err = dispatch(&parse(&line)).unwrap_err();
+            assert!(
+                matches!(&err, ArgsError::UnknownOption { key, .. } if key == flag),
+                "{line}: {err:?}"
+            );
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
+        }
+
+        // Every flag line `help()` prints is accepted by each command
+        // its section is for.
+        let mut commands: Vec<&str> = Vec::new();
+        let mut checked = 0;
+        for line in help().lines() {
+            if let Some(usage) = line.strip_prefix("  --") {
+                let flag = usage.split_whitespace().next().expect("flag name");
+                // Help columns are two spaces apart; a placeholder sits
+                // one space after the name.
+                let takes_value = !usage[flag.len()..].starts_with("  ");
+                for cmd in &commands {
+                    let value = if takes_value { " x" } else { "" };
+                    let args = parse(&format!("{cmd} --{flag}{value}"));
+                    let (tables, _) = command(cmd).expect("a dispatchable command");
+                    assert_eq!(
+                        reject_undeclared(cmd, &args, tables),
+                        Ok(()),
+                        "help documents --{flag} for {cmd}"
+                    );
+                    checked += 1;
+                }
+            } else if let Some(title) = line.strip_suffix(':') {
+                commands = match title {
+                    "COMMON OPTIONS" => vec!["simulate", "compare", "sweep", "trace-gen"],
+                    "ENGINE OPTIONS (simulate, sweep)" => vec!["simulate", "sweep"],
+                    command_name => vec![command_name],
+                };
+            }
+        }
+        assert!(checked > 40, "help parsing found only {checked} flag uses");
     }
 
     #[test]
@@ -1450,7 +1527,6 @@ mod tests {
         let h = help();
         for flag in [
             "--chunk-steps",
-            "--sim-threads",
             "--progress-every",
             "--stream",
             "--mem-stats",

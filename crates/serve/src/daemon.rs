@@ -141,12 +141,6 @@ pub struct ServeOptions {
     pub checkpoint_every: usize,
     /// Seed for the writer's greedy-tie-break RNG.
     pub writer_seed: u64,
-    /// Hierarchical decide: split the fleet into this many contiguous
-    /// shards and serve each `decide` from the shard its seed hashes
-    /// to, sampling only that shard's `N_c × M_c` action range (the
-    /// serve-side counterpart of `megh_core::HierMegh`). `1` (the
-    /// default) keeps the flat decide path. Clamped to the fleet size.
-    pub shards: usize,
 }
 
 impl ServeOptions {
@@ -157,26 +151,8 @@ impl ServeOptions {
             checkpoint,
             checkpoint_every: 0,
             writer_seed: 0x53_45_52_56, // "SERV"
-            shards: 1,
         }
     }
-}
-
-/// The contiguous slice `[s·total/n, (s+1)·total/n)` of a resource
-/// split into `n` shards — the same static partition `HierMegh` uses,
-/// so a daemon and an in-process hierarchical agent agree on shard
-/// ownership.
-fn split_range(total: usize, s: usize, n: usize) -> std::ops::Range<usize> {
-    debug_assert!(n > 0, "split into zero shards");
-    (s * total / n)..((s + 1) * total / n)
-}
-
-/// SplitMix64 finalizer: maps a decide seed onto its serving shard.
-fn mix_seed(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// What the read path serves from: an immutable view of the learned
@@ -192,8 +168,6 @@ struct Shared {
     snapshot: RwLock<Arc<Snapshot>>,
     epsilon: f64,
     space: ActionSpace,
-    /// Shards the decide path serves from (`1` = flat).
-    shards: usize,
     queued: AtomicUsize,
     published: AtomicU64,
     shutdown: AtomicBool,
@@ -387,11 +361,6 @@ impl Server {
             })),
             epsilon: state.config.epsilon,
             space,
-            // Every shard must own at least one VM and one host, or a
-            // decide routed to it could never return an action.
-            shards: opts
-                .shards
-                .clamp(1, space.n_hosts().min(space.n_vms()).max(1)),
             queued: AtomicUsize::new(0),
             published: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -579,21 +548,7 @@ fn respond(line: &str, shared: &Shared, tx: &Sender<WriterMsg>) -> Response {
             };
             let policy = BoltzmannPolicy::with_temperature(snapshot.temperature, shared.epsilon);
             let mut rng = StdRng::seed_from_u64(seed);
-            let sampled = if shared.shards > 1 {
-                // Hierarchical decide: level 1 routes the seed to a
-                // shard, level 2 samples only that shard's local
-                // (VM range × host range) slice of the action space.
-                let shard = (mix_seed(seed) % shared.shards as u64) as usize;
-                let vms = split_range(shared.space.n_vms(), shard, shared.shards);
-                let hosts = split_range(shared.space.n_hosts(), shard, shared.shards);
-                policy.sample_masked(&snapshot.lspi, &mut rng, |a| {
-                    let decoded = shared.space.decode(a);
-                    vms.contains(&decoded.vm.0) && hosts.contains(&decoded.target.0)
-                })
-            } else {
-                policy.sample(&snapshot.lspi, &mut rng)
-            };
-            match sampled {
+            match policy.sample(&snapshot.lspi, &mut rng) {
                 Some(action) => {
                     let decoded = shared.space.decode(action);
                     Response::Decision {

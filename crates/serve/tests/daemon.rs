@@ -218,44 +218,6 @@ fn published_snapshot_decides_like_an_in_process_agent() {
 }
 
 #[test]
-fn sharded_decide_stays_inside_the_seed_shard() {
-    // --shards 2 over 8 VMs × 4 hosts: shard 0 owns VMs 0..4 and hosts
-    // 0..2, shard 1 owns VMs 4..8 and hosts 2..4 (the HierMegh static
-    // partition). Every decision must pair a VM and a host of the SAME
-    // shard, and equal seeds must stay reproducible.
-    let dir = temp_dir("sharded");
-    let checkpoint = dir.join("checkpoint.json");
-    let mut opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), checkpoint);
-    opts.shards = 2;
-    let server = Server::bind(MeghConfig::paper_defaults(8, 4), &opts).expect("bind");
-    let addr = server.local_addr().expect("tcp addr");
-    let listen = Listen::parse(&addr.to_string());
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-
-    let mut client = connect(&listen);
-    let mut shards_hit = [false; 2];
-    for seed in 0..64 {
-        let a = client.decide(seed).unwrap();
-        assert_eq!(a, client.decide(seed).unwrap(), "seed {seed} reproducible");
-        let Response::Decision { vm, target, .. } = a else {
-            panic!("expected decision");
-        };
-        let vm_shard = vm / 4;
-        let host_shard = target / 2;
-        assert_eq!(
-            vm_shard, host_shard,
-            "seed {seed}: vm {vm} and host {target} belong to different shards"
-        );
-        shards_hit[vm_shard] = true;
-    }
-    assert_eq!(shards_hit, [true, true], "64 seeds must reach both shards");
-
-    assert!(matches!(client.shutdown().unwrap(), Response::Bye));
-    handle.join().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn protocol_errors_are_answered_not_fatal() {
     let dir = temp_dir("proto");
     let opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), dir.join("cp.json"));

@@ -20,7 +20,7 @@
 //! affects only downtime accounting, not when capacity moves. This is the
 //! same granularity CloudSim's power-aware examples use.
 //!
-//! # Streaming and parallelism
+//! # Streaming
 //!
 //! The loop is driven by any [`TraceSource`], pulling utilization
 //! columns in chunks of [`SimOptions::chunk_steps`] steps, so a run
@@ -28,16 +28,15 @@
 //! [`Simulation::run`] streams from an in-memory [`WorkloadTrace`]
 //! cursor; [`run_streamed`] drives the same loop from a lazy source
 //! (generator or file reader) without ever materializing the trace.
+//! Outcomes are byte-identical for any chunk size (see
+//! [`SimulationOutcome::fingerprint`]).
 //!
-//! With [`SimOptions::sim_threads`] > 1, the phase-5 accounting kernels
-//! (per-host power/deficit, per-VM SLA) run on a persistent
-//! [`crate::pool::StepPool`] — workers spawned once per run, fed
-//! disjoint index chunks over channels — and are merged on the main
-//! thread in index order — outcomes are byte-identical for any chunk
-//! size and any thread count (see [`SimulationOutcome::fingerprint`]).
+//! A step runs on one thread: the phase-5 accounting is a few
+//! microseconds of arithmetic, less than one hand-off to a worker
+//! (DESIGN.md §15). Runs parallelize across seeds instead, in
+//! [`crate::sweep::run_sweep`].
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -45,7 +44,6 @@ use rand::{Rng, SeedableRng};
 
 use megh_trace::{TraceSource, WorkloadTrace};
 
-use crate::pool::{HostInputs, StepPool, VmInputs};
 use crate::step::{host_metrics_chunk, vm_sla_chunk};
 use crate::{
     config::InitialPlacement, DataCenterConfig, DataCenterView, Scheduler, SimError, StepFeedback,
@@ -55,17 +53,14 @@ use crate::{
 /// Tuning knobs for the streaming step loop.
 ///
 /// The defaults reproduce the paper setup: one simulated day per chunk
-/// (288 five-minute steps), single-threaded accounting, no progress
-/// output. Every combination of these knobs yields a byte-identical
-/// [`SimulationOutcome`]; they trade memory and wall-clock only.
+/// (288 five-minute steps), no progress output. Every combination of
+/// these knobs yields a byte-identical [`SimulationOutcome`]; they
+/// trade memory only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
     /// Trace steps fetched per [`TraceSource::fill_chunk`] call. Peak
     /// trace memory is `chunk_steps × n_vms` doubles. Clamped to ≥ 1.
     pub chunk_steps: usize,
-    /// Worker threads for the per-step accounting kernels. Values ≤ 1
-    /// run the kernels inline on the caller's thread.
-    pub sim_threads: usize,
     /// Emit a progress/ETA line on stderr roughly every this many
     /// steps; 0 disables progress output.
     pub progress_every: usize,
@@ -75,7 +70,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         Self {
             chunk_steps: 288,
-            sim_threads: 1,
             progress_every: 0,
         }
     }
@@ -133,7 +127,7 @@ impl Simulation {
         })
     }
 
-    /// Replaces the streaming/parallelism options (builder style).
+    /// Replaces the streaming options (builder style).
     pub fn with_options(mut self, options: SimOptions) -> Self {
         self.options = options;
         self
@@ -154,7 +148,7 @@ impl Simulation {
         &self.initial_placement
     }
 
-    /// The active streaming/parallelism options.
+    /// The active streaming options.
     pub fn options(&self) -> &SimOptions {
         &self.options
     }
@@ -334,11 +328,7 @@ fn run_core<T: TraceSource, S: Scheduler>(
     let steps = max_steps.min(header.n_steps);
     let cap = config.migration_cap();
     let cost = &config.cost;
-    let threads = opts.sim_threads.max(1);
     let chunk_steps = opts.chunk_steps.max(1);
-    // Workers are spawned once here and fed over channels every step;
-    // `None` keeps the single-threaded path free of any pool overhead.
-    let mut pool = (threads > 1 && (m > 1 || n > 1)).then(|| StepPool::new(threads));
 
     let mut placement = initial_placement.to_vec();
     let mut vm_downtime_s = vec![0.0f64; n];
@@ -359,8 +349,7 @@ fn run_core<T: TraceSource, S: Scheduler>(
 
     let vm_mips: Vec<f64> = config.vms.iter().map(|v| v.mips).collect();
     let vm_ram: Vec<f64> = config.vms.iter().map(|v| v.ram_mb).collect();
-    // Shared with pool workers (constant for the whole run).
-    let host_mips: Arc<Vec<f64>> = Arc::new(config.pms.iter().map(|p| p.mips).collect());
+    let host_mips: Vec<f64> = config.pms.iter().map(|p| p.mips).collect();
     let host_bw: Vec<f64> = config.pms.iter().map(|p| p.bw_mbps).collect();
     // Shared once: the power curves never change during a run.
     let host_power = std::sync::Arc::new(
@@ -400,18 +389,15 @@ fn run_core<T: TraceSource, S: Scheduler>(
             let util_col = &chunk[local * n..(local + 1) * n];
             let step_idx = step + local;
 
-            // 0. Scheduled outages active this interval. `Arc` so the
-            // worker pool can share it without copying.
-            let down: Arc<Vec<bool>> = Arc::new(
-                (0..m)
-                    .map(|h| {
-                        config
-                            .outages
-                            .iter()
-                            .any(|o| o.host == h && o.covers(step_idx))
-                    })
-                    .collect(),
-            );
+            // 0. Scheduled outages active this interval.
+            let down: Vec<bool> = (0..m)
+                .map(|h| {
+                    config
+                        .outages
+                        .iter()
+                        .any(|o| o.host == h && o.covers(step_idx))
+                })
+                .collect();
 
             // 1. Demands from the trace column.
             let util: Vec<f64> = util_col.to_vec();
@@ -449,14 +435,14 @@ fn run_core<T: TraceSource, S: Scheduler>(
                 vm_util_percent: util,
                 vm_demand_mips: demand.clone(),
                 placement: placement.clone(),
-                host_mips: host_mips.as_ref().clone(),
+                host_mips: host_mips.clone(),
                 host_bw_mbps: host_bw.clone(),
                 host_used_mips: host_used.clone(),
                 host_vms,
                 host_history: host_history.clone(),
                 host_power: host_power.clone(),
                 host_reserved_mips: host_reserved,
-                host_down: down.as_ref().clone(),
+                host_down: down.clone(),
                 beta_overload: cost.beta_overload,
                 oversubscription_ratio: config.oversubscription_ratio,
                 migration_cap: cap,
@@ -539,41 +525,19 @@ fn run_core<T: TraceSource, S: Scheduler>(
             for j in 0..n {
                 host_vm_count[placement[j]] += 1;
             }
-            let host_vm_count = Arc::new(host_vm_count);
-            if let Some(pool) = pool.as_mut() {
-                // Disjoint host chunks; outputs land in per-host slots,
-                // so the merge below is order-independent of worker
-                // scheduling. `host_used` is dead after this phase, so
-                // it moves into the shared inputs outright.
-                let inputs = HostInputs {
-                    used: Arc::new(host_used),
-                    mips: Arc::clone(&host_mips),
-                    count: Arc::clone(&host_vm_count),
-                    down: Arc::clone(&down),
-                    power: Arc::clone(&host_power),
-                    tau,
-                };
-                pool.host_metrics(
-                    &inputs,
-                    &mut step_joules,
-                    &mut step_deficit,
-                    &mut step_util_frac,
-                );
-            } else {
-                host_metrics_chunk(
-                    &host_used,
-                    &host_mips,
-                    &host_vm_count,
-                    &down,
-                    &host_power,
-                    tau,
-                    &mut step_joules,
-                    &mut step_deficit,
-                    &mut step_util_frac,
-                );
-            }
-            // Deterministic merge in ascending host order — identical
-            // float-accumulation order to the sequential loop.
+            host_metrics_chunk(
+                &host_used,
+                &host_mips,
+                &host_vm_count,
+                &down,
+                &host_power,
+                tau,
+                &mut step_joules,
+                &mut step_deficit,
+                &mut step_util_frac,
+            );
+            // Fixed ascending host order: the float accumulation order
+            // is part of the byte-identical outcome contract.
             let mut joules = 0.0;
             let mut active_hosts = 0;
             let mut overloaded_hosts = 0;
@@ -590,42 +554,15 @@ fn run_core<T: TraceSource, S: Scheduler>(
             }
             let energy_cost_usd = cost.energy_cost_usd(joules);
 
-            if let Some(pool) = pool.as_mut() {
-                // Disjoint VM chunks, each reading the full per-host
-                // deficit array. `placement` and the deficit buffer are
-                // lent to the workers as `Arc`s and reclaimed below
-                // once every chunk has been merged back.
-                let placement_arc = Arc::new(std::mem::take(&mut placement));
-                let deficit_arc = Arc::new(std::mem::take(&mut step_deficit));
-                let inputs = VmInputs {
-                    placement: Arc::clone(&placement_arc),
-                    deficit: Arc::clone(&deficit_arc),
-                    tau,
-                    cost: cost.clone(),
-                };
-                pool.vm_sla(
-                    &inputs,
-                    &mut vm_downtime_s,
-                    &mut vm_requested_s,
-                    &mut step_sla,
-                );
-                drop(inputs);
-                // All jobs have been collected, so both Arcs are unique
-                // again; the fallback clone is unreachable in practice.
-                placement = Arc::try_unwrap(placement_arc).unwrap_or_else(|a| a.as_ref().clone());
-                step_deficit = Arc::try_unwrap(deficit_arc).unwrap_or_else(|a| a.as_ref().clone());
-            } else {
-                vm_sla_chunk(
-                    &placement,
-                    &step_deficit,
-                    tau,
-                    cost,
-                    &mut vm_downtime_s,
-                    &mut vm_requested_s,
-                    &mut step_sla,
-                );
-            }
-            // Deterministic merge in ascending VM order.
+            vm_sla_chunk(
+                &placement,
+                &step_deficit,
+                tau,
+                cost,
+                &mut vm_downtime_s,
+                &mut vm_requested_s,
+                &mut step_sla,
+            );
             let mut sla_cost_usd = 0.0;
             for &s in &step_sla {
                 sla_cost_usd += s;
@@ -1269,29 +1206,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_thread_count_is_invisible() {
-        let (config, trace) = busy_setup(40);
-        let base = Simulation::new(config.clone(), trace.clone())
-            .unwrap()
-            .run(Rotor);
-        for sim_threads in [1usize, 2, 4] {
-            let out = Simulation::new(config.clone(), trace.clone())
-                .unwrap()
-                .with_options(SimOptions {
-                    sim_threads,
-                    chunk_steps: 13,
-                    ..SimOptions::default()
-                })
-                .run(Rotor);
-            assert_eq!(
-                out.fingerprint(),
-                base.fingerprint(),
-                "sim_threads = {sim_threads} changed the outcome"
-            );
-        }
-    }
-
-    #[test]
     fn streaming_run_matches_materialized_run() {
         // Drive the engine straight from the lazy generator and compare
         // against materialize-then-run.
@@ -1306,7 +1220,6 @@ mod tests {
             Rotor,
             SimOptions {
                 chunk_steps: 7,
-                sim_threads: 2,
                 ..SimOptions::default()
             },
         )

@@ -1,15 +1,11 @@
-//! Per-step accounting kernels shared by the sequential and parallel
-//! engine paths.
+//! Per-step accounting kernels of the engine's step loop.
 //!
 //! The engine's phase-5 accounting (per-host power draw + capacity
-//! deficit, then per-VM SLA terms) is embarrassingly parallel: every
-//! host and every VM is independent. These kernels operate on disjoint
-//! output slots so `run_core` can hand chunked ranges to the persistent
-//! [`crate::pool::StepPool`] workers and merge the results sequentially
-//! in index order — the same deterministic-merge pattern as
-//! [`crate::sweep::run_sweep`]. The single-threaded path calls the very
-//! same kernels over the full range, so sequential and parallel runs
-//! are byte-identical by construction.
+//! deficit, then per-VM SLA terms) treats every host and every VM
+//! independently: each kernel reads its input slices and writes one
+//! output slot per index. `run_core` calls both once per step over the
+//! full host / VM range, on its own thread, and reduces the slots in
+//! ascending index order.
 //!
 //! Kernels are pure over their slices and run on the per-step hot path:
 //! they must not allocate, panic, or read any nondeterministic state.
@@ -18,8 +14,8 @@
 
 use crate::{CostParams, PowerModel};
 
-/// Computes per-host energy, capacity deficit, and utilization for one
-/// chunk of hosts (all slices cover the same host range).
+/// Computes per-host energy, capacity deficit, and utilization for a
+/// range of hosts (all slices cover the same host range).
 ///
 /// Per host `h` in the chunk:
 ///
@@ -81,12 +77,12 @@ pub(crate) fn host_metrics_chunk(
 }
 
 /// Accrues downtime/requested time and computes the per-VM SLA cost
-/// term for one chunk of VMs.
+/// term for a range of VMs.
 ///
 /// `placement`, `vm_downtime_s`, `vm_requested_s`, and `out_sla` cover
 /// the same VM range; `deficit` is the *full* per-host deficit array
 /// from [`host_metrics_chunk`]. The caller sums `out_sla` in ascending
-/// VM order, reproducing the sequential accumulation exactly.
+/// VM order.
 // lint: depth_budget(3)
 pub(crate) fn vm_sla_chunk(
     placement: &[usize],
