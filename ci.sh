@@ -10,28 +10,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo run -p lint (cold scan + SARIF, empty lint-cache, budget <10s)"
-rm -rf target/lint-cache
-LINT_START=$(date +%s)
-cargo run -q -p lint -- --sarif target/lint.sarif
-LINT_SECS=$(( $(date +%s) - LINT_START ))
-if [ "$LINT_SECS" -ge 10 ]; then
-  echo "lint: cold workspace scan took ${LINT_SECS}s (budget: <10s)" >&2
-  exit 1
-fi
-if ! [ -s target/lint.sarif ]; then
-  echo "lint: --sarif produced no log" >&2
-  exit 1
-fi
-
-echo "==> cargo run -p lint (warm scan via target/lint-cache, budget <5s)"
-LINT_START=$(date +%s)
+echo "==> cargo run -p lint"
 cargo run -q -p lint
-LINT_SECS=$(( $(date +%s) - LINT_START ))
-if [ "$LINT_SECS" -ge 5 ]; then
-  echo "lint: warm workspace scan took ${LINT_SECS}s (budget: <5s)" >&2
-  exit 1
-fi
 
 echo "==> lint-diff (fatal on new violations or property regressions)"
 cargo run -q -p lint -- --diff
@@ -114,5 +94,25 @@ done > "$SMOKE_DIR/after.txt"
 wait "$SERVE_PID"
 diff -u "$SMOKE_DIR/before.txt" "$SMOKE_DIR/after.txt"
 echo "serve smoke: decisions identical across SIGKILL + restart"
+
+echo "==> benchmark builds and smoke-runs against this tree ($(nproc) cores; exit status only)"
+# PR acceptance runs BENCHMARK.json's command against the committed tree;
+# this is the same build and one short workload, so an API the benchmark
+# links to cannot be broken unnoticed. Timings printed here mean nothing.
+# benchmark/ is a separate package (own lockfile, path deps on crates/) and
+# links to: MeghAgent::{new,checkpoint,theta_nnz,qtable_nnz}, MeghConfig,
+# MeghCheckpoint {config, lspi, temperature, steps}, save_checkpoint /
+# load_checkpoint, fnv1a64, BoltzmannPolicy::{with_temperature,sample,greedy},
+# SparseLspi::{dim,update,clone}, DokMatrix::{zeros,add_outer_product,
+# mul_sparse_vec_into,mul_sparse_vec_left_into,nnz}, SparseVec::{from_pairs,
+# zeros}, run_streamed, SimOptions::default, DataCenterConfig, DataCenterView,
+# Scheduler, StepFeedback, SimulationOutcome::{records,report,fingerprint},
+# PlanetLabConfig / PlanetLabSource / TraceHeader / TraceSource /
+# STEPS_PER_DAY, and Server / Client / Listen / ServeOptions::new /
+# ServeError / Request / Response. serve_cycle trains through run_streamed +
+# MeghAgent, saves and loads a checkpoint, binds a Server and drives every
+# wire op.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --workload serve_cycle --seconds 1
 
 echo "CI OK"

@@ -3,6 +3,10 @@
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -239,8 +243,7 @@ impl MeghAgent {
     /// `pending` in place so its buffer is reused step after step.
     fn learn_pending(&mut self) {
         if let Some(cost) = self.last_cost.take() {
-            for idx in 0..self.pending.len() {
-                let a_prev = self.pending[idx];
+            for &a_prev in &self.pending {
                 let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
                 if self.learning {
                     self.lspi.update(a_prev, a_next, cost);
@@ -314,10 +317,12 @@ impl Scheduler for MeghAgent {
             // Contract: decode() yields in-space actions, and vm_taken
             // is sized to the VM count at construction.
             debug_assert!(vm_idx < self.vm_taken.len());
-            if self.vm_taken[vm_idx] {
+            let Some(taken) = self.vm_taken.get_mut(vm_idx) else {
+                continue;
+            };
+            if std::mem::replace(taken, true) {
                 continue; // one decision per VM per step
             }
-            self.vm_taken[vm_idx] = true;
             // `pending` was drained by `learn_pending`; it now collects
             // this step's actions for the next critic pass.
             self.pending.push(a);

@@ -38,6 +38,12 @@
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
+
+use std::num::NonZeroUsize;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,19 +116,22 @@ impl HierConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), &'static str> {
+        self.divisors().map(|_| ())
+    }
+
+    /// Validates, and hands back the two counts the shard and phase
+    /// arithmetic divides by in a type that cannot be zero.
+    fn divisors(&self) -> Result<Divisors, &'static str> {
         self.base.validate()?;
-        if self.n_shards == 0 {
-            return Err("n_shards must be at least 1");
-        }
+        let n_shards = NonZeroUsize::new(self.n_shards).ok_or("n_shards must be at least 1")?;
         if self.n_shards > self.base.n_hosts.max(1) {
             return Err("n_shards must not exceed n_hosts");
         }
         if self.n_phases == 0 {
             return Err("n_phases must be at least 1");
         }
-        if self.steps_per_period == 0 {
-            return Err("steps_per_period must be at least 1");
-        }
+        let steps_per_period = NonZeroUsize::new(self.steps_per_period)
+            .ok_or("steps_per_period must be at least 1")?;
         // NaN fails both comparisons, so it is rejected as well.
         if self.freeze_growth_limit < 0.0 || !self.freeze_growth_limit.is_finite() {
             return Err("freeze_growth_limit must be non-negative");
@@ -130,15 +139,32 @@ impl HierConfig {
         if self.thaw_drift < 1.0 || !self.thaw_drift.is_finite() {
             return Err("thaw_drift must be at least 1");
         }
-        Ok(())
+        Ok(Divisors {
+            n_shards,
+            steps_per_period,
+        })
     }
+}
+
+/// `HierConfig::{n_shards, steps_per_period}` as validated once by
+/// [`HierMegh::new`]: every `/` and `%` below takes its divisor from here.
+#[derive(Debug, Clone, Copy)]
+struct Divisors {
+    n_shards: NonZeroUsize,
+    steps_per_period: NonZeroUsize,
 }
 
 /// The contiguous slice `[s·total/n, (s+1)·total/n)` of a resource
 /// split into `n` shards.
-fn split_range(total: usize, s: usize, n: usize) -> std::ops::Range<usize> {
-    debug_assert!(n > 0, "split into zero shards");
+fn split_range(total: usize, s: usize, n: NonZeroUsize) -> std::ops::Range<usize> {
     (s * total / n)..((s + 1) * total / n)
+}
+
+/// The shard owning element `index` of a resource of `total` elements
+/// split by [`split_range`] (its arithmetic inverse); 0 when `total == 0`.
+fn shard_of(index: usize, total: usize, n: NonZeroUsize) -> usize {
+    // `(index + 1) · n ≥ 1`, so the subtraction never saturates.
+    NonZeroUsize::new(total).map_or(0, |total| ((index + 1) * n.get()).saturating_sub(1) / total)
 }
 
 /// SplitMix64 finalizer: derives independent per-shard exploration
@@ -179,9 +205,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cfg: &HierConfig, s: usize) -> Self {
-        let vms = split_range(cfg.base.n_vms, s, cfg.n_shards);
-        let hosts = split_range(cfg.base.n_hosts, s, cfg.n_shards);
+    fn new(cfg: &HierConfig, s: usize, n_shards: NonZeroUsize) -> Self {
+        let vms = split_range(cfg.base.n_vms, s, n_shards);
+        let hosts = split_range(cfg.base.n_hosts, s, n_shards);
         let space = ActionSpace::new(vms.len(), hosts.len());
         // Paper convention, per shard: δ_c = d_c.
         let delta = space.dim().max(1) as f64;
@@ -226,8 +252,7 @@ impl Shard {
     /// frozen. Mirrors `MeghAgent::learn_pending`.
     fn learn_pending(&mut self) {
         if let Some(cost) = self.last_cost.take() {
-            for idx in 0..self.pending.len() {
-                let a_prev = self.pending[idx];
+            for &a_prev in &self.pending {
                 let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
                 if self.learning {
                     self.lspi.update(a_prev, a_next, cost);
@@ -279,13 +304,14 @@ impl Shard {
         &mut self,
         view: &DataCenterView,
         cfg: &HierConfig,
+        steps_per_period: NonZeroUsize,
         out: &mut Vec<MigrationRequest>,
     ) {
         if self.space.dim() == 0 {
             return;
         }
         self.learn_pending();
-        self.tick_phase(phase_of(view.step(), cfg), cfg);
+        self.tick_phase(phase_of(view.step(), cfg.n_phases, steps_per_period), cfg);
         if self.learning {
             self.policy.decay();
         }
@@ -310,10 +336,12 @@ impl Shard {
             // Contract: decode() yields in-space actions, and vm_taken
             // is sized to the shard's VM count at construction.
             debug_assert!(vm_idx < self.vm_taken.len());
-            if self.vm_taken[vm_idx] {
+            let Some(taken) = self.vm_taken.get_mut(vm_idx) else {
+                continue;
+            };
+            if std::mem::replace(taken, true) {
                 continue; // one decision per VM per step
             }
-            self.vm_taken[vm_idx] = true;
             self.pending.push(a);
             let vm = VmId(self.vm_lo + vm_idx);
             let target = PmId(self.host_lo + action.target.0);
@@ -325,10 +353,8 @@ impl Shard {
 }
 
 /// The phase index for a step (identical to `PeriodicMeghAgent`).
-fn phase_of(step: usize, cfg: &HierConfig) -> usize {
-    let period = cfg.steps_per_period;
-    debug_assert!(period > 0, "validated by HierConfig::validate");
-    (step % period) * cfg.n_phases / period
+fn phase_of(step: usize, n_phases: usize, period: NonZeroUsize) -> usize {
+    (step % period) * n_phases / period
 }
 
 /// Cached O(1) coordinator aggregates of one shard.
@@ -359,6 +385,7 @@ struct ShardAgg {
 #[derive(Debug, Clone)]
 pub struct HierMegh {
     config: HierConfig,
+    divisors: Divisors,
     shards: Vec<Shard>,
     agg: Vec<ShardAgg>,
     /// Next shard whose aggregates the rotating refresh touches.
@@ -377,13 +404,14 @@ impl HierMegh {
     ///
     /// Panics if the configuration fails [`HierConfig::validate`].
     pub fn new(config: HierConfig) -> Self {
-        if let Err(msg) = config.validate() {
+        let divisors = match config.divisors() {
+            Ok(divisors) => divisors,
             // Documented contract, asserted by tests. lint: allow(panic)
-            panic!("invalid hierarchical Megh configuration: {msg}");
-        }
+            Err(msg) => panic!("invalid hierarchical Megh configuration: {msg}"),
+        };
         // One-time construction of the shard fleet.
         let shards: Vec<Shard> = (0..config.n_shards)
-            .map(|s| Shard::new(&config, s))
+            .map(|s| Shard::new(&config, s, divisors.n_shards))
             .collect(); // lint: allow(alloc)
                         // Optimistic defaults until the rotating refresh reaches a
                         // shard: fully awake, idle.
@@ -396,6 +424,7 @@ impl HierMegh {
         ];
         Self {
             config,
+            divisors,
             shards,
             agg,
             refresh_cursor: 0,
@@ -433,7 +462,7 @@ impl HierMegh {
     /// Panics if `s` is out of range.
     pub fn shard_hosts(&self, s: usize) -> std::ops::Range<usize> {
         assert!(s < self.n_shards(), "shard index out of range");
-        split_range(self.config.base.n_hosts, s, self.config.n_shards)
+        split_range(self.config.base.n_hosts, s, self.divisors.n_shards)
     }
 
     /// The contiguous global VM range owned by shard `s`.
@@ -443,7 +472,7 @@ impl HierMegh {
     /// Panics if `s` is out of range.
     pub fn shard_vms(&self, s: usize) -> std::ops::Range<usize> {
         assert!(s < self.n_shards(), "shard index out of range");
-        split_range(self.config.base.n_vms, s, self.config.n_shards)
+        split_range(self.config.base.n_vms, s, self.divisors.n_shards)
     }
 
     /// The shard owning global host `host`.
@@ -454,9 +483,7 @@ impl HierMegh {
     pub fn shard_of_host(&self, host: usize) -> usize {
         let n_hosts = self.config.base.n_hosts;
         assert!(host < n_hosts, "host index out of range");
-        let n_shards = self.config.n_shards;
-        debug_assert!(n_shards > 0, "validated by HierConfig::validate");
-        ((host + 1) * n_shards - 1) / n_hosts
+        shard_of(host, n_hosts, self.divisors.n_shards)
     }
 
     /// The shard owning global VM `vm`.
@@ -467,9 +494,7 @@ impl HierMegh {
     pub fn shard_of_vm(&self, vm: usize) -> usize {
         let n_vms = self.config.base.n_vms;
         assert!(vm < n_vms, "vm index out of range");
-        let n_shards = self.config.n_shards;
-        debug_assert!(n_shards > 0, "validated by HierConfig::validate");
-        ((vm + 1) * n_shards - 1) / n_vms
+        shard_of(vm, n_vms, self.divisors.n_shards)
     }
 
     /// Total explicit non-zeros across all shard operators (the
@@ -499,8 +524,11 @@ impl HierMegh {
     ///
     /// Panics if `s` is out of range.
     pub fn shard_lspi(&self, s: usize) -> &SparseLspi {
-        assert!(s < self.shards.len(), "shard index out of range");
-        &self.shards[s].lspi
+        match self.shards.get(s) {
+            Some(shard) => &shard.lspi,
+            // Documented contract. lint: allow(panic)
+            None => panic!("shard index out of range"),
+        }
     }
 
     /// Pauses learning on every shard (evaluation mode: critic previews).
@@ -528,7 +556,7 @@ impl HierMegh {
     fn refresh_agg(&mut self, s: usize, view: &DataCenterView) {
         // Contract: one ShardAgg per shard, refreshed by shard index.
         debug_assert!(s < self.agg.len());
-        let hosts = split_range(self.config.base.n_hosts, s, self.config.n_shards);
+        let hosts = split_range(self.config.base.n_hosts, s, self.divisors.n_shards);
         let n = hosts.len();
         if n == 0 {
             return;
@@ -544,24 +572,23 @@ impl HierMegh {
                 awake += 1;
             }
         }
-        self.agg[s] = ShardAgg {
-            utilization: if cap > 0.0 { used / cap } else { 0.0 },
-            awake_frac: awake as f64 / n as f64,
-        };
+        if let Some(agg) = self.agg.get_mut(s) {
+            *agg = ShardAgg {
+                utilization: if cap > 0.0 { used / cap } else { 0.0 },
+                awake_frac: awake as f64 / n as f64,
+            };
+        }
     }
 
-    /// The coordinator score of shard `s`, from cached aggregates plus
+    /// The coordinator score of one shard, from cached aggregates plus
     /// the shard agent's O(1) drift diagnostic. Higher = more in need
     /// of the decision budget: busy shards (migration pressure),
     /// un-consolidated shards (many awake hosts), and frozen shards
     /// whose policy is drifting. The weights are heuristic; correctness
     /// never depends on them (any shard the score neglects is still
     /// reached by the round-robin interleave).
-    fn score(&self, s: usize) -> f64 {
-        // Contract: agg and shards are parallel per-shard arrays.
-        debug_assert!(s < self.agg.len() && s < self.shards.len());
-        let agg = &self.agg[s];
-        let drift = match self.shards[s].eval_residual_mean() {
+    fn score(agg: &ShardAgg, shard: &Shard) -> f64 {
+        let drift = match shard.eval_residual_mean() {
             Some(r) => r / (1.0 + r),
             None => 0.0,
         };
@@ -590,9 +617,9 @@ impl Scheduler for HierMegh {
         // Lazy aggregate refresh: a rotating handful of shards per
         // decide keeps coordinator cost O(refresh · M_c + S), never a
         // full-fleet scan.
-        let s_count = self.shards.len();
-        debug_assert!(s_count > 0, "HierConfig::validate requires n_shards >= 1");
-        for _ in 0..self.config.refresh_per_decide.min(s_count) {
+        let s_count = self.divisors.n_shards;
+        debug_assert_eq!(s_count.get(), self.shards.len());
+        for _ in 0..self.config.refresh_per_decide.min(s_count.get()) {
             let s = self.refresh_cursor;
             self.refresh_agg(s, view);
             self.refresh_cursor = (self.refresh_cursor + 1) % s_count;
@@ -608,10 +635,12 @@ impl Scheduler for HierMegh {
             self.rr_cursor = (self.rr_cursor + 1) % s_count;
             s
         } else {
+            // Contract: agg and shards are parallel per-shard arrays.
+            debug_assert_eq!(self.agg.len(), self.shards.len());
             let mut best = 0usize;
             let mut best_score = f64::NEG_INFINITY;
-            for s in 0..s_count {
-                let score = self.score(s);
+            for (s, (agg, shard)) in self.agg.iter().zip(&self.shards).enumerate() {
+                let score = Self::score(agg, shard);
                 if score.total_cmp(&best_score) == std::cmp::Ordering::Greater {
                     best = s;
                     best_score = score;
@@ -623,8 +652,10 @@ impl Scheduler for HierMegh {
 
         // Level 2: the chosen cluster's local Megh picks VM and host.
         debug_assert!(chosen < self.shards.len());
-        let (config, shard) = (&self.config, &mut self.shards[chosen]);
-        shard.decide_local(view, config, &mut requests);
+        if let Some(shard) = self.shards.get_mut(chosen) {
+            let period = self.divisors.steps_per_period;
+            shard.decide_local(view, &self.config, period, &mut requests);
+        }
         self.last_shard = Some(chosen);
         requests
     }
@@ -634,7 +665,9 @@ impl Scheduler for HierMegh {
         // Route the observed cost to the shard whose action caused it.
         if let Some(s) = self.last_shard {
             debug_assert!(s < self.shards.len());
-            self.shards[s].last_cost = Some(feedback.total_cost_usd);
+            if let Some(shard) = self.shards.get_mut(s) {
+                shard.last_cost = Some(feedback.total_cost_usd);
+            }
         }
     }
 }

@@ -24,6 +24,10 @@
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use megh_linalg::{DokMatrix, SparseVec};
 use serde::{Deserialize, Serialize};
@@ -220,7 +224,7 @@ impl SparseLspi {
         assert!(action < self.dim, "action index {action} out of range");
         // Contract: explored is dim-long from construction on.
         debug_assert!(action < self.explored.len());
-        !self.explored[action]
+        !self.explored.get(action).copied().unwrap_or(false)
     }
 
     /// Applies one learning step: the agent took `a_prev`, observed
@@ -266,9 +270,10 @@ impl SparseLspi {
         // Contract: explored is dim-long and a_prev < dim (asserted at
         // entry alongside a_next).
         debug_assert!(a_prev < self.explored.len());
-        if !self.explored[a_prev] {
-            self.explored[a_prev] = true;
-            self.explored_count += 1;
+        if let Some(explored) = self.explored.get_mut(a_prev) {
+            if !std::mem::replace(explored, true) {
+                self.explored_count += 1;
+            }
         }
 
         self.updates += 1;
@@ -343,7 +348,7 @@ impl SparseLspi {
             t.set(a_prev, a_prev, t.get(a_prev, a_prev) + 1.0);
             t.set(a_prev, a_next, t.get(a_prev, a_next) - self.gamma);
         }
-        if self.updates % VERIFY_EVERY != 0 {
+        if !self.updates.is_multiple_of(VERIFY_EVERY) {
             return;
         }
         let structure = self.delta_b.check_consistency();
@@ -482,14 +487,14 @@ impl<'de> Deserialize<'de> for SparseLspi {
         let mut explored = vec![false; repr.dim]; // lint: allow(alloc) — deserialization
         for &a in &repr.explored {
             // explored was sized to repr.dim just above.
-            if a >= explored.len() {
+            let Some(slot) = explored.get_mut(a) else {
                 // lint: allow(alloc)
                 return Err(serde::de::Error::custom(format!(
                     "explored action {a} outside dim {}",
                     repr.dim
                 )));
-            }
-            explored[a] = true;
+            };
+            *slot = true;
         }
         let explored_count = explored.iter().filter(|&&e| e).count();
         let mut lspi = SparseLspi {

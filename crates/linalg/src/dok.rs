@@ -3,9 +3,14 @@
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use serde::{Deserialize, Serialize};
 
+use crate::sparse_vec::stored;
 use crate::SparseVec;
 
 /// A square sparse matrix stored as sorted per-row and per-column
@@ -81,11 +86,10 @@ impl DokMatrix {
         assert!(row < self.order && col < self.order, "index out of range");
         // Contract: rows/cols are order-long adjacency tables.
         debug_assert!(row < self.rows.len());
-        match self.rows[row].binary_search_by_key(&col, |&(c, _)| c) {
-            // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-            Ok(pos) => self.rows[row][pos].1,
-            Err(_) => 0.0,
-        }
+        self.rows
+            .get(row)
+            .and_then(|list| stored(list, col))
+            .map_or(0.0, |&(_, v)| v)
     }
 
     /// Sets the entry at `(row, col)`, removing it when `value == 0.0`.
@@ -97,40 +101,33 @@ impl DokMatrix {
         assert!(row < self.order && col < self.order, "index out of range");
         // Contract: rows/cols are order-long adjacency tables.
         debug_assert!(row < self.rows.len() && col < self.cols.len());
-        let row_list = &mut self.rows[row];
+        let (Some(row_list), Some(col_list)) = (self.rows.get_mut(row), self.cols.get_mut(col))
+        else {
+            return;
+        };
         match row_list.binary_search_by_key(&col, |&(c, _)| c) {
-            Ok(pos) => {
+            Ok(pos) if value == 0.0 => {
+                row_list.remove(pos);
                 // The mirror entry exists whenever the dual-adjacency
-                // invariant holds; a missing mirror is repaired in place
-                // (the `check-invariants` feature verifies the invariant
-                // after every Sherman–Morrison update).
-                let col_list = &mut self.cols[col];
-                let mirror = col_list.binary_search_by_key(&row, |&(r, _)| r);
-                if value == 0.0 {
-                    row_list.remove(pos);
-                    if let Ok(m) = mirror {
-                        col_list.remove(m);
-                    }
-                    // lint: allow(implicit_panic) -- an entry was just removed from row_list, so nnz >= 1
-                    self.nnz -= 1;
-                } else {
-                    // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-                    row_list[pos].1 = value;
-                    match mirror {
-                        // lint: allow(implicit_panic) -- mirror search returned Ok(m), so m indexes a stored entry
-                        Ok(m) => col_list[m].1 = value,
-                        Err(m) => col_list.insert(m, (row, value)),
-                    }
+                // invariant holds (the `check-invariants` feature
+                // verifies it after every Sherman–Morrison update).
+                if let Ok(m) = col_list.binary_search_by_key(&row, |&(r, _)| r) {
+                    col_list.remove(m);
                 }
+                // An entry was just removed, so the count was at least 1.
+                self.nnz = self.nnz.saturating_sub(1);
+            }
+            Ok(pos) => {
+                if let Some(entry) = row_list.get_mut(pos) {
+                    entry.1 = value;
+                }
+                // A missing mirror is repaired in place.
+                upsert(col_list, row, value);
             }
             Err(pos) => {
                 if value != 0.0 {
                     row_list.insert(pos, (col, value));
-                    let col_list = &mut self.cols[col];
-                    match col_list.binary_search_by_key(&row, |&(r, _)| r) {
-                        Ok(m) => col_list[m].1 = value,
-                        Err(m) => col_list.insert(m, (row, value)),
-                    }
+                    upsert(col_list, row, value);
                     self.nnz += 1;
                 }
             }
@@ -165,18 +162,18 @@ impl DokMatrix {
                 if v == 0.0 {
                     return Err("explicit zero stored in row adjacency list");
                 }
-                debug_assert!(c < self.cols.len());
-                match self.cols[c].binary_search_by_key(&r, |&(rr, _)| rr) {
-                    Ok(m) if self.cols[c][m].1 == v => {}
-                    Ok(_) => return Err("mirror entry disagrees on value"),
-                    Err(_) => return Err("row entry missing from column mirror"),
+                // `c < order = cols.len()` was checked above.
+                match self.cols.get(c).and_then(|col| stored(col, r)) {
+                    Some(&(_, w)) if w == v => {}
+                    Some(_) => return Err("mirror entry disagrees on value"),
+                    None => return Err("row entry missing from column mirror"),
                 }
                 row_entries += 1;
             }
         }
         let col_entries: usize = self.cols.iter().map(Vec::len).sum();
         for col in &self.cols {
-            if col.windows(2).any(|w| w[0].0 >= w[1].0) {
+            if !col.is_sorted_by(|a, b| a.0 < b.0) {
                 return Err("column adjacency list not strictly increasing");
             }
         }
@@ -256,7 +253,10 @@ impl DokMatrix {
             // Contract: SparseVec stores indices < dim = order (asserted
             // above), and cols is order-long.
             debug_assert!(col < self.cols.len());
-            for &(row, w) in &self.cols[col] {
+            let Some(list) = self.cols.get(col) else {
+                continue;
+            };
+            for &(row, w) in list {
                 out.add_at(row, value * w);
             }
         }
@@ -301,7 +301,10 @@ impl DokMatrix {
             // Contract: SparseVec stores indices < dim = order (asserted
             // above), and rows is order-long.
             debug_assert!(row < self.rows.len());
-            for &(col, w) in &self.rows[row] {
+            let Some(list) = self.rows.get(row) else {
+                continue;
+            };
+            for &(col, w) in list {
                 out.add_at(col, value * w);
             }
         }
@@ -316,10 +319,13 @@ impl DokMatrix {
         assert_eq!(v.len(), self.order, "dimension mismatch");
         // Dense materialisation is a diagnostic path, not the hot loop.
         let mut out = vec![0.0; self.order]; // lint: allow(alloc)
-        for (row, list) in self.rows.iter().enumerate() {
+                                             // rows and out are both order-long, as is v (asserted above), and
+                                             // stored column indices are < order.
+        debug_assert_eq!(self.rows.len(), out.len());
+        for (slot, list) in out.iter_mut().zip(&self.rows) {
             for &(col, value) in list {
-                // lint: allow(implicit_panic) -- row enumerates the order-long rows table and out/v are order-long (asserted)
-                out[row] += value * v[col];
+                debug_assert!(col < v.len());
+                *slot += value * v.get(col).copied().unwrap_or(0.0);
             }
         }
         out
@@ -351,6 +357,19 @@ impl DokMatrix {
                 self.add_at(i, j, scale * uv * vv);
             }
         }
+    }
+}
+
+/// Sets the `index` entry of a sorted adjacency list to `value`,
+/// inserting it in order when absent.
+fn upsert(list: &mut Vec<(usize, f64)>, index: usize, value: f64) {
+    match list.binary_search_by_key(&index, |&(i, _)| i) {
+        Ok(m) => {
+            if let Some(entry) = list.get_mut(m) {
+                entry.1 = value;
+            }
+        }
+        Err(m) => list.insert(m, (index, value)),
     }
 }
 

@@ -3,6 +3,10 @@
 // This module is on the Megh decision hot path: steady-state calls must
 // not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use serde::{Deserialize, Serialize};
 
@@ -118,11 +122,7 @@ impl SparseVec {
     /// Panics if `index >= dim`.
     pub fn get(&self, index: usize) -> f64 {
         assert!(index < self.dim, "index {index} out of range");
-        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
-            // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-            Ok(pos) => self.entries[pos].1,
-            Err(_) => 0.0,
-        }
+        stored(&self.entries, index).map_or(0.0, |&(_, v)| v)
     }
 
     /// Sets the value at `index`, inserting or removing an entry as needed.
@@ -136,9 +136,8 @@ impl SparseVec {
             Ok(pos) => {
                 if value == 0.0 {
                     self.entries.remove(pos);
-                } else {
-                    // lint: allow(implicit_panic) -- binary_search returned Ok(pos), so pos indexes a stored entry
-                    self.entries[pos].1 = value;
+                } else if let Some(entry) = self.entries.get_mut(pos) {
+                    entry.1 = value;
                 }
             }
             Err(pos) => {
@@ -186,18 +185,19 @@ impl SparseVec {
     // lint: depth_budget(1)
     pub fn dot(&self, other: &SparseVec) -> f64 {
         assert_eq!(self.dim, other.dim, "dimension mismatch in dot product");
-        let (mut i, mut j) = (0, 0);
+        // Merge walk over the two sorted entry lists.
+        let (mut a, mut b) = (self.entries.as_slice(), other.entries.as_slice());
         let mut acc = 0.0;
-        while i < self.entries.len() && j < other.entries.len() {
-            let (ia, va) = self.entries[i];
-            let (ib, vb) = other.entries[j];
+        while let (Some((&(ia, va), rest_a)), Some((&(ib, vb), rest_b))) =
+            (a.split_first(), b.split_first())
+        {
             match ia.cmp(&ib) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Less => a = rest_a,
+                std::cmp::Ordering::Greater => b = rest_b,
                 std::cmp::Ordering::Equal => {
                     acc += va * vb;
-                    i += 1;
-                    j += 1;
+                    a = rest_a;
+                    b = rest_b;
                 }
             }
         }
@@ -211,8 +211,14 @@ impl SparseVec {
     /// Panics if `dense.len() != self.dim()`.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
         assert_eq!(self.dim, dense.len(), "dimension mismatch in dot product");
-        // lint: allow(implicit_panic) -- stored indices are < dim = dense.len() (asserted above)
-        self.entries.iter().map(|&(i, v)| v * dense[i]).sum()
+        // Stored indices are < dim = dense.len() (asserted above).
+        self.entries
+            .iter()
+            .map(|&(i, v)| {
+                debug_assert!(i < dense.len());
+                v * dense.get(i).copied().unwrap_or(0.0)
+            })
+            .sum()
     }
 
     /// Returns `self + scale * other` as a new vector.
@@ -266,11 +272,22 @@ impl SparseVec {
         // Dense materialisation is a diagnostic path, not the hot loop.
         let mut out = vec![0.0; self.dim]; // lint: allow(alloc)
         for (i, v) in self.iter() {
-            // lint: allow(implicit_panic) -- stored indices are < dim and out is dim-long
-            out[i] = v;
+            // Stored indices are < dim and out is dim-long.
+            debug_assert!(i < out.len());
+            if let Some(slot) = out.get_mut(i) {
+                *slot = v;
+            }
         }
         out
     }
+}
+
+/// The entry stored under `index` in a list of `(index, value)` pairs
+/// sorted by index — a `SparseVec`'s entries, or one row or column of a
+/// `DokMatrix`.
+pub(crate) fn stored(list: &[(usize, f64)], index: usize) -> Option<&(usize, f64)> {
+    let pos = list.binary_search_by_key(&index, |&(i, _)| i).ok()?;
+    list.get(pos)
 }
 
 #[cfg(test)]

@@ -174,3 +174,77 @@ proptest! {
         prop_assert!(b.to_dense().max_abs_diff(&gj) < 1e-6);
     }
 }
+
+proptest! {
+    /// The executed counterpart of the indexing proofs `DokMatrix` used
+    /// to carry: a random interleaving of every mutating and reading
+    /// kernel agrees with a `DenseMatrix` shadow entry for entry, `nnz()`
+    /// equals the stored count, and the row/column mirror holds after
+    /// each step. Zero-valued `set`s exercise removal and re-insertion;
+    /// the debug profile makes any unsigned underflow a failure too.
+    #[test]
+    fn dok_kernel_sequences_match_a_dense_shadow(
+        ops in prop::collection::vec(
+            (
+                (0..5usize, 0..6usize, 0..6usize, -4.0..4.0f64, 0..3usize),
+                (sparse_vec_strategy(6), sparse_vec_strategy(6)),
+            ),
+            1..40,
+        ),
+    ) {
+        let d = 6;
+        let mut m = DokMatrix::zeros(d);
+        let mut shadow = DenseMatrix::zeros(d, d);
+        let mut out = SparseVec::zeros(d);
+        for ((kind, r, c, value, zero), (u, v)) in ops {
+            match kind {
+                0 => {
+                    // One set in three removes (or leaves absent).
+                    let value = if zero == 0 { 0.0 } else { value };
+                    m.set(r, c, value);
+                    shadow.set(r, c, value);
+                }
+                1 => {
+                    m.add_outer_product(&u, &v, value);
+                    for (i, ui) in u.iter() {
+                        for (j, vj) in v.iter() {
+                            shadow.set(i, j, shadow.get(i, j) + value * ui * vj);
+                        }
+                    }
+                }
+                2 => {
+                    m.mul_sparse_vec_into(&v, &mut out);
+                    let want = shadow.mul_vec(&v.to_dense());
+                    for (g, w) in out.to_dense().iter().zip(&want) {
+                        prop_assert!((g - w).abs() < 1e-9, "M·v: got {g}, want {w}");
+                    }
+                }
+                3 => {
+                    m.mul_sparse_vec_left_into(&u, &mut out);
+                    let dense_u = u.to_dense();
+                    for (col, g) in out.to_dense().iter().enumerate() {
+                        let w: f64 = (0..d).map(|row| dense_u[row] * shadow.get(row, col)).sum();
+                        prop_assert!((g - w).abs() < 1e-9, "uᵀ·M: got {g}, want {w}");
+                    }
+                }
+                _ => {
+                    let dense_v = v.to_dense();
+                    let want = shadow.mul_vec(&dense_v);
+                    for (g, w) in m.mul_dense_vec(&dense_v).iter().zip(&want) {
+                        prop_assert!((g - w).abs() < 1e-9, "M·dense: got {g}, want {w}");
+                    }
+                }
+            }
+            let mut stored = 0;
+            for row in 0..d {
+                for col in 0..d {
+                    prop_assert_eq!(m.get(row, col), shadow.get(row, col));
+                    stored += usize::from(shadow.get(row, col) != 0.0);
+                }
+            }
+            prop_assert_eq!(m.nnz(), stored);
+            prop_assert_eq!(m.iter().count(), stored);
+            prop_assert_eq!(m.check_consistency(), Ok(()));
+        }
+    }
+}

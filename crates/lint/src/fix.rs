@@ -10,8 +10,7 @@
 //!    empties the comment, the comment marker or the whole line.
 //! 2. **Grammar normalization** — surviving directives are rewritten to
 //!    the canonical spelling `lint: allow(a, b)` (single space after the
-//!    colon, `, `-separated names, no interior padding); `ordered_merge`
-//!    directives are normalized to `lint: ordered_merge` the same way.
+//!    colon, `, `-separated names, no interior padding).
 //!
 //! The rewrite is a pure function of the source set ([`fix_sources`]),
 //! so tests can prove idempotence: running it on its own output changes
@@ -159,32 +158,6 @@ fn fix_line(raw: &str, idx: usize, dead: &BTreeSet<(usize, String)>) -> LineFix 
             }
         }
     }
-    // Non-allow directive grammar: `ordered_merge` has the same
-    // canonical spelling contract (`lint: ordered_merge`, one space
-    // after the colon) so rustfmt-style comment churn cannot fork the
-    // grammar. Re-find the comment on the possibly-edited line; allow
-    // surgery never moves the comment marker.
-    if let Some(cstart) = comment_start(&line) {
-        let mut from = cstart;
-        while let Some(pos) = line[from..].find("lint:") {
-            let at = from + pos;
-            let body = line[at + 5..].trim_start();
-            if body.starts_with("ordered_merge") {
-                let body_off = line[at + 5..].len() - body.len();
-                let end = at + 5 + body_off + "ordered_merge".len();
-                const CANONICAL: &str = "lint: ordered_merge";
-                if &line[at..end] != CANONICAL {
-                    line.replace_range(at..end, CANONICAL);
-                    changed = true;
-                    from = at + CANONICAL.len();
-                } else {
-                    from = end;
-                }
-            } else {
-                from = at + 5;
-            }
-        }
-    }
     if !changed {
         return LineFix::Unchanged;
     }
@@ -292,23 +265,6 @@ mod tests {
         let src = "f(); // lint:allow( alloc ,panic )\n";
         let fixed = fix_one(src, &[]).unwrap();
         assert_eq!(fixed, "f(); // lint: allow(alloc, panic)\n");
-    }
-
-    #[test]
-    fn ordered_merge_grammar_is_normalized() {
-        let src = "for v in xs { // lint:ordered_merge\n    s += v;\n}\n";
-        let fixed = fix_one(src, &[]).unwrap();
-        assert_eq!(
-            fixed,
-            "for v in xs { // lint: ordered_merge\n    s += v;\n}\n"
-        );
-        assert!(fix_one(&fixed, &[]).is_none(), "second run must be a no-op");
-        // Extra interior padding collapses to the canonical single space.
-        let src = "// lint:   ordered_merge\nfor v in xs {}\n";
-        let fixed = fix_one(src, &[]).unwrap();
-        assert_eq!(fixed, "// lint: ordered_merge\nfor v in xs {}\n");
-        // The canonical spelling is untouched.
-        assert!(fix_one("// lint: ordered_merge\nf();\n", &[]).is_none());
     }
 
     #[test]

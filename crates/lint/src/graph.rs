@@ -34,33 +34,17 @@
 //! against an exemption-free fixpoint, so an escape that no longer
 //! covers anything real is itself reported.
 //!
-//! v3 adds a fourth propagated class, **may-block** (lock acquisition,
-//! channel/thread waits, std I/O — classified from parsed call sites,
-//! not tokens), and four concurrency rules consuming the same graph:
-//!
-//! - `guard_across_blocking`: a let-bound lock guard whose live range
-//!   (to the end of its block) contains a blocking call, another
-//!   acquisition, or a call into a transitively-blocking function.
-//! - `lock_order`: a workspace-global acquisition-order digraph (edges
-//!   from guard-held ranges, including acquisitions reached through
-//!   calls); any strongly-connected component of ≥2 locks is a
-//!   potential deadlock cycle.
-//! - `unbounded_queue`: a `try_recv()` drain whose innermost enclosing
-//!   loop header carries no bound (serve's writer drains ≤256 per wake;
-//!   this rule keeps that contract machine-checked).
-//! - `call_depth_budget`: functions carrying `// lint: depth_budget(N)`
-//!   must keep their longest transitive workspace call chain ≤ N
-//!   (recursion counts as unbounded).
+//! One more rule reads the same graph: `call_depth_budget` — functions
+//! carrying `// lint: depth_budget(N)` must keep their longest
+//! transitive workspace call chain ≤ N (recursion counts as unbounded).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::report::{DepthBudgetEntry, GuardEntry, LockOrderEdge, LockOrderSection};
+use crate::report::DepthBudgetEntry;
 use crate::{FileScan, Violation, CLASS_WORDS, TRANSITIVE_RULES};
 
-/// Number of propagated property classes (alloc, panic, nondet, block).
-pub(crate) const CLASSES: usize = 4;
-/// Index of the may-block class in the property arrays.
-const BLOCK: usize = 3;
+/// Number of propagated property classes (alloc, panic, nondet).
+pub(crate) const CLASSES: usize = 3;
 
 /// How a receiver/qualifier resolved.
 enum TypeRes {
@@ -80,18 +64,14 @@ pub(crate) struct GraphFn {
     pub item: usize,
     /// Display name: `Type::name` or `name`.
     pub qname: String,
-    /// Direct facts per class (token scan for 0..3, call sites for block).
+    /// Direct facts per class, from the token scan.
     pub facts: [bool; CLASSES],
     /// First offending site per class: (1-based line, token).
     pub fact_site: [Option<(usize, &'static str)>; CLASSES],
-    /// Signature-line `allow(transitive_*)` exemptions (never set for
-    /// the block class — guards are vouched at the acquisition site).
+    /// Signature-line `allow(transitive_*)` exemptions.
     pub exempt: [bool; CLASSES],
     /// Resolved callee node indices (sorted, deduplicated).
     pub edges: Vec<usize>,
-    /// Per parsed call site (index-aligned with the item's `calls`):
-    /// the workspace nodes it may dispatch to.
-    pub resolved: Vec<Vec<usize>>,
     /// A call site resolved *unambiguously* back to this function
     /// itself. The edge is dropped from `edges` (it adds nothing to the
     /// taint closure) but the depth pass must still see it: direct
@@ -111,63 +91,8 @@ pub(crate) struct GraphOutcome {
     pub fns: Vec<GraphFn>,
     /// Total resolved call edges.
     pub edge_count: usize,
-    /// Every let-bound guard (report section), in (file, line) order.
-    pub guards: Vec<GuardEntry>,
-    /// The acquisition-order digraph and its cycles (report section).
-    pub lock_order: LockOrderSection,
     /// Every budgeted function with its measured depth (report section).
     pub depth_budgets: Vec<DepthBudgetEntry>,
-}
-
-/// Classifies a call site as a known-blocking operation (the label is
-/// what witness messages print).
-///
-/// Over-approximates by name: a workspace method named `recv` is tagged
-/// blocking too. That costs nothing on its own — `may_block` only
-/// matters inside a guard's live range or behind one.
-fn blocking_label(call: &crate::items::CallSite) -> Option<&'static str> {
-    use crate::items::Recv;
-    let name = call.callee.as_str();
-    if call.empty_args {
-        // Zero-argument method calls: acquisitions and untimed waits.
-        // (`io::Read::read(buf)` takes arguments; bare `read()` is the
-        // RwLock method.)
-        match name {
-            "lock" => return Some("mutex acquisition"),
-            "read" | "write" if matches!(call.recv, Recv::Chain(_)) => {
-                return Some("rwlock acquisition")
-            }
-            "join" => return Some("thread join"),
-            "recv" => return Some("channel recv"),
-            "accept" => return Some("socket accept"),
-            "wait" => return Some("blocking wait"),
-            "flush" if !matches!(call.recv, Recv::Free) => return Some("I/O flush"),
-            _ => {}
-        }
-    }
-    if matches!(
-        name,
-        "recv_timeout"
-            | "wait_timeout"
-            | "read_line"
-            | "read_to_end"
-            | "read_to_string"
-            | "read_exact"
-            | "write_all"
-            | "sleep"
-    ) {
-        return Some("blocking I/O or timed wait");
-    }
-    if let Recv::Path(segs) = &call.recv {
-        match segs.last().map(String::as_str) {
-            Some("fs") => return Some("filesystem I/O"),
-            Some("File") if matches!(name, "open" | "create") => return Some("file open"),
-            Some("TcpStream" | "UnixStream") if name == "connect" => return Some("socket connect"),
-            Some("TcpListener" | "UnixListener") if name == "bind" => return Some("socket bind"),
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Builds the graph over all scanned files, runs both fixpoints, emits
@@ -200,7 +125,6 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
                 fact_site: [None; CLASSES],
                 exempt: [false; CLASSES],
                 edges: Vec::new(),
-                resolved: Vec::new(),
                 self_recursive: false,
                 eff: [false; CLASSES],
             };
@@ -208,18 +132,6 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
                 if let Some(site) = file.allow_site(item.sig_line, rule) {
                     node.exempt[class] = true;
                     exempt_sites.push((fns.len(), class, site));
-                }
-            }
-            // The block class reads parsed call sites, not line tokens.
-            for call in &item.calls {
-                if call.cfg_gated {
-                    continue; // feature-gated call: not in the always-on build
-                }
-                if let Some(label) = blocking_label(call) {
-                    node.facts[BLOCK] = true;
-                    if node.fact_site[BLOCK].is_none() {
-                        node.fact_site[BLOCK] = Some((call.line + 1, label));
-                    }
                 }
             }
             fns.push(node);
@@ -346,24 +258,19 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
         TypeRes::Unknown
     };
 
-    // Edge resolution, kept per call site so the guard and lock-order
-    // passes can ask "what can *this* call reach" (edges = the union).
+    // Edge resolution: the union over a function's call sites.
     let mut edge_count = 0usize;
     for (gi, g) in fns.iter_mut().enumerate() {
         let (fi, ii) = (g.file, g.item);
         let file = &files[fi];
         let item = &file.parsed.fns[ii];
         let mut union: BTreeSet<usize> = BTreeSet::new();
-        let mut per_call: Vec<Vec<usize>> = Vec::with_capacity(item.calls.len());
         for call in &item.calls {
             if call.cfg_gated {
                 // A call behind an inner `#[cfg(...)]` attribute (a
                 // feature-gated statement or block inside an ungated
                 // function) is absent from the always-on build: no edge,
-                // same as calls inside `#[cfg]`-gated items. The empty
-                // slot keeps `resolved` index-aligned with `calls` for
-                // the guard and lock-order passes.
-                per_call.push(Vec::new());
+                // same as calls inside `#[cfg]`-gated items.
                 continue;
             }
             let mut targets: BTreeSet<usize> = BTreeSet::new();
@@ -432,12 +339,10 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
                 // adds nothing to the taint closure either way.
                 g.self_recursive = true;
             }
-            union.extend(targets.iter().copied());
-            per_call.push(targets.into_iter().collect());
+            union.extend(targets);
         }
         edge_count += union.len();
         g.edges = union.into_iter().collect();
-        g.resolved = per_call;
     }
 
     // Exemption-aware fixpoint (what violations see) and the raw
@@ -476,7 +381,7 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
             file.scope.no_panic,      // panic
             file.scope.deterministic, // nondet
         ];
-        for class in 0..3 {
+        for class in 0..CLASSES {
             if !applicable[class] || g.exempt[class] || g.facts[class] {
                 continue;
             }
@@ -504,7 +409,6 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
                     file: file.rel_path.clone(),
                     line: item.sig_line + 1,
                     rule: TRANSITIVE_RULES[class],
-                    related: Vec::new(),
                     message: format!(
                         "`{}` {} via {}{}",
                         g.qname,
@@ -517,231 +421,10 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
         }
     }
 
-    // Directive credits discovered below; applied once the immutable
-    // traversal of `fns`/`files` is done.
-    let mut credits: Vec<(usize, usize, &'static str)> = Vec::new();
-
-    // ---- guard_across_blocking ---------------------------------------
-    let mut guards: Vec<GuardEntry> = Vec::new();
-    for g in fns.iter() {
-        let file = &files[g.file];
-        let item = &file.parsed.fns[g.item];
-        for acq in &item.acquires {
-            let Some((end_tok, end_line)) = acq.guard_until else {
-                continue; // momentary guard: dropped within its statement
-            };
-            let mut risky = 0usize;
-            let mut first: Option<String> = None;
-            for (ci, call) in item.calls.iter().enumerate() {
-                if call.tok <= acq.tok || call.tok >= end_tok {
-                    continue;
-                }
-                let desc = if let Some(label) = blocking_label(call) {
-                    Some(format!(
-                        "`{}()` ({label}) at line {}",
-                        call.callee,
-                        call.line + 1
-                    ))
-                } else {
-                    g.resolved[ci]
-                        .iter()
-                        .copied()
-                        .find(|&t| eff[t][BLOCK])
-                        .map(|t| {
-                            let (path, site) = witness(&fns, &eff, t, BLOCK);
-                            let via: Vec<String> = path
-                                .iter()
-                                .map(|&p| format!("`{}`", fns[p].qname))
-                                .collect();
-                            let site_txt = match site {
-                                Some((_, line, label)) => format!(" ({label} at line {line})"),
-                                None => String::new(),
-                            };
-                            format!(
-                                "call at line {} reaching {}{}",
-                                call.line + 1,
-                                via.join(" -> "),
-                                site_txt
-                            )
-                        })
-                };
-                if let Some(desc) = desc {
-                    risky += 1;
-                    if first.is_none() {
-                        first = Some(desc);
-                    }
-                }
-            }
-            guards.push(GuardEntry {
-                function: g.qname.clone(),
-                file: file.rel_path.clone(),
-                line: acq.line + 1,
-                lock: acq.chain.clone(),
-                held_to_line: end_line + 1,
-                risky_ops: risky,
-            });
-            if risky > 0 {
-                match file.allow_site(acq.line, "guard_across_blocking") {
-                    Some(site) => credits.push((g.file, site, "guard_across_blocking")),
-                    None => violations.push(Violation {
-                        file: file.rel_path.clone(),
-                        line: acq.line + 1,
-                        rule: "guard_across_blocking",
-                        related: Vec::new(),
-                        message: format!(
-                            "`{}` holds the `{}.{}()` guard across {} blocking op(s); first: {}",
-                            g.qname,
-                            acq.chain,
-                            acq.method,
-                            risky,
-                            first.unwrap_or_default()
-                        ),
-                    }),
-                }
-            }
-        }
-    }
-    guards.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then(a.line.cmp(&b.line))
-            .then(a.lock.cmp(&b.lock))
-    });
-
-    // ---- lock_order --------------------------------------------------
-    // Transitive acquisition closure: every lock a call into `gi` may
-    // take, momentary or held.
-    let mut acq_star: Vec<BTreeSet<String>> = fns
-        .iter()
-        .map(|g| {
-            files[g.file].parsed.fns[g.item]
-                .acquires
-                .iter()
-                .map(|a| a.lock.clone())
-                .collect()
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for gi in 0..fns.len() {
-            let add: Vec<String> = fns[gi]
-                .edges
-                .iter()
-                .flat_map(|&t| acq_star[t].iter().cloned())
-                .filter(|m| !acq_star[gi].contains(m))
-                .collect();
-            if !add.is_empty() {
-                acq_star[gi].extend(add);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Order edges: while a guard on A is held, lock B is (or may be)
-    // acquired. First site per (A, B) pair wins, in node order.
-    let mut lock_edges: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
-    for g in fns.iter() {
-        let file = &files[g.file];
-        let item = &file.parsed.fns[g.item];
-        for acq in &item.acquires {
-            let Some((end_tok, _)) = acq.guard_until else {
-                continue;
-            };
-            for b in &item.acquires {
-                if b.tok > acq.tok && b.tok < end_tok && b.lock != acq.lock {
-                    lock_edges
-                        .entry((acq.lock.clone(), b.lock.clone()))
-                        .or_insert((file.rel_path.clone(), b.line + 1, g.qname.clone()));
-                }
-            }
-            for (ci, call) in item.calls.iter().enumerate() {
-                if call.tok <= acq.tok || call.tok >= end_tok {
-                    continue;
-                }
-                for &t in &g.resolved[ci] {
-                    for m in &acq_star[t] {
-                        if *m != acq.lock {
-                            lock_edges.entry((acq.lock.clone(), m.clone())).or_insert((
-                                file.rel_path.clone(),
-                                call.line + 1,
-                                g.qname.clone(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Cycle detection: SCCs of ≥2 locks in the order digraph.
-    let cycles = lock_cycles(&lock_edges);
-    for cycle in &cycles {
-        let in_cycle: BTreeSet<&str> = cycle.iter().map(String::as_str).collect();
-        let anchor = lock_edges
-            .iter()
-            .filter(|((a, b), _)| in_cycle.contains(a.as_str()) && in_cycle.contains(b.as_str()))
-            .min_by_key(|(_, (file, line, _))| (file.clone(), *line));
-        let Some(((a, b), (efile, eline, efn))) = anchor else {
-            continue;
-        };
-        let fi = files.iter().position(|f| &f.rel_path == efile);
-        let allow = fi.and_then(|fi| files[fi].allow_site(eline - 1, "lock_order"));
-        match (fi, allow) {
-            (Some(fi), Some(site)) => credits.push((fi, site, "lock_order")),
-            _ => violations.push(Violation {
-                file: efile.clone(),
-                line: *eline,
-                rule: "lock_order",
-                related: Vec::new(),
-                message: format!(
-                    "lock-order cycle among {{{}}}: `{efn}` takes `{b}` while holding `{a}`, \
-                     but another path takes them in the opposite order",
-                    cycle.join(", ")
-                ),
-            }),
-        }
-    }
-
-    let lock_order = LockOrderSection {
-        edges: lock_edges
-            .iter()
-            .map(|((from, to), (file, line, function))| LockOrderEdge {
-                from: from.clone(),
-                to: to.clone(),
-                file: file.clone(),
-                line: *line,
-                function: function.clone(),
-            })
-            .collect(),
-        cycles,
-    };
-
-    // ---- unbounded_queue ---------------------------------------------
-    for g in fns.iter() {
-        let file = &files[g.file];
-        let item = &file.parsed.fns[g.item];
-        for &(line, _tok) in &item.unbounded_recvs {
-            match file.allow_site(line, "unbounded_queue") {
-                Some(site) => credits.push((g.file, site, "unbounded_queue")),
-                None => violations.push(Violation {
-                    file: file.rel_path.clone(),
-                    line: line + 1,
-                    rule: "unbounded_queue",
-                    related: Vec::new(),
-                    message: format!(
-                        "`{}` drains `try_recv()` in a loop with no batch/len bound \
-                         (serve's writer caps each wake at ≤256 messages)",
-                        g.qname
-                    ),
-                }),
-            }
-        }
-    }
-
     // ---- call_depth_budget -------------------------------------------
+    // Vouches that covered an over-budget function: (file, directive
+    // line), credited once the immutable traversal of `files` is done.
+    let mut credits: Vec<(usize, usize)> = Vec::new();
     let mut depth_memo: Vec<Option<Option<u64>>> = vec![None; fns.len()];
     let mut visiting = vec![false; fns.len()];
     let mut depth_budgets: Vec<DepthBudgetEntry> = Vec::new();
@@ -765,12 +448,11 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
         };
         if over {
             match file.allow_site(item.sig_line, "call_depth_budget") {
-                Some(site) => credits.push((g.file, site, "call_depth_budget")),
+                Some(site) => credits.push((g.file, site)),
                 None => violations.push(Violation {
                     file: file.rel_path.clone(),
                     line: item.sig_line + 1,
                     rule: "call_depth_budget",
-                    related: Vec::new(),
                     message: match depth {
                         None => format!(
                             "`{}` has unbounded call depth (reaches a recursive cycle); \
@@ -793,16 +475,14 @@ pub(crate) fn analyze(files: &mut [FileScan]) -> GraphOutcome {
             .then(a.function.cmp(&b.function))
     });
 
-    for (fi, site, rule) in credits {
-        files[fi].credit(site, rule);
+    for (fi, site) in credits {
+        files[fi].credit(site, "call_depth_budget");
     }
 
     GraphOutcome {
         violations,
         fns,
         edge_count,
-        guards,
-        lock_order,
         depth_budgets,
     }
 }
@@ -846,70 +526,6 @@ fn depth_of(
     visiting[gi] = false;
     memo[gi] = Some(best);
     best
-}
-
-/// Strongly-connected components of ≥2 locks in the acquisition-order
-/// digraph (iterative Kosaraju over sorted adjacency, so the output is
-/// deterministic). Each cycle comes back sorted.
-fn lock_cycles(edges: &BTreeMap<(String, String), (String, usize, String)>) -> Vec<Vec<String>> {
-    let mut nodes: BTreeSet<&str> = BTreeSet::new();
-    let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    let mut radj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (a, b) in edges.keys() {
-        nodes.insert(a);
-        nodes.insert(b);
-        adj.entry(a).or_default().push(b);
-        radj.entry(b).or_default().push(a);
-    }
-    // Pass 1: finish order on the forward graph.
-    let mut order: Vec<&str> = Vec::new();
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for &start in &nodes {
-        if !seen.insert(start) {
-            continue;
-        }
-        // Stack of (node, next child index to try).
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let children = adj.get(node).map(Vec::as_slice).unwrap_or(&[]);
-            if *idx < children.len() {
-                let child = children[*idx];
-                *idx += 1;
-                if seen.insert(child) {
-                    stack.push((child, 0));
-                }
-            } else {
-                order.push(node);
-                stack.pop();
-            }
-        }
-    }
-    // Pass 2: components on the transposed graph, reverse finish order.
-    let mut assigned: BTreeSet<&str> = BTreeSet::new();
-    let mut cycles: Vec<Vec<String>> = Vec::new();
-    for &start in order.iter().rev() {
-        if assigned.contains(start) {
-            continue;
-        }
-        let mut component: Vec<&str> = Vec::new();
-        let mut stack = vec![start];
-        assigned.insert(start);
-        while let Some(node) = stack.pop() {
-            component.push(node);
-            for &p in radj.get(node).map(Vec::as_slice).unwrap_or(&[]) {
-                if assigned.insert(p) {
-                    stack.push(p);
-                }
-            }
-        }
-        if component.len() >= 2 {
-            let mut cycle: Vec<String> = component.iter().map(|s| s.to_string()).collect();
-            cycle.sort();
-            cycles.push(cycle);
-        }
-    }
-    cycles.sort();
-    cycles
 }
 
 /// Least fixed point of the propagation equations. `use_exemptions`

@@ -20,10 +20,9 @@ use crate::LexedLine;
 pub(crate) enum Tok {
     /// Identifier or keyword.
     Ident(String),
-    /// A numeric literal, text retained (the dataflow pass evaluates
-    /// integer literals; receiver chains like `pair.0.dot(..)` stay
-    /// walkable without being mistaken for field names).
-    Num(String),
+    /// A numeric literal (kept as a token so a receiver chain like
+    /// `pair.0.dot(..)` is not mistaken for a field chain).
+    Num,
     /// Any other single significant character.
     Punct(char),
 }
@@ -56,41 +55,12 @@ pub(crate) struct CallSite {
     pub callee: String,
     /// Receiver / qualifier shape.
     pub recv: Recv,
-    /// 0-based line of the callee token.
-    pub line: usize,
-    /// Token index of the callee (orders call sites against guard scopes).
-    pub tok: usize,
-    /// `name()` with an empty argument list — how `RwLock::read()` is
-    /// told apart from `io::Read::read(buf)`.
-    pub empty_args: bool,
     /// The call sits behind an *inner* `#[cfg(...)]` attribute — a
     /// feature-gated statement, block, or match arm inside an otherwise
     /// ungated function. Such calls are absent from the always-on
     /// build, so the call graph drops their edges (see `graph.rs`),
     /// exactly as whole `#[cfg]`-gated items are dropped.
     pub cfg_gated: bool,
-}
-
-/// One lock acquisition: a zero-argument `.lock()` / `.read()` /
-/// `.write()` call on a resolvable receiver chain.
-#[derive(Debug, Clone)]
-pub(crate) struct Acquire {
-    /// Lock identity: the last receiver-chain segment (`snapshot` for
-    /// `self.shared.snapshot.write()`). Same-named fields collide into
-    /// one identity — an over-approximation, never a miss.
-    pub lock: String,
-    /// Full receiver chain for display (`self.shared.snapshot`).
-    pub chain: String,
-    /// Acquisition method (`lock`, `read`, `write`).
-    pub method: String,
-    /// 0-based line of the acquisition.
-    pub line: usize,
-    /// Token index of the method ident.
-    pub tok: usize,
-    /// `(end token, 0-based end line)` of the enclosing block when the
-    /// guard escaped into a `let` binding; `None` for momentary guards
-    /// (consumed in-expression or as a `match` scrutinee).
-    pub guard_until: Option<(usize, usize)>,
 }
 
 /// A local binding's inferred type.
@@ -131,20 +101,8 @@ pub(crate) struct FnItem {
     pub locals: BTreeMap<String, LocalTy>,
     /// Calls made by the body (closures included).
     pub calls: Vec<CallSite>,
-    /// Lock acquisitions in the body, in source order.
-    pub acquires: Vec<Acquire>,
-    /// `try_recv()` drains whose innermost enclosing loop has no
-    /// batch/len bound: `(0-based line, token index)`.
-    pub unbounded_recvs: Vec<(usize, usize)>,
     /// Brace depth of the body (innermost-wins fact attribution).
     pub depth: usize,
-    /// Token index of the `fn` keyword (signature tokens live in
-    /// `[sig_tok, body.0)` — the dataflow pass re-parses parameter
-    /// types at full fidelity from this range).
-    pub sig_tok: usize,
-    /// Token range of the body: `(index of the opening `{`, index of
-    /// the closing `}`)`. `None` for bodyless trait declarations.
-    pub body: Option<(usize, usize)>,
 }
 
 /// Everything item-level extracted from one file.
@@ -154,17 +112,8 @@ pub(crate) struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// Struct name → (field name → base type name).
     pub struct_fields: BTreeMap<String, BTreeMap<String, String>>,
-    /// Struct name → (field name → container *element* base name) for
-    /// `Vec<T>` / `Box<[T]>` / `Arc<Vec<T>>` / `[T; N]` / `&[T]` fields
-    /// — the dataflow pass types `self.field[i]` through this.
-    pub struct_field_elems: BTreeMap<String, BTreeMap<String, String>>,
     /// Every type this file defines (structs, enums, impl targets).
     pub types: BTreeSet<String>,
-    /// The full token stream the items were parsed from. `FnItem` token
-    /// indices (`sig_tok`, `body`, `CallSite::tok`) index into this.
-    pub toks: Vec<SpannedTok>,
-    /// Per token: sits inside an inner `#[cfg(...)]`-gated span.
-    pub cfg_gated_toks: Vec<bool>,
 }
 
 /// Rust keywords that can precede a `(` without being calls.
@@ -176,7 +125,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenizes blanked code lines into identifiers and puncts.
-pub(crate) fn tokenize(lines: &[LexedLine]) -> Vec<SpannedTok> {
+fn tokenize(lines: &[LexedLine]) -> Vec<SpannedTok> {
     let mut toks = Vec::new();
     for (line_idx, line) in lines.iter().enumerate() {
         let chars: Vec<char> = line.code.chars().collect();
@@ -199,7 +148,6 @@ pub(crate) fn tokenize(lines: &[LexedLine]) -> Vec<SpannedTok> {
                 // (`1.5e-3f64`, `0xFF`); a trailing `.` only belongs to
                 // the number when a digit follows (so `x.0.dot` keeps
                 // its dots).
-                let start = i;
                 while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                     i += 1;
                 }
@@ -210,7 +158,7 @@ pub(crate) fn tokenize(lines: &[LexedLine]) -> Vec<SpannedTok> {
                     }
                 }
                 toks.push(SpannedTok {
-                    tok: Tok::Num(chars[start..i].iter().collect()),
+                    tok: Tok::Num,
                     line: line_idx,
                 });
             } else if c == '\'' {
@@ -239,14 +187,14 @@ pub(crate) fn tokenize(lines: &[LexedLine]) -> Vec<SpannedTok> {
     toks
 }
 
-pub(crate) fn ident(toks: &[SpannedTok], i: usize) -> Option<&str> {
+fn ident(toks: &[SpannedTok], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s),
         _ => None,
     }
 }
 
-pub(crate) fn punct(toks: &[SpannedTok], i: usize) -> Option<char> {
+fn punct(toks: &[SpannedTok], i: usize) -> Option<char> {
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Punct(c)) => Some(*c),
         _ => None,
@@ -256,10 +204,6 @@ pub(crate) fn punct(toks: &[SpannedTok], i: usize) -> Option<char> {
 /// Skips a balanced `<...>` group starting at the `<`; returns the
 /// index just past the matching `>`. `->` and `=>` arrows inside do
 /// not close the group.
-pub(crate) fn skip_generics_pub(toks: &[SpannedTok], i: usize) -> usize {
-    skip_generics(toks, i)
-}
-
 fn skip_generics(toks: &[SpannedTok], mut i: usize) -> usize {
     debug_assert_eq!(punct(toks, i), Some('<'));
     let mut depth = 0usize;
@@ -285,9 +229,11 @@ fn skip_generics(toks: &[SpannedTok], mut i: usize) -> usize {
 
 /// Reads a type's *base name*: skips `&`, `mut`, `dyn`, lifetimes and
 /// parens, then returns the first path segment identifier (`Vec` for
-/// `Vec<f64>`, `SparseVec` for `&mut SparseVec`, None for `(A, B)`,
-/// `[T; N]`, `impl Trait`, `fn(..)`, ...). Returns the index just past
-/// whatever was consumed *of the prefix* (callers re-scan for `,`/`)`).
+/// `Vec<f64>`, `SparseVec` for `&mut SparseVec`, `[]` for the slices and
+/// arrays `&[T]` / `[T; N]` — like `Vec`, a known-external type whose
+/// `get`/`iter`/`len` are std's — and None for `(A, B)`, `impl Trait`,
+/// `fn(..)`, ...). Returns the index just past whatever was consumed
+/// *of the prefix* (callers re-scan for `,`/`)`).
 fn type_base(toks: &[SpannedTok], mut i: usize) -> (Option<String>, usize) {
     loop {
         match toks.get(i).map(|t| &t.tok) {
@@ -298,6 +244,7 @@ fn type_base(toks: &[SpannedTok], mut i: usize) -> (Option<String>, usize) {
     }
     match toks.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) if s == "impl" || s == "fn" => (None, i + 1),
+        Some(Tok::Punct('[')) => (Some("[]".to_string()), i + 1),
         Some(Tok::Ident(first)) => {
             // Walk `a::b::C` to its last segment.
             let mut base = first.clone();
@@ -336,11 +283,7 @@ fn parse_fn_header(
         generics: BTreeSet::new(),
         locals: BTreeMap::new(),
         calls: Vec::new(),
-        acquires: Vec::new(),
-        unbounded_recvs: Vec::new(),
         depth: 0,
-        sig_tok: fn_kw,
-        body: None,
     };
     let mut i = fn_kw + 2;
     if punct(toks, i) == Some('<') {
@@ -412,56 +355,12 @@ fn parse_fn_header(
     None
 }
 
-/// Reads the container *element* base name of a field type starting at
-/// `i`: drills through `&`/`mut`, one wrapper layer of `Vec`/`Box`/
-/// `Arc`/`Rc` generics, and `[T; N]` / `[T]` brackets to the innermost
-/// path base (`f64` for `Arc<Vec<f64>>`). `None` when the type has no
-/// recognizable element.
-fn type_elem(toks: &[SpannedTok], mut i: usize) -> Option<String> {
-    let mut wrappers = 0usize;
-    for _ in 0..4 {
-        loop {
-            match toks.get(i).map(|t| &t.tok) {
-                Some(Tok::Punct('&')) => i += 1,
-                Some(Tok::Ident(s)) if s == "mut" || s == "dyn" => i += 1,
-                _ => break,
-            }
-        }
-        if punct(toks, i) == Some('[') {
-            // `[T; N]` / `[T]`: the element type starts just inside.
-            let (base, _) = type_base(toks, i + 1);
-            return base;
-        }
-        match toks.get(i).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) if matches!(s.as_str(), "Vec" | "VecDeque") => {
-                if punct(toks, i + 1) != Some('<') {
-                    return None;
-                }
-                wrappers += 1;
-                i += 2; // the element is the generic argument
-            }
-            Some(Tok::Ident(s)) if matches!(s.as_str(), "Box" | "Arc" | "Rc") => {
-                if punct(toks, i + 1) != Some('<') {
-                    return None;
-                }
-                i += 2; // transparent wrapper: look through it
-            }
-            // Innermost path base: only an *element* when at least one
-            // container layer was peeled (a bare scalar has none).
-            _ if wrappers > 0 => return type_base(toks, i).0,
-            _ => return None,
-        }
-    }
-    None
-}
-
 /// Parses `struct Name { field: Type, ... }` fields starting just past
 /// the struct name; tuple structs and unit structs record no fields.
 fn parse_struct_fields(
     toks: &[SpannedTok],
     mut i: usize,
     fields: &mut BTreeMap<String, String>,
-    elems: &mut BTreeMap<String, String>,
 ) -> usize {
     if punct(toks, i) == Some('<') {
         i = skip_generics(toks, i);
@@ -498,9 +397,6 @@ fn parse_struct_fields(
                 if let Some(base) = base {
                     fields.insert(fname.clone(), base);
                 }
-                if let Some(elem) = type_elem(toks, i + 2) {
-                    elems.insert(fname.clone(), elem);
-                }
                 i = next.max(i + 2);
             }
             _ => i += 1,
@@ -522,10 +418,12 @@ fn receiver_chain(toks: &[SpannedTok], dot: usize) -> Option<Vec<String>> {
         match &toks[i - 1].tok {
             Tok::Ident(seg) => {
                 chain.push(seg.clone());
-                // Another `.` continues the chain; `::` means a path-
-                // qualified head (rare; treat as unknown); anything else
-                // ends it.
-                if i >= 2 && punct(toks, i - 2) == Some('.') {
+                // Another `.` continues the chain — unless it is the
+                // second dot of a range (`0..self.n.get()`); `::` means
+                // a path-qualified head (rare; treat as unknown);
+                // anything else ends it.
+                let range = i >= 3 && punct(toks, i - 3) == Some('.');
+                if i >= 2 && punct(toks, i - 2) == Some('.') && !range {
                     i -= 2;
                 } else if i >= 3
                     && punct(toks, i - 2) == Some(':')
@@ -537,7 +435,7 @@ fn receiver_chain(toks: &[SpannedTok], dot: usize) -> Option<Vec<String>> {
                     return Some(chain);
                 }
             }
-            Tok::Num(_) => {
+            Tok::Num => {
                 // Tuple-field hop (`pair.0.dot(..)`): the hop itself is
                 // untypable here, so the chain is unknown.
                 return None;
@@ -650,112 +548,6 @@ fn infer_initializer(toks: &[SpannedTok], mut i: usize, self_type: Option<&str>)
         }
     }
     LocalTy::Unknown
-}
-
-/// Methods whose zero-argument call on a receiver chain is a lock
-/// acquisition (`Mutex::lock`, `RwLock::read`/`write`).
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// Whether `toks[i]` is an acquisition method call: `.m()` with `m` in
-/// [`ACQUIRE_METHODS`], zero arguments, and a walkable receiver chain.
-fn acquisition_at(toks: &[SpannedTok], i: usize) -> Option<Vec<String>> {
-    let name = ident(toks, i)?;
-    if !ACQUIRE_METHODS.contains(&name)
-        || punct(toks, i + 1) != Some('(')
-        || punct(toks, i + 2) != Some(')')
-        || i == 0
-        || punct(toks, i - 1) != Some('.')
-    {
-        return None;
-    }
-    receiver_chain(toks, i - 1)
-}
-
-/// Skips a balanced `(...)` group starting at the `(`; returns the index
-/// just past the matching `)`.
-fn skip_parens(toks: &[SpannedTok], mut i: usize) -> usize {
-    let mut depth = 0usize;
-    while i < toks.len() {
-        match punct(toks, i) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Finds the `;` terminating the statement whose initializer starts at
-/// `start` (paren/brace/bracket depth 0 relative to `start`).
-fn statement_end(toks: &[SpannedTok], mut i: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    while i < toks.len() {
-        match punct(toks, i) {
-            Some('(') | Some('{') | Some('[') => depth += 1,
-            Some(')') | Some('}') | Some(']') => {
-                if depth == 0 {
-                    return None; // enclosing block closed first
-                }
-                depth -= 1;
-            }
-            Some(';') if depth == 0 => return Some(i),
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Whether the initializer tokens `[start, end)` end in a lock
-/// acquisition — i.e. the `let` binds the *guard*, not a value derived
-/// from it. The acquisition must be terminal modulo `.unwrap()`,
-/// `.expect(...)`, and `?`; anything else (`.clone()`, a `match`
-/// scrutinee, arithmetic) drops the guard within the statement.
-/// Returns the token index of the acquisition method ident.
-fn terminal_acquisition(toks: &[SpannedTok], start: usize, end: usize) -> Option<usize> {
-    let mut last = None;
-    let mut i = start;
-    while i < end {
-        if acquisition_at(toks, i).is_some() {
-            last = Some(i);
-        }
-        i += 1;
-    }
-    let acq = last?;
-    // Verify the suffix after `.m()` is only unwrap/expect/? up to `;`.
-    let mut p = acq + 3;
-    loop {
-        if p == end {
-            return Some(acq);
-        }
-        match toks.get(p).map(|t| &t.tok) {
-            Some(Tok::Punct('?')) => p += 1,
-            Some(Tok::Punct('.')) => match ident(toks, p + 1) {
-                Some("unwrap") | Some("expect") if punct(toks, p + 2) == Some('(') => {
-                    p = skip_parens(toks, p + 2);
-                }
-                _ => return None,
-            },
-            _ => return None,
-        }
-    }
-}
-
-/// Loop-header kinds the bound check distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LoopKind {
-    /// `loop { .. }`: never bounded.
-    Bare,
-    /// `while <cond> { .. }`: bounded iff the condition compares.
-    While,
-    /// `for x in iter { .. }`: the iterator is the bound.
-    For,
 }
 
 /// Context kinds the brace-tracking stack distinguishes.
@@ -893,64 +685,20 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
     let mut stack: Vec<(Ctx, usize)> = Vec::new();
     let mut depth = 0usize;
     let mut i = 0usize;
-    // Guard tracking: acquisition token index -> brace depth of the
-    // `let` that binds it (the guard lives until that block closes).
-    let mut pending_guards: BTreeMap<usize, usize> = BTreeMap::new();
-    // Let-bound guards awaiting their block's `}`: (fn, acquire, depth).
-    let mut open_guards: Vec<(usize, usize, usize)> = Vec::new();
-    // Loop stack: (depth at which the body `{` opened, bounded header).
-    let mut loops: Vec<(usize, bool)> = Vec::new();
-    // A loop keyword seen, body `{` not yet reached: (header start, kind).
-    let mut pending_loop: Option<(usize, LoopKind)> = None;
-    // `try_recv()` sites inside a pending loop header: (fn, tok, line).
-    let mut pending_header_recvs: Vec<(usize, usize, usize)> = Vec::new();
 
     while i < toks.len() {
         match &toks[i].tok {
             Tok::Punct('{') => {
-                if let Some((start, kind)) = pending_loop.take() {
-                    let bounded = match kind {
-                        LoopKind::For => true,
-                        LoopKind::Bare => false,
-                        // A `while` header with no comparison (`while let
-                        // Ok(..) = rx.try_recv()`) drains until empty.
-                        LoopKind::While => toks[start..i]
-                            .iter()
-                            .any(|t| matches!(t.tok, Tok::Punct('<') | Tok::Punct('>'))),
-                    };
-                    loops.push((depth, bounded));
-                    if !bounded {
-                        for (fi, tok, line) in pending_header_recvs.drain(..) {
-                            out.fns[fi].unbounded_recvs.push((line, tok));
-                        }
-                    } else {
-                        pending_header_recvs.clear();
-                    }
-                }
                 stack.push((Ctx::Other, depth));
                 depth += 1;
                 i += 1;
             }
             Tok::Punct('}') => {
                 depth = depth.saturating_sub(1);
-                open_guards.retain(|&(fi, ai, close_depth)| {
-                    if close_depth > depth {
-                        out.fns[fi].acquires[ai].guard_until = Some((i, toks[i].line));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                while loops.last().is_some_and(|&(d, _)| d >= depth) {
-                    loops.pop();
-                }
                 while let Some((ctx, d)) = stack.last() {
                     if *d >= depth {
                         if let Ctx::Fn(fi) = ctx {
                             out.fns[*fi].end_line = toks[i].line;
-                            if let Some(body) = &mut out.fns[*fi].body {
-                                body.1 = i;
-                            }
                         }
                         stack.pop();
                     } else {
@@ -1019,10 +767,8 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                 out.types.insert(name.clone());
                 if kw == "struct" {
                     let mut fields = BTreeMap::new();
-                    let mut elems = BTreeMap::new();
-                    let next = parse_struct_fields(&toks, i + 2, &mut fields, &mut elems);
-                    out.struct_fields.insert(name.clone(), fields);
-                    out.struct_field_elems.insert(name, elems);
+                    let next = parse_struct_fields(&toks, i + 2, &mut fields);
+                    out.struct_fields.insert(name, fields);
                     i = next.max(i + 2);
                 } else {
                     i += 2;
@@ -1040,7 +786,6 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                         item.depth = depth;
                         let fi = out.fns.len();
                         if has_body {
-                            item.body = Some((body, body));
                             out.fns.push(item);
                             stack.push((Ctx::Fn(fi), depth));
                             depth += 1;
@@ -1051,23 +796,6 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                     }
                     None => i += 1,
                 }
-            }
-            Tok::Ident(kw) if kw == "while" || kw == "loop" || kw == "for" => {
-                let kind = match kw.as_str() {
-                    "while" => LoopKind::While,
-                    "for" => LoopKind::For,
-                    _ => LoopKind::Bare,
-                };
-                pending_loop = Some((i, kind));
-                pending_header_recvs.clear();
-                i += 1;
-            }
-            Tok::Punct(';') => {
-                // A `;` before the body `{` means the pending keyword was
-                // not a loop header after all (e.g. `for<'a>` in a type).
-                pending_loop = None;
-                pending_header_recvs.clear();
-                i += 1;
             }
             Tok::Ident(kw) if kw == "let" => {
                 // Only meaningful inside a fn body.
@@ -1083,7 +811,7 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                     if name.chars().next().is_some_and(char::is_lowercase) || name.starts_with('_')
                     {
                         let name = name.to_string();
-                        let mut k = j + 1;
+                        let k = j + 1;
                         let ty = if punct(&toks, k) == Some(':') && punct(&toks, k + 1) != Some(':')
                         {
                             let (base, _next) = type_base(&toks, k + 1);
@@ -1092,41 +820,12 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                                 _ => LocalTy::Unknown,
                             }
                         } else if punct(&toks, k) == Some('=') && punct(&toks, k + 1) != Some('=') {
-                            k += 1;
                             let self_ty = out.fns[fi].self_type.clone();
-                            infer_initializer(&toks, k, self_ty.as_deref())
+                            infer_initializer(&toks, k + 1, self_ty.as_deref())
                         } else {
                             LocalTy::Unknown
                         };
                         out.fns[fi].locals.insert(name, ty);
-                        // Guard tracking: a `let` whose initializer *ends*
-                        // in a lock acquisition binds the guard for the
-                        // rest of the block. (`while let` / `if let` bind
-                        // per-iteration and are handled by their scopes.)
-                        let header_let = i > 0
-                            && matches!(&toks[i - 1].tok,
-                                Tok::Ident(p) if p == "while" || p == "if");
-                        if !header_let {
-                            let mut e = j + 1;
-                            let eq = loop {
-                                match toks.get(e).map(|t| &t.tok) {
-                                    None | Some(Tok::Punct(';')) | Some(Tok::Punct('{')) => {
-                                        break None
-                                    }
-                                    Some(Tok::Punct('=')) if punct(&toks, e + 1) != Some('=') => {
-                                        break Some(e)
-                                    }
-                                    _ => e += 1,
-                                }
-                            };
-                            if let Some(eq) = eq {
-                                if let Some(end) = statement_end(&toks, eq + 1) {
-                                    if let Some(acq) = terminal_acquisition(&toks, eq + 1, end) {
-                                        pending_guards.insert(acq, depth);
-                                    }
-                                }
-                            }
-                        }
                     }
                 }
                 i = j + 1;
@@ -1153,41 +852,10 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
                     } else {
                         Recv::Free
                     };
-                    let empty_args = punct(&toks, i + 2) == Some(')');
                     if let Some(fi) = cur_fn {
-                        if empty_args && ACQUIRE_METHODS.contains(&name.as_str()) {
-                            if let Recv::Chain(chain) = &recv {
-                                let ai = out.fns[fi].acquires.len();
-                                out.fns[fi].acquires.push(Acquire {
-                                    lock: chain.last().cloned().unwrap_or_default(),
-                                    chain: chain.join("."),
-                                    method: name.clone(),
-                                    line: toks[i].line,
-                                    tok: i,
-                                    guard_until: None,
-                                });
-                                if let Some(close_depth) = pending_guards.remove(&i) {
-                                    open_guards.push((fi, ai, close_depth));
-                                }
-                            }
-                        }
-                        if name == "try_recv"
-                            && empty_args
-                            && i > 0
-                            && punct(&toks, i - 1) == Some('.')
-                        {
-                            if pending_loop.is_some() {
-                                pending_header_recvs.push((fi, i, toks[i].line));
-                            } else if loops.last().is_some_and(|&(_, bounded)| !bounded) {
-                                out.fns[fi].unbounded_recvs.push((toks[i].line, i));
-                            }
-                        }
                         out.fns[fi].calls.push(CallSite {
                             callee: name.clone(),
                             recv,
-                            line: toks[i].line,
-                            tok: i,
-                            empty_args,
                             cfg_gated: cfg_gated_toks[i],
                         });
                     }
@@ -1203,8 +871,6 @@ pub(crate) fn parse_file(lines: &[LexedLine], in_test: &[bool]) -> ParsedFile {
             _ => i += 1,
         }
     }
-    out.toks = toks;
-    out.cfg_gated_toks = cfg_gated_toks;
     out
 }
 
@@ -1292,96 +958,6 @@ fn build(dim: usize) {
     }
 
     #[test]
-    fn let_bound_guard_lives_to_block_end() {
-        let src = "\
-fn publish(&self) {
-    let guard = self.shared.snapshot.write().unwrap();
-    use_it(&guard);
-}
-";
-        let p = parse(src);
-        let acq = &p.fns[0].acquires;
-        assert_eq!(acq.len(), 1, "{acq:?}");
-        assert_eq!(acq[0].lock, "snapshot");
-        assert_eq!(acq[0].chain, "self.shared.snapshot");
-        assert_eq!(acq[0].method, "write");
-        // Guard closes at the fn's `}` on line 3 (0-based).
-        assert_eq!(acq[0].guard_until.map(|(_, l)| l), Some(3));
-    }
-
-    #[test]
-    fn derived_value_and_match_scrutinee_are_momentary() {
-        let src = "\
-fn peek(&self) -> usize {
-    let n = self.inner.lock().unwrap().len();
-    let snapshot = match self.shared.snapshot.read() {
-        Ok(g) => g.clone(),
-        Err(_) => return 0,
-    };
-    n + snapshot.len()
-}
-";
-        let p = parse(src);
-        let acq = &p.fns[0].acquires;
-        assert_eq!(acq.len(), 2, "{acq:?}");
-        // `.len()` after the unwrap drops the guard within the statement;
-        // the match scrutinee guard never escapes into the `let`.
-        assert!(acq.iter().all(|a| a.guard_until.is_none()), "{acq:?}");
-    }
-
-    #[test]
-    fn while_let_header_guard_is_momentary() {
-        let src = "\
-fn drain(&self) {
-    while let Ok(g) = self.m.lock() {
-        g.pop();
-    }
-}
-";
-        let p = parse(src);
-        let acq = &p.fns[0].acquires;
-        assert_eq!(acq.len(), 1, "{acq:?}");
-        assert!(acq[0].guard_until.is_none());
-    }
-
-    #[test]
-    fn try_recv_loop_boundedness() {
-        let src = "\
-fn pump(rx: &Receiver) {
-    while batch.len() < MAX_BATCH {
-        match rx.try_recv() { _ => break }
-    }
-    while let Ok(msg) = rx.try_recv() {
-        drop(msg);
-    }
-    for _ in 0..4 {
-        let _ = rx.try_recv();
-    }
-}
-";
-        let p = parse(src);
-        let recvs = &p.fns[0].unbounded_recvs;
-        // Only the `while let` drain on line 4 (0-based) is unbounded.
-        assert_eq!(recvs.len(), 1, "{recvs:?}");
-        assert_eq!(recvs[0].0, 4);
-    }
-
-    #[test]
-    fn io_read_with_args_is_not_an_acquisition() {
-        let src = "\
-fn load(&self, buf: &mut [u8]) {
-    let n = self.stream.read(buf).unwrap();
-    consume(n);
-}
-";
-        let p = parse(src);
-        assert!(p.fns[0].acquires.is_empty(), "{:?}", p.fns[0].acquires);
-        let call = &p.fns[0].calls[0];
-        assert_eq!(call.callee, "read");
-        assert!(!call.empty_args);
-    }
-
-    #[test]
     fn macros_are_not_calls() {
         let src = "fn f() { vec![1, 2]; format!(\"x\"); real_call(); }\n";
         let p = parse(src);
@@ -1398,6 +974,15 @@ fn load(&self, buf: &mut [u8]) {
                 assert_eq!(call.recv, Recv::Unknown, "{call:?}");
             }
         }
+    }
+
+    #[test]
+    fn range_bound_receivers_keep_their_chain() {
+        let src = "fn f(&self) { for _ in 0..self.factor.get() {} }\n";
+        let p = parse(src);
+        let call = &p.fns[0].calls[0];
+        assert_eq!(call.callee, "get");
+        assert_eq!(call.recv, Recv::Chain(vec!["self".into(), "factor".into()]));
     }
 
     #[test]

@@ -1,23 +1,38 @@
 //! `lint` — a workspace-specific invariant checker for the Megh reproduction.
 //!
-//! The Megh decision loop earns its headline properties (allocation-free,
-//! deterministic, panic-free, sub-microsecond) by convention; this crate makes
-//! the conventions machine-enforced. The checker has two layers:
+//! The Megh decision loop earns its contracts (allocation-free in steady
+//! state, deterministic under a seed, free of explicit panic paths) by
+//! convention; this crate makes the conventions machine-enforced. A
+//! decide costs 48–300 µs on a trained agent (`benchmark/baseline.json`,
+//! dominated by the θ scan in `BoltzmannPolicy::sample`), so the point is
+//! not a latency number but that an allocation, a `HashMap` or an
+//! `unwrap` cannot slip into the loop unreviewed. The checker has two
+//! layers and stops at the call graph:
 //!
-//! 1. **Token rules** (v1): a hand-rolled line lexer strips string literals
+//! 1. **Token rules**: a hand-rolled line lexer strips string literals
 //!    and comments, then a rule table matches forbidden tokens per scope.
-//! 2. **Call-graph rules** (v2): a recursive-descent item parser over the
+//! 2. **Call-graph rules**: a recursive-descent item parser over the
 //!    same lexer extracts `fn` items, `impl` blocks, struct fields, and
 //!    intra-workspace call edges; a fixed-point pass then propagates three
 //!    transitive properties — *may-allocate*, *may-panic*, *nondeterminism
 //!    taint* — so a `deny_alloc` function calling an allocating helper in an
 //!    *unmarked* file is caught across the crate boundary. Receiver
-//!    resolution is typed-lite (parameter types, struct field tables, local
-//!    inference) and over-approximates by name when the type is unknown.
+//!    resolution is typed-lite (parameter types, struct field tables,
+//!    local inference) and over-approximates by name when the type is
+//!    unknown. The same graph measures `depth_budget(N)` call depths.
+//!
+//! What it does **not** do is reason about values. Implicit panics —
+//! `a[i]`, `&s[lo..hi]`, integer `/` and `%` — are the compiler's job:
+//! every [`HOT_PATH_FILES`] module and the serve daemon carries
+//! [`PANIC_FREE_ATTR`], so `cargo clippy -- -D warnings` rejects such a
+//! site outright, and the kernels are written with `get`, `zip`,
+//! `chunks_exact` and `NonZeroUsize` instead. This crate only checks that
+//! the attribute is still there (`hot_path_marker`). See DESIGN §14.
 //!
 //! The analyzer also emits the committed `LINT_REPORT.json` artifact
-//! (per-rule counts, per-function property table, allow inventory) and a
-//! `lint-diff` mode against it — see [`report`] and the `lint` binary.
+//! (per-rule counts, per-function property table, allow inventory, depth
+//! budgets) and a `lint-diff` mode against it — see [`report`] and the
+//! `lint` binary.
 //!
 //! # Annotation grammar
 //!
@@ -32,7 +47,10 @@
 //!   names (placed on the `fn` signature line, or alone directly above it):
 //!   `transitive_alloc`, `transitive_panic`, `transitive_nondet` — these
 //!   vouch for the function's whole call subtree and stop propagation
-//!   through it.
+//!   through it — and `call_depth_budget`.
+//! * `// lint: depth_budget(N)` — on a `fn` signature line, or alone
+//!   directly above it: the function's longest transitive workspace call
+//!   chain must stay ≤ `N`.
 //!
 //! Every allow directive is tracked: one that no longer suppresses a
 //! violation or a propagated fact is itself reported (`dead_allow`), so
@@ -47,10 +65,11 @@
 //! | `panic`              | `crates/{core,sim,linalg,baselines}/src` | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` and non-total `partial_cmp` comparisons; in `crates/bench/src` only the `partial_cmp` token fires (fail-fast `expect` is idiomatic in experiment binaries, NaN-panicking sort comparators are not) |
 //! | `missing_docs`       | `crates/{core,linalg}/src`               | `pub fn` without a preceding doc comment |
 //! | `unsafe_code`        | every scanned file                       | the `unsafe` keyword outside the annotated allowlist |
-//! | `hot_path_marker`    | the [`HOT_PATH_FILES`] list              | *absence* of the `// lint: deny_alloc` marker — a decision-hot-path module cannot silently opt out of the alloc rule by dropping its marker |
+//! | `hot_path_marker`    | [`HOT_PATH_FILES`] and the serve daemon  | *absence* of the `// lint: deny_alloc` marker (hot-path files) or of the [`PANIC_FREE_ATTR`] line (all of them) — a decision-hot-path module cannot silently opt out of the alloc rule or of clippy's indexing/division gate by dropping a line |
 //! | `transitive_alloc`   | functions in `deny_alloc` files          | reaching an (unallowed) allocating function through any call chain |
 //! | `transitive_panic`   | `deny_alloc` files in the `panic` scope  | reaching a potentially panicking function |
 //! | `transitive_nondet`  | `deny_alloc` files in the `nondet` scope | reaching a nondeterministic function |
+//! | `call_depth_budget`  | functions carrying `depth_budget(N)`     | a transitive workspace call chain longer than `N` (recursion counts as unbounded) |
 //! | `dead_allow`         | every scanned file                       | an `allow(...)` directive that suppresses nothing |
 //!
 //! Test code is exempt from all of it: `#[cfg(test)]` modules are skipped by
@@ -67,10 +86,6 @@
 //! callers. The transitive rules therefore catch exactly the silent case —
 //! forbidden constructs in files where no rule (and no reviewer) was
 //! watching.
-//!
-//! Known limitation: indexing (`a[i]`) is not lexically distinguishable from
-//! type syntax and is left to `debug_assert!` discipline and the
-//! `check-invariants` feature rather than this pass (see DESIGN §10, §12).
 
 // No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
 #![forbid(unsafe_code)]
@@ -81,23 +96,16 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-mod cache;
-mod dataflow;
 mod fix;
 mod graph;
-mod intervals;
 mod items;
 pub mod report;
-mod sarif;
 
-pub use cache::analyze_root_cached;
 pub use fix::{fix_root, fix_sources};
-pub use sarif::to_sarif;
 
 pub use report::{
-    diff_reports, render_diff, AllowEntry, DepthBudgetEntry, FnEntry, GuardEntry,
-    ImplicitPanicSection, LintReport, LockOrderEdge, LockOrderSection, ReportDiff, ReportStats,
-    RuleCount, REPORT_FILE, SCHEMA_VERSION,
+    diff_reports, render_diff, AllowEntry, DepthBudgetEntry, FnEntry, LintReport, ReportDiff,
+    ReportStats, RuleCount, REPORT_FILE, SCHEMA_VERSION,
 };
 
 /// Every rule class, in the fixed order the report counts them.
@@ -112,12 +120,7 @@ pub const RULES: &[&str] = &[
     "transitive_panic",
     "transitive_nondet",
     "dead_allow",
-    "guard_across_blocking",
-    "lock_order",
-    "unbounded_queue",
     "call_depth_budget",
-    "implicit_panic",
-    "float_determinism",
 ];
 
 /// Rule (and allow) names of the transitive variants, class-aligned
@@ -143,21 +146,6 @@ pub struct Violation {
     /// Rule class name (also the `allow(...)` escape-hatch name).
     pub rule: &'static str,
     /// Human-readable explanation, including the matched token.
-    pub message: String,
-    /// Witness chain: auxiliary locations that explain the finding
-    /// (enclosing function, nondet loop header). Rendered as SARIF
-    /// `relatedLocations`.
-    pub related: Vec<Related>,
-}
-
-/// One auxiliary location in a violation's witness chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Related {
-    /// Workspace-relative path with `/` separators.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// What this location contributes to the finding.
     pub message: String,
 }
 
@@ -388,9 +376,6 @@ pub(crate) struct Directives {
     /// `depth_budget(N)`: ceiling on the transitive call depth of the
     /// function whose signature shares this line.
     depth_budget: Option<u64>,
-    /// `ordered_merge`: the float reduction on (or under the loop
-    /// header on) this line merges in ascending index order.
-    ordered_merge: bool,
 }
 
 fn parse_directives(comment: &str) -> Directives {
@@ -413,8 +398,6 @@ fn parse_directives(comment: &str) -> Directives {
             if let Some(end) = args.find(')') {
                 out.depth_budget = args[..end].trim().parse().ok();
             }
-        } else if body.starts_with("ordered_merge") {
-            out.ordered_merge = true;
         }
         rest = &rest[pos + 5..];
     }
@@ -520,13 +503,14 @@ const NONDET_TOKENS: &[&str] = &[
 ];
 
 /// Decision-hot-path modules that must carry the file-level
-/// `// lint: deny_alloc` marker (the `hot_path_marker` rule).
+/// `// lint: deny_alloc` marker and the [`PANIC_FREE_ATTR`] line (the
+/// `hot_path_marker` rule).
 ///
-/// The `alloc` rule is opt-in per file; without this list a hot-path
-/// module could silently leave the no-alloc regime by dropping its
-/// marker. These are the Sherman–Morrison product kernels (DOK), the
-/// ε-greedy policy, the agent's decide path, the streaming
-/// trace-source layer, and the per-step simulation accounting kernels.
+/// Both regimes are opt-in per file; without this list a hot-path
+/// module could silently leave either by dropping one line. These are
+/// the Sherman–Morrison product kernels (DOK), the Boltzmann policy,
+/// the agents' decide paths, the streaming trace-source layer, and the
+/// per-step simulation accounting kernels.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/agent.rs",
     "crates/core/src/hier.rs",
@@ -538,6 +522,18 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/step.rs",
     "crates/trace/src/source.rs",
 ];
+
+/// The serve daemon allocates per request, so it is not `deny_alloc`,
+/// but a long-running process must not die on an index or a division
+/// either: `hot_path_marker` requires [`PANIC_FREE_ATTR`] of it too.
+const DAEMON_FILE: &str = "crates/serve/src/daemon.rs";
+
+/// The inner attribute that hands implicit panics to clippy: outside
+/// test builds, `a[i]`, `&s[a..b]` and integer `/` / `%` do not compile
+/// under `cargo clippy -- -D warnings`. Spelt without whitespace, and
+/// matched against the file's code with whitespace removed, because
+/// rustfmt wraps the attribute over four lines.
+pub const PANIC_FREE_ATTR: &str = "#![cfg_attr(not(test),deny(clippy::indexing_slicing,clippy::integer_division_remainder_used))]";
 
 const PANIC_TOKENS: &[&str] = &[
     ".unwrap(",
@@ -587,19 +583,6 @@ impl FileScan {
     /// inline on the line itself, or alone on the directly preceding
     /// (code-free) comment line — same placement grammar as `allow`,
     /// so rustfmt-driven comment relocation cannot detach a budget.
-    /// The `ordered_merge` directive for line `idx`: inline on the
-    /// line itself, or alone on the directly preceding (code-free)
-    /// comment line. Returns the directive's line index.
-    pub(crate) fn ordered_merge_at(&self, idx: usize) -> Option<usize> {
-        if self.directives.get(idx).is_some_and(|d| d.ordered_merge) {
-            return Some(idx);
-        }
-        if idx > 0 && !self.lines[idx - 1].has_code() && self.directives[idx - 1].ordered_merge {
-            return Some(idx - 1);
-        }
-        None
-    }
-
     pub(crate) fn depth_budget_at(&self, idx: usize) -> Option<u64> {
         if let Some(budget) = self.directives.get(idx).and_then(|d| d.depth_budget) {
             return Some(budget);
@@ -704,6 +687,16 @@ fn doc_status(lines: &[LexedLine], directives: &[Directives], idx: usize) -> Doc
     DocStatus::Missing
 }
 
+/// Whether the file carries [`PANIC_FREE_ATTR`], however it is wrapped.
+fn has_panic_free_attr(lines: &[LexedLine]) -> bool {
+    let code: String = lines
+        .iter()
+        .flat_map(|l| l.code.chars())
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    code.contains(PANIC_FREE_ATTR)
+}
+
 /// Token-level scan of one file (everything except the graph rules).
 fn scan_file(rel_path: &str, source: &str) -> FileScan {
     let scope = scope_for(rel_path);
@@ -724,14 +717,23 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
 
     let mut violations = Vec::new();
     let rel_normalized = rel_path.replace('\\', "/");
-    if HOT_PATH_FILES.contains(&rel_normalized.as_str()) && !deny_alloc {
+    let hot = HOT_PATH_FILES.contains(&rel_normalized.as_str());
+    let mut missing = Vec::new();
+    if hot && !deny_alloc {
+        missing.push("the `// lint: deny_alloc` marker");
+    }
+    if (hot || rel_normalized == DAEMON_FILE) && !has_panic_free_attr(&lines) {
+        missing.push("the clippy indexing/division gate (`lint::PANIC_FREE_ATTR`)");
+    }
+    if !missing.is_empty() {
         violations.push(Violation {
             file: rel_path.to_string(),
             line: 1,
             rule: "hot_path_marker",
-            related: Vec::new(),
-            message: "decision-hot-path module must carry the `// lint: deny_alloc` marker"
-                .to_string(),
+            message: format!(
+                "decision-hot-path module must carry {}",
+                missing.join(" and ")
+            ),
         });
     }
 
@@ -765,7 +767,6 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
                             file: rel_path.to_string(),
                             line: lineno,
                             rule: "alloc",
-                            related: Vec::new(),
                             message: format!(
                                 "heap-constructor token `{}` in a deny_alloc module",
                                 token.trim_matches(&['.', '(', ':', '<'][..])
@@ -790,7 +791,6 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
                             file: rel_path.to_string(),
                             line: lineno,
                             rule: "nondet",
-                            related: Vec::new(),
                             message: format!(
                                 "nondeterministic construct `{token}` in a decision-path crate (use BTreeMap/BTreeSet or a seeded RNG)"
                             ),
@@ -814,7 +814,6 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
                             file: rel_path.to_string(),
                             line: lineno,
                             rule: "panic",
-                            related: Vec::new(),
                             message: format!(
                                 "potential panic path `{}` in library code (return a typed error or use total_cmp)",
                                 token.trim_matches(&['.', '('][..])
@@ -845,7 +844,6 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
                                 file: rel_path.to_string(),
                                 line: lineno,
                                 rule: "missing_docs",
-                                related: Vec::new(),
                                 message: "pub fn without a doc comment".to_string(),
                             });
                         }
@@ -862,7 +860,6 @@ fn scan_file(rel_path: &str, source: &str) -> FileScan {
                     file: rel_path.to_string(),
                     line: lineno,
                     rule: "unsafe_code",
-                    related: Vec::new(),
                     message: "`unsafe` outside the annotated allowlist".to_string(),
                 });
             }
@@ -927,11 +924,9 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
 
     let outcome = graph::analyze(&mut files);
-    let flow = dataflow::analyze(&mut files, &outcome);
 
     let mut violations: Vec<Violation> = files.iter().flat_map(|f| f.violations.clone()).collect();
     violations.extend(outcome.violations.iter().cloned());
-    violations.extend(flow.violations.iter().cloned());
 
     // Dead-escape detection: a directive nothing credited is stale.
     let mut dead_allows: Vec<(String, usize, String)> = Vec::new();
@@ -943,7 +938,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
                     file: file.rel_path.clone(),
                     line: idx + 1,
                     rule: "dead_allow",
-                    related: Vec::new(),
                     message: format!(
                         "allow({name}) no longer suppresses anything (stale escape hatch — remove it)"
                     ),
@@ -967,18 +961,12 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
         })
         .collect();
 
-    let panic_stats: std::collections::BTreeMap<(usize, usize), (usize, usize)> = flow
-        .fn_stats
-        .iter()
-        .map(|s| ((s.file, s.item), (s.sites, s.discharged)))
-        .collect();
     let mut functions: Vec<FnEntry> = outcome
         .fns
         .iter()
         .filter(|g| files[g.file].deny_alloc)
         .map(|g| {
             let item = &files[g.file].parsed.fns[g.item];
-            let stats = panic_stats.get(&(g.file, g.item));
             FnEntry {
                 function: g.qname.clone(),
                 file: files[g.file].rel_path.clone(),
@@ -989,8 +977,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
                 transitive_alloc: g.eff[0],
                 transitive_panic: g.eff[1],
                 transitive_nondet: g.eff[2],
-                implicit_panic_sites: stats.map(|(s, _)| *s),
-                implicit_panic_discharged: stats.map(|(_, d)| *d),
             }
         })
         .collect();
@@ -1034,26 +1020,10 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Analysis {
             rules,
             functions,
             allows,
-            lock_order: Some(outcome.lock_order),
-            guards: Some(outcome.guards),
-            depth_budgets: Some(outcome.depth_budgets),
-            implicit_panic: Some(report::ImplicitPanicSection {
-                sites: flow.hot_sites,
-                discharged: flow.hot_discharged,
-                vouched: flow.hot_vouched,
-            }),
+            depth_budgets: outcome.depth_budgets,
             stats,
         },
     }
-}
-
-/// Runs the interval abstract interpreter over the first function of
-/// `source` in isolation and returns each local's final `(lo, hi)`
-/// integer interval — the public hook the interval-soundness proptest
-/// drives (random straight-line programs are executed concretely and
-/// asserted to land inside these bounds).
-pub fn infer_intervals(source: &str) -> std::collections::BTreeMap<String, (i128, i128)> {
-    dataflow::snippet_intervals(source)
 }
 
 /// Collects every eligible `.rs` file under `root` (sorted walk).

@@ -1,6 +1,5 @@
 //! Binary driver:
-//! `cargo run -p lint [--root <dir>] [--report] [--diff] [--fix [--check]]
-//! [--sarif <path>] [--no-cache]`.
+//! `cargo run -p lint [--root <dir>] [--report] [--diff] [--fix [--check]]`.
 //!
 //! Walks the workspace, prints every invariant violation as
 //! `path:line: [rule] message`, and exits non-zero when any are found.
@@ -10,16 +9,12 @@
 //! * `--diff` — compare the current scan against the committed
 //!   `LINT_REPORT.json` snapshot; exit non-zero on fatal regressions
 //!   (a previously-clean function gaining a property, or any rule's
-//!   violation count increasing).
+//!   violation count increasing, or a budgeted call depth growing).
 //! * `--fix` — delete dead `lint: allow(...)` names and normalize
 //!   directive grammar in place, then analyze the fixed tree. The
 //!   rewrite is idempotent: a second `--fix` run changes nothing.
 //! * `--check` (with `--fix`) — report the files `--fix` would rewrite
 //!   without touching them, and exit non-zero if there are any.
-//! * `--sarif <path>` — additionally write the scan as a SARIF 2.1.0
-//!   log (byte-deterministic; see `sarif.rs`).
-//! * `--no-cache` — bypass the `target/lint-cache/` corpus cache and
-//!   force a cold scan (CI uses this to time the analysis itself).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,8 +26,6 @@ fn main() -> ExitCode {
     let mut diff_mode = false;
     let mut fix_mode = false;
     let mut check_mode = false;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut use_cache = true;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
@@ -40,18 +33,9 @@ fn main() -> ExitCode {
             "--diff" => diff_mode = true,
             "--fix" => fix_mode = true,
             "--check" => check_mode = true,
-            "--sarif" => {
-                sarif_path = args.next().map(PathBuf::from);
-                if sarif_path.is_none() {
-                    eprintln!("lint: --sarif needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--no-cache" => use_cache = false,
             "--help" | "-h" => {
                 println!(
-                    "usage: lint [--root <workspace-dir>] [--report] [--diff] \
-                     [--fix [--check]] [--sarif <path>] [--no-cache]"
+                    "usage: lint [--root <workspace-dir>] [--report] [--diff] [--fix [--check]]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -110,7 +94,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let analysis = match lint::analyze_root_cached(&root, use_cache) {
+    let analysis = match lint::analyze_root(&root) {
         Ok(analysis) => analysis,
         Err(err) => {
             eprintln!("lint: io error: {err}");
@@ -119,14 +103,6 @@ fn main() -> ExitCode {
     };
 
     let mut failed = false;
-
-    if let Some(path) = &sarif_path {
-        if let Err(err) = std::fs::write(path, lint::to_sarif(&analysis.violations)) {
-            eprintln!("lint: cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("lint: wrote {}", path.display());
-    }
 
     if write_report {
         let json = match serde_json::to_string_pretty(&analysis.report) {

@@ -3,15 +3,15 @@
 //!
 //! The report is committed per PR like `BENCH_decision_latency.json`:
 //! per-rule violation counts, the per-function property table for every
-//! hot-path (deny_alloc) function, and the allow-directive inventory
-//! with liveness. Every field is a pure function of the source tree —
+//! hot-path (deny_alloc) function, the allow-directive inventory with
+//! liveness, and the depth-budget table. Every field is a pure function of the source tree —
 //! no timestamps, no wall-clock, sorted collections — so the bytes are
 //! reproducible on any machine and diffable across PRs.
 //!
 //! `lint-diff` mirrors `bench-diff`: *fatal* when a function present in
 //! both snapshots gains a property it did not have (a previously-clean
-//! function regressed), *non-fatal notes* for count drift, new/removed
-//! functions, and allow-inventory churn.
+//! function regressed) or a budgeted call depth grows, *non-fatal notes*
+//! for count drift, new/removed functions, and allow-inventory churn.
 
 use serde::{Deserialize, Serialize};
 
@@ -45,11 +45,6 @@ pub struct FnEntry {
     pub transitive_panic: bool,
     /// Transitive nondeterminism taint.
     pub transitive_nondet: bool,
-    /// Implicit panic sites enumerated by the interval engine (v4;
-    /// `Option` so v3 snapshots still parse).
-    pub implicit_panic_sites: Option<usize>,
-    /// Of those, the count proven safe (v4, optional as above).
-    pub implicit_panic_discharged: Option<usize>,
 }
 
 impl FnEntry {
@@ -67,50 +62,6 @@ impl FnEntry {
     }
 }
 
-/// One edge of the acquisition-order digraph: while a guard on `from`
-/// is held, `to` is (or may, through calls, be) acquired.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LockOrderEdge {
-    /// Lock held (last receiver-chain segment, e.g. `snapshot`).
-    pub from: String,
-    /// Lock acquired under it.
-    pub to: String,
-    /// Workspace-relative file of the inner acquisition or call.
-    pub file: String,
-    /// 1-based line of that site.
-    pub line: usize,
-    /// Function holding the outer guard.
-    pub function: String,
-}
-
-/// The lock-order section: the full digraph plus detected cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct LockOrderSection {
-    /// All order edges, (from, to) sorted.
-    pub edges: Vec<LockOrderEdge>,
-    /// Strongly-connected components of ≥2 locks (each sorted; empty in
-    /// a deadlock-free tree).
-    pub cycles: Vec<Vec<String>>,
-}
-
-/// One let-bound lock guard and how risky its live range is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GuardEntry {
-    /// Function owning the guard.
-    pub function: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based acquisition line.
-    pub line: usize,
-    /// Full receiver chain of the lock (`self.shared.snapshot`).
-    pub lock: String,
-    /// 1-based line of the `}` closing the guard's block.
-    pub held_to_line: usize,
-    /// Blocking operations (direct or via calls) inside the live range.
-    /// Non-zero entries exist only under an explicit vouch.
-    pub risky_ops: usize,
-}
-
 /// One budgeted function's measured transitive call depth.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DepthBudgetEntry {
@@ -124,17 +75,6 @@ pub struct DepthBudgetEntry {
     pub budget: u64,
     /// Longest workspace call chain; `None` = reaches a recursive cycle.
     pub depth: Option<u64>,
-}
-
-/// Corpus-level implicit-panic totals over the hot-path files.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ImplicitPanicSection {
-    /// Sites enumerated across `HOT_PATH_FILES`.
-    pub sites: usize,
-    /// Sites the interval engine proved safe.
-    pub discharged: usize,
-    /// Undischarged sites silenced by `// lint: allow(implicit_panic)`.
-    pub vouched: usize,
 }
 
 /// One `// lint: allow(...)` directive occurrence.
@@ -174,27 +114,17 @@ pub struct LintReport {
     pub functions: Vec<FnEntry>,
     /// Allow-directive inventory, (file, line, name) order.
     pub allows: Vec<AllowEntry>,
-    /// Acquisition-order digraph and cycles. `Option` so pre-v3
-    /// snapshots (where the key is absent) still parse — the vendored
-    /// serde shim maps missing keys to `None`.
-    pub lock_order: Option<LockOrderSection>,
-    /// Let-bound guard inventory, (file, line) order (v3, optional as
-    /// above).
-    pub guards: Option<Vec<GuardEntry>>,
-    /// Depth-budget table, (file, line) order (v3, optional as above).
-    pub depth_budgets: Option<Vec<DepthBudgetEntry>>,
-    /// Hot-path implicit-panic totals (v4, optional as above).
-    pub implicit_panic: Option<ImplicitPanicSection>,
+    /// Depth-budget table, (file, line) order.
+    pub depth_budgets: Vec<DepthBudgetEntry>,
     /// Corpus totals.
     pub stats: ReportStats,
 }
 
-/// Current schema version: 4, matching the analyzer generation that
-/// added the interval dataflow engine (implicit-panic discharge counts
-/// per hot function plus the corpus totals section); v3 added the
-/// lock-order, guard, and depth-budget sections, and the original
-/// call-graph property table shipped as schema 1.
-pub const SCHEMA_VERSION: usize = 4;
+/// Current schema version: 5 — the call-graph property table of the
+/// first schema plus v3's depth-budget table. Schema 5 dropped v3's
+/// lock-order and guard sections and v4's implicit-panic columns and
+/// totals along with the analyses that filled them.
+pub const SCHEMA_VERSION: usize = 5;
 
 /// File name of the committed snapshot at the workspace root.
 pub const REPORT_FILE: &str = "LINT_REPORT.json";
@@ -282,35 +212,6 @@ pub fn diff_reports(prev: &LintReport, cur: &LintReport) -> ReportDiff {
                             .push(format!("`{}` lost {}", entry.function, name));
                     }
                 }
-                // Interval-engine regression gates: a site leaving the
-                // "proven safe" bucket (discharged → vouched) is as
-                // fatal as a gained property.
-                if let (Some(ps), Some(pd), Some(cs), Some(cd)) = (
-                    before.implicit_panic_sites,
-                    before.implicit_panic_discharged,
-                    entry.implicit_panic_sites,
-                    entry.implicit_panic_discharged,
-                ) {
-                    let was_open = ps.saturating_sub(pd);
-                    let now_open = cs.saturating_sub(cd);
-                    if now_open > was_open {
-                        diff.fatal.push(format!(
-                            "`{}` undischarged implicit-panic sites grew from {} to {}",
-                            entry.function, was_open, now_open
-                        ));
-                    } else if now_open < was_open {
-                        diff.notes.push(format!(
-                            "`{}` undischarged implicit-panic sites dropped from {} to {}",
-                            entry.function, was_open, now_open
-                        ));
-                    }
-                    if cd < pd && cs >= ps {
-                        diff.fatal.push(format!(
-                            "`{}` implicit-panic discharges fell from {} to {} (discharged → vouched regression)",
-                            entry.function, pd, cd
-                        ));
-                    }
-                }
             }
         }
     }
@@ -355,67 +256,10 @@ pub fn diff_reports(prev: &LintReport, cur: &LintReport) -> ReportDiff {
             .push(format!("{removed} allow directive(s) removed"));
     }
 
-    // Guard section: a guard's live range getting riskier is a
-    // regression of the same kind as a gained property.
-    let cur_guards = cur.guards.as_deref().unwrap_or(&[]);
-    let prev_guards = prev.guards.as_deref().unwrap_or(&[]);
-    let gkey = |g: &GuardEntry| (g.file.clone(), g.function.clone(), g.lock.clone());
-    for guard in cur_guards {
-        match prev_guards.iter().find(|g| gkey(g) == gkey(guard)) {
-            None => {
-                if guard.risky_ops > 0 {
-                    diff.notes.push(format!(
-                        "new guard on `{}` in `{}` holds across {} blocking op(s) (vouched)",
-                        guard.lock, guard.function, guard.risky_ops
-                    ));
-                }
-            }
-            Some(before) if guard.risky_ops > before.risky_ops => diff.fatal.push(format!(
-                "guard on `{}` in `{}` now spans {} blocking op(s) (was {})",
-                guard.lock, guard.function, guard.risky_ops, before.risky_ops
-            )),
-            Some(before) if guard.risky_ops < before.risky_ops => diff.notes.push(format!(
-                "guard on `{}` in `{}` dropped to {} blocking op(s) (was {})",
-                guard.lock, guard.function, guard.risky_ops, before.risky_ops
-            )),
-            Some(_) => {}
-        }
-    }
-
-    // Lock-order section: a cycle that was not in the committed
-    // snapshot is a potential deadlock — fatal. Edge churn is a note.
-    let default_lo = LockOrderSection::default();
-    let cur_lo = cur.lock_order.as_ref().unwrap_or(&default_lo);
-    let prev_lo = prev.lock_order.as_ref().unwrap_or(&default_lo);
-    for cycle in &cur_lo.cycles {
-        if !prev_lo.cycles.contains(cycle) {
-            diff.fatal.push(format!(
-                "new lock-order cycle among {{{}}}",
-                cycle.join(", ")
-            ));
-        }
-    }
-    let ekey = |e: &LockOrderEdge| (e.from.clone(), e.to.clone());
-    let added_edges = cur_lo
-        .edges
-        .iter()
-        .filter(|e| !prev_lo.edges.iter().any(|p| ekey(p) == ekey(e)))
-        .count();
-    let removed_edges = prev_lo
-        .edges
-        .iter()
-        .filter(|e| !cur_lo.edges.iter().any(|p| ekey(p) == ekey(e)))
-        .count();
-    if added_edges > 0 || removed_edges > 0 {
-        diff.notes.push(format!(
-            "lock-order edges: {added_edges} added, {removed_edges} removed"
-        ));
-    }
-
     // Depth budgets: growth eats committed headroom silently — fatal
     // until the snapshot is regenerated deliberately.
-    let cur_depths = cur.depth_budgets.as_deref().unwrap_or(&[]);
-    let prev_depths = prev.depth_budgets.as_deref().unwrap_or(&[]);
+    let cur_depths = &cur.depth_budgets;
+    let prev_depths = &prev.depth_budgets;
     let dkey = |d: &DepthBudgetEntry| (d.file.clone(), d.function.clone());
     for entry in cur_depths {
         match prev_depths.iter().find(|d| dkey(d) == dkey(entry)) {
@@ -456,29 +300,6 @@ pub fn diff_reports(prev: &LintReport, cur: &LintReport) -> ReportDiff {
         if !cur_depths.iter().any(|d| dkey(d) == dkey(before)) {
             diff.notes
                 .push(format!("depth budget on `{}` removed", before.function));
-        }
-    }
-
-    // Corpus implicit-panic totals: losing proofs or leaning harder on
-    // vouches is a regression of the v4 contract.
-    if let (Some(p), Some(c)) = (&prev.implicit_panic, &cur.implicit_panic) {
-        if c.discharged < p.discharged && c.sites >= p.sites {
-            diff.fatal.push(format!(
-                "hot-path implicit-panic discharges fell from {} to {}",
-                p.discharged, c.discharged
-            ));
-        }
-        if c.vouched > p.vouched {
-            diff.fatal.push(format!(
-                "hot-path implicit-panic vouches grew from {} to {} (prove, don't vouch)",
-                p.vouched, c.vouched
-            ));
-        }
-        if p != c && diff.fatal.is_empty() {
-            diff.notes.push(format!(
-                "implicit-panic totals: sites {} -> {}, discharged {} -> {}, vouched {} -> {}",
-                p.sites, c.sites, p.discharged, c.discharged, p.vouched, c.vouched
-            ));
         }
     }
 
@@ -536,8 +357,6 @@ mod tests {
             transitive_alloc,
             transitive_panic: false,
             transitive_nondet: false,
-            implicit_panic_sites: None,
-            implicit_panic_discharged: None,
         }
     }
 
@@ -550,10 +369,7 @@ mod tests {
             }],
             functions,
             allows: Vec::new(),
-            lock_order: Some(LockOrderSection::default()),
-            guards: Some(Vec::new()),
-            depth_budgets: Some(Vec::new()),
-            implicit_panic: Some(ImplicitPanicSection::default()),
+            depth_budgets: Vec::new(),
             stats: ReportStats::default(),
         }
     }
@@ -588,32 +404,6 @@ mod tests {
         cur.rules[0].violations = 2;
         let diff = diff_reports(&prev, &cur);
         assert_eq!(diff.fatal.len(), 1);
-    }
-
-    #[test]
-    fn discharged_to_vouched_regression_is_fatal() {
-        let mut prev = report(Vec::new());
-        let mut cur = report(Vec::new());
-        prev.implicit_panic = Some(ImplicitPanicSection {
-            sites: 10,
-            discharged: 8,
-            vouched: 2,
-        });
-        cur.implicit_panic = Some(ImplicitPanicSection {
-            sites: 10,
-            discharged: 7,
-            vouched: 3,
-        });
-        let diff = diff_reports(&prev, &cur);
-        assert_eq!(diff.fatal.len(), 2, "{diff:?}");
-
-        let mut p = entry("f", false);
-        p.implicit_panic_sites = Some(4);
-        p.implicit_panic_discharged = Some(4);
-        let mut c = p.clone();
-        c.implicit_panic_discharged = Some(3);
-        let diff = diff_reports(&report(vec![p]), &report(vec![c]));
-        assert_eq!(diff.fatal.len(), 2, "{diff:?}");
     }
 
     #[test]

@@ -97,66 +97,4 @@ proptest! {
         prop_assert_eq!(direct, 1);
         prop_assert_eq!(transitive, len - 1);
     }
-
-    /// Interval soundness: a random straight-line program over `+`,
-    /// `-`, `*` is rendered to source, executed concretely, and every
-    /// final variable value must land inside the interval
-    /// [`lint::infer_intervals`] reports for it. Concrete execution is
-    /// the ground truth the abstract domain must over-approximate.
-    #[test]
-    fn inferred_intervals_contain_concrete_execution(
-        stmts in prop::collection::vec(
-            (0usize..4, 0i64..21, 0usize..8, 0usize..8, 0usize..3),
-            1..8,
-        ),
-    ) {
-        let mut src = String::from("fn f() {\n");
-        let mut vals: Vec<i128> = Vec::new();
-        for (i, &(kind, c, x, y, op)) in stmts.iter().enumerate() {
-            let c = i128::from(c);
-            let kind = if i == 0 { 0 } else { kind };
-            let (sym, apply): (char, fn(i128, i128) -> i128) = match op {
-                0 => ('+', |a, b| a.saturating_add(b)),
-                1 => ('-', |a, b| a.saturating_sub(b)),
-                _ => ('*', |a, b| a.saturating_mul(b)),
-            };
-            let (expr, val) = match kind {
-                0 => (format!("{c}"), c),
-                1 => {
-                    let x = x % i;
-                    (format!("a{x}"), vals[x])
-                }
-                2 => {
-                    let x = x % i;
-                    (format!("a{x} {sym} {c}"), apply(vals[x], c))
-                }
-                _ => {
-                    let (x, y) = (x % i, y % i);
-                    (format!("a{x} {sym} a{y}"), apply(vals[x], vals[y]))
-                }
-            };
-            src.push_str(&format!("    let a{i} = {expr};\n"));
-            vals.push(val);
-        }
-        src.push_str("}\n");
-
-        let intervals = lint::infer_intervals(&src);
-        for (i, &val) in vals.iter().enumerate() {
-            let name = format!("a{i}");
-            let (lo, hi) = intervals
-                .get(&name)
-                .copied()
-                .unwrap_or_else(|| panic!("no interval for {name} in\n{src}"));
-            // Bounds at the domain's infinity sentinels (`i128::MIN/4`,
-            // `i128::MAX/4` — see `intervals.rs`) mean "unbounded";
-            // concrete saturation can only overshoot a sentinel when the
-            // true value already left the finite range on that side.
-            let lo_ok = lo <= i128::MIN / 4 || lo <= val;
-            let hi_ok = hi >= i128::MAX / 4 || val <= hi;
-            prop_assert!(
-                lo_ok && hi_ok,
-                "{name} = {val} outside [{lo}, {hi}] for\n{src}"
-            );
-        }
-    }
 }

@@ -33,6 +33,13 @@
 //! checkpoint are lost on a hard kill; that is the usual checkpointing
 //! contract, bounded by `checkpoint_every`.
 
+// A long-running process must not die on an index or a division:
+// enforced by clippy, and the attribute's presence by `cargo run -p lint`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
+
 use std::fmt;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -267,7 +274,7 @@ impl Writer {
                         // drain runs once at shutdown after the listener
                         // stops accepting, so it is bounded by what
                         // producers queued before the ack — not a live
-                        // ingest path. lint: allow(unbounded_queue)
+                        // ingest path.
                         while let Ok(msg) = rx.try_recv() {
                             match msg {
                                 WriterMsg::Update { action, cost } => self.apply(action, cost),

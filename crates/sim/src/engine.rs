@@ -380,7 +380,9 @@ fn run_core<T: TraceSource, S: Scheduler>(
             // No VMs means no columns to read; the steps still elapse.
             want
         } else {
-            source.fill_chunk(&mut chunk[..want * n])
+            // `TraceSource` is a public trait: hold an implementation
+            // that over-reports to the columns it was given room for.
+            source.fill_chunk(&mut chunk[..want * n]).min(want)
         };
         if got == 0 {
             break; // source exhausted before its declared length
@@ -1225,6 +1227,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.fingerprint(), base.fingerprint());
+    }
+
+    #[test]
+    fn streaming_run_clamps_an_over_reporting_source() {
+        // `TraceSource` is a public trait: a source that fills its buffer
+        // honestly but claims `usize::MAX` columns must neither panic the
+        // step loop nor make it read past the chunk — so the run is the
+        // honest run, bit for bit.
+        struct Liar<S>(S);
+        impl<S: TraceSource> TraceSource for Liar<S> {
+            fn header(&self) -> megh_trace::TraceHeader {
+                self.0.header()
+            }
+            fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
+                match self.0.fill_chunk(buf) {
+                    0 => 0,
+                    _ => usize::MAX,
+                }
+            }
+            fn reset(&mut self) {
+                self.0.reset();
+            }
+        }
+        let gen = PlanetLabConfig::new(8, 21);
+        let (config, _) = busy_setup(1);
+        let options = SimOptions {
+            chunk_steps: 7,
+            ..SimOptions::default()
+        };
+        let honest = run_streamed(&config, gen.source(30), Rotor, options).unwrap();
+        let lied = run_streamed(&config, Liar(gen.source(30)), Rotor, options).unwrap();
+        assert_eq!(lied.records().len(), 30);
+        assert_eq!(lied.fingerprint(), honest.fingerprint());
     }
 
     #[test]

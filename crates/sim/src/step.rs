@@ -11,6 +11,10 @@
 //! they must not allocate, panic, or read any nondeterministic state.
 //! Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
 
 use crate::{CostParams, PowerModel};
 
@@ -38,9 +42,9 @@ pub(crate) fn host_metrics_chunk(
     out_deficit: &mut [f64],
     out_util: &mut [f64],
 ) {
-    // Contract: every slice covers the same host range (doc above);
-    // these equalities are what lets the interval pass prove the loop
-    // below in-bounds for all seven arrays.
+    // Contract: every slice covers the same host range (doc above). The
+    // zip below stops at the shortest slice, so a mismatch would be a
+    // silent truncation; these are the executed check against it.
     debug_assert_eq!(host_mips.len(), host_used.len());
     debug_assert_eq!(host_vm_count.len(), host_used.len());
     debug_assert_eq!(host_down.len(), host_used.len());
@@ -48,30 +52,38 @@ pub(crate) fn host_metrics_chunk(
     debug_assert_eq!(out_joules.len(), host_used.len());
     debug_assert_eq!(out_deficit.len(), host_used.len());
     debug_assert_eq!(out_util.len(), host_used.len());
-    for h in 0..host_used.len() {
-        out_joules[h] = 0.0;
-        out_deficit[h] = 0.0;
-        out_util[h] = 0.0;
-        if host_down[h] {
+    let inputs = host_used
+        .iter()
+        .zip(host_mips)
+        .zip(host_vm_count)
+        .zip(host_down)
+        .zip(power);
+    let outputs = out_joules
+        .iter_mut()
+        .zip(out_deficit.iter_mut())
+        .zip(out_util.iter_mut());
+    for (((((&used, &mips), &vm_count), &down), power), ((joules, deficit), util)) in
+        inputs.zip(outputs)
+    {
+        *joules = 0.0;
+        *deficit = 0.0;
+        *util = 0.0;
+        if down {
             // A down host draws no power and serves nothing: every
             // resident VM is fully unavailable.
-            if host_vm_count[h] > 0 {
-                out_deficit[h] = 1.0;
+            if vm_count > 0 {
+                *deficit = 1.0;
             }
             continue;
         }
-        if host_vm_count[h] == 0 {
+        if vm_count == 0 {
             continue; // asleep, 0 W
         }
-        let u = if host_mips[h] > 0.0 {
-            host_used[h] / host_mips[h]
-        } else {
-            0.0
-        };
-        out_util[h] = u;
-        out_joules[h] = power[h].energy_joules(u, tau);
+        let u = if mips > 0.0 { used / mips } else { 0.0 };
+        *util = u;
+        *joules = power.energy_joules(u, tau);
         if u > 1.0 {
-            out_deficit[h] = 1.0 - 1.0 / u;
+            *deficit = 1.0 - 1.0 / u;
         }
     }
 }
@@ -93,25 +105,116 @@ pub(crate) fn vm_sla_chunk(
     vm_requested_s: &mut [f64],
     out_sla: &mut [f64],
 ) {
-    // Contract: the per-VM slices cover the same VM range (doc above).
+    // Contract: the per-VM slices cover the same VM range (doc above);
+    // executed here because the zip below would truncate silently.
     debug_assert_eq!(vm_downtime_s.len(), placement.len());
     debug_assert_eq!(vm_requested_s.len(), placement.len());
     debug_assert_eq!(out_sla.len(), placement.len());
-    for j in 0..placement.len() {
-        // lint: allow(implicit_panic) -- placement entries are host ids < deficit.len() by construction (engine invariant checked at build)
-        let d = deficit[placement[j]];
+    let accounts = vm_downtime_s
+        .iter_mut()
+        .zip(vm_requested_s.iter_mut())
+        .zip(out_sla.iter_mut());
+    for (&host, ((downtime_s, requested_s), sla)) in placement.iter().zip(accounts) {
+        // Placement entries are host ids < deficit.len() by construction
+        // (engine invariant checked at build).
+        debug_assert!(host < deficit.len());
+        let d = deficit.get(host).copied().unwrap_or(0.0);
         if d > 0.0 {
-            vm_downtime_s[j] += d * tau;
+            *downtime_s += d * tau;
         }
-        vm_requested_s[j] += tau;
-        let fraction = vm_downtime_s[j] / vm_requested_s[j];
-        out_sla[j] = cost.sla_cost_usd(cost.sla_band(fraction), tau);
+        *requested_s += tau;
+        let fraction = *downtime_s / *requested_s;
+        *sla = cost.sla_cost_usd(cost.sla_band(fraction), tau);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The zips must compute, slot for slot and bit for bit, the
+        /// per-host formulas of `host_metrics_chunk`'s doc comment —
+        /// over every length from empty up, with down, sleeping,
+        /// overloaded and zero-MIPS hosts in the mix.
+        #[test]
+        fn host_kernel_equals_the_per_element_formulas(
+            hosts in prop::collection::vec(
+                (0.0..300.0f64, 0..4usize, 0..3usize, 0..4usize, 0..2usize),
+                0..64,
+            ),
+            tau in 1.0..600.0f64,
+        ) {
+            let used: Vec<f64> = hosts.iter().map(|h| h.0).collect();
+            // One host in four has no capacity, one in four is down.
+            let mips: Vec<f64> = hosts.iter().map(|h| if h.1 == 0 { 0.0 } else { 100.0 }).collect();
+            let count: Vec<usize> = hosts.iter().map(|h| h.2).collect();
+            let down: Vec<bool> = hosts.iter().map(|h| h.3 == 0).collect();
+            let power: Vec<PowerModel> = hosts
+                .iter()
+                .map(|h| if h.4 == 0 { PowerModel::hp_proliant_g4() } else { PowerModel::hp_proliant_g5() })
+                .collect();
+            let n = hosts.len();
+            let (mut joules, mut deficit, mut util) = (vec![9.0; n], vec![9.0; n], vec![9.0; n]);
+            host_metrics_chunk(
+                &used, &mips, &count, &down, &power, tau, &mut joules, &mut deficit, &mut util,
+            );
+            for h in 0..n {
+                let (mut want_joules, mut want_deficit, mut want_util) = (0.0, 0.0, 0.0);
+                if down[h] {
+                    if count[h] > 0 {
+                        want_deficit = 1.0;
+                    }
+                } else if count[h] > 0 {
+                    let u = if mips[h] > 0.0 { used[h] / mips[h] } else { 0.0 };
+                    want_util = u;
+                    want_joules = power[h].energy_joules(u, tau);
+                    if u > 1.0 {
+                        want_deficit = 1.0 - 1.0 / u;
+                    }
+                }
+                prop_assert_eq!(joules[h].to_bits(), f64::to_bits(want_joules));
+                prop_assert_eq!(deficit[h].to_bits(), f64::to_bits(want_deficit));
+                prop_assert_eq!(util[h].to_bits(), f64::to_bits(want_util));
+            }
+        }
+
+        /// Same for `vm_sla_chunk`, accruing over two calls so the
+        /// in-place `+=` terms are exercised from a non-zero state.
+        #[test]
+        fn sla_kernel_equals_the_per_element_formulas(
+            vms in prop::collection::vec((0..5usize, 0.0..900.0f64), 0..64),
+            deficit in prop::collection::vec((0..3usize, 0.0..1.0f64), 5..6),
+            tau in 1.0..600.0f64,
+        ) {
+            // Two hosts in three have no deficit at all.
+            let deficit: Vec<f64> = deficit.iter().map(|d| if d.0 == 0 { d.1 } else { 0.0 }).collect();
+            let placement: Vec<usize> = vms.iter().map(|v| v.0).collect();
+            let cost = CostParams::paper_defaults();
+            let n = vms.len();
+            let mut downtime: Vec<f64> = vms.iter().map(|v| v.1 / 10.0).collect();
+            let mut requested: Vec<f64> = vms.iter().map(|v| v.1).collect();
+            let (mut want_down, mut want_req) = (downtime.clone(), requested.clone());
+            let mut sla = vec![9.0; n];
+            for _ in 0..2 {
+                vm_sla_chunk(
+                    &placement, &deficit, tau, &cost, &mut downtime, &mut requested, &mut sla,
+                );
+                for j in 0..n {
+                    let d = deficit[placement[j]];
+                    if d > 0.0 {
+                        want_down[j] += d * tau;
+                    }
+                    want_req[j] += tau;
+                    let want = cost.sla_cost_usd(cost.sla_band(want_down[j] / want_req[j]), tau);
+                    prop_assert_eq!(downtime[j].to_bits(), want_down[j].to_bits());
+                    prop_assert_eq!(requested[j].to_bits(), want_req[j].to_bits());
+                    prop_assert_eq!(sla[j].to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn host_kernel_handles_down_sleeping_and_overloaded() {

@@ -32,6 +32,12 @@
 // This module is on the simulation hot path: steady-state `fill_chunk`
 // calls must not allocate. Enforced by `cargo run -p lint`.
 // lint: deny_alloc
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
+)]
+
+use std::num::NonZeroUsize;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,18 +109,19 @@ pub trait TraceSource {
         let mut buf = vec![0.0f64; chunk_steps * n_vms];
         let mut done = 0usize;
         while done < n {
-            let want = chunk_steps.min(n - done);
-            // lint: allow(implicit_panic) -- want <= chunk_steps and buf is chunk_steps * n_vms long
-            let got = self.fill_chunk(&mut buf[..want * n_vms]);
-            if got == 0 {
+            // Only the last read is shorter than a full chunk.
+            buf.truncate(chunk_steps.min(n.saturating_sub(done)) * n_vms);
+            let reported = self.fill_chunk(&mut buf);
+            let cols = columns(&mut buf, n_vms, reported);
+            if cols.len() == 0 {
                 break;
             }
-            for s in 0..got {
-                for (vm, row) in rows.iter_mut().enumerate() {
-                    row.push(sanitize(buf[s * n_vms + vm]));
+            done += cols.len();
+            for col in cols {
+                for (row, &u) in rows.iter_mut().zip(col.iter()) {
+                    row.push(sanitize(u));
                 }
             }
-            done += got;
         }
         WorkloadTrace::from_rows(header.step_seconds, rows)
             .expect("sanitized columns always form a valid trace")
@@ -160,7 +167,8 @@ pub trait TraceSource {
         Self: Sized,
     {
         assert!(factor > 0, "factor must be positive");
-        Coarsened::new(self, factor)
+        // The assert makes the fallback unreachable.
+        Coarsened::new(self, NonZeroUsize::new(factor).unwrap_or(NonZeroUsize::MIN))
     }
 }
 
@@ -205,6 +213,25 @@ fn sanitize(u: f64) -> f64 {
     }
 }
 
+/// The first `limit` whole `n_vms`-wide columns of `buf` — fewer when
+/// `buf` holds fewer, none when `n_vms == 0`. Every consumer of a
+/// `fill_chunk` return value walks its buffer through this, so a source
+/// that over-reports cannot push a reader past the buffer it was given.
+fn columns(
+    buf: &mut [f64],
+    n_vms: usize,
+    limit: usize,
+) -> impl ExactSizeIterator<Item = &mut [f64]> {
+    let limit = if n_vms == 0 { 0 } else { limit };
+    buf.chunks_exact_mut(n_vms.max(1)).take(limit)
+}
+
+/// `STEPS_PER_DAY` as a divisor that cannot be zero.
+const DAY: NonZeroUsize = match NonZeroUsize::new(STEPS_PER_DAY) {
+    Some(day) => day,
+    None => panic!("STEPS_PER_DAY is non-zero"),
+};
+
 /// SplitMix64 finalizer used to derive independent per-VM RNG seeds
 /// from `(trace seed, vm index)`. Streaming generators give every VM
 /// its own RNG so a column can be synthesized without materializing
@@ -223,14 +250,11 @@ fn vm_seed(seed: u64, vm: usize) -> u64 {
 /// Shared column fill over an in-memory [`WorkloadTrace`].
 // lint: depth_budget(3)
 fn fill_from_trace(trace: &WorkloadTrace, next: &mut usize, buf: &mut [f64]) -> usize {
-    let n = trace.n_vms();
-    if n == 0 {
-        return 0;
-    }
-    let want = (buf.len() / n).min(trace.n_steps().saturating_sub(*next));
-    for s in 0..want {
-        // lint: allow(implicit_panic) -- s < want <= buf.len() / n, so (s + 1) * n <= buf.len()
-        trace.step_column_into(*next + s, &mut buf[s * n..(s + 1) * n]);
+    let left = trace.n_steps().saturating_sub(*next);
+    let cols = columns(buf, trace.n_vms(), left);
+    let want = cols.len();
+    for (s, col) in cols.enumerate() {
+        trace.step_column_into(*next + s, col);
     }
     *next += want;
     want
@@ -351,7 +375,7 @@ impl PlVm {
     ) -> f64 {
         // Diurnal modulation: burst onset twice as likely at the daily
         // peak as at the trough.
-        let phase = (step % STEPS_PER_DAY) as f64 / STEPS_PER_DAY as f64 * std::f64::consts::TAU;
+        let phase = (step % DAY) as f64 / STEPS_PER_DAY as f64 * std::f64::consts::TAU;
         let diurnal = 1.0 + 0.5 * phase.sin();
         if self.bursting {
             if self.rng.gen_bool(p_exit.clamp(0.0, 1.0)) {
@@ -425,11 +449,9 @@ impl TraceSource for PlanetLabSource {
 
     // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let n = self.vms.len();
-        if n == 0 {
-            return 0;
-        }
-        let want = (buf.len() / n).min(self.n_steps.saturating_sub(self.next_step));
+        let left = self.n_steps.saturating_sub(self.next_step);
+        let cols = columns(buf, self.vms.len(), left);
+        let want = cols.len();
         let Self {
             vms,
             burst_level,
@@ -439,9 +461,9 @@ impl TraceSource for PlanetLabSource {
             next_step,
             ..
         } = self;
-        for s in 0..want {
+        for (s, col) in cols.enumerate() {
             let step = *next_step + s;
-            for (vm, slot) in vms.iter_mut().zip(buf[s * n..(s + 1) * n].iter_mut()) {
+            for (vm, slot) in vms.iter_mut().zip(col.iter_mut()) {
                 *slot = vm.advance(step, *p_exit, *p_enter, burst_level, noise);
             }
         }
@@ -489,6 +511,10 @@ impl GVm {
     fn init(cfg: &GoogleConfig, vm: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(vm_seed(cfg.seed, vm));
         // Staggered starts: idle for a random prefix.
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "a constant divided by the literal 4"
+        )]
         let offset = rng.gen_range(0..=(STEPS_PER_DAY / 4).max(1));
         Self {
             rng,
@@ -577,11 +603,9 @@ impl TraceSource for GoogleSource {
 
     // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let n = self.vms.len();
-        if n == 0 {
-            return 0;
-        }
-        let want = (buf.len() / n).min(self.n_steps.saturating_sub(self.next_step));
+        let left = self.n_steps.saturating_sub(self.next_step);
+        let cols = columns(buf, self.vms.len(), left);
+        let want = cols.len();
         let Self {
             cfg,
             vms,
@@ -589,8 +613,8 @@ impl TraceSource for GoogleSource {
             noise,
             ..
         } = self;
-        for s in 0..want {
-            for (vm, slot) in vms.iter_mut().zip(buf[s * n..(s + 1) * n].iter_mut()) {
+        for col in cols {
+            for (vm, slot) in vms.iter_mut().zip(col.iter_mut()) {
                 *slot = vm.advance(cfg, util_dist, noise);
             }
         }
@@ -682,11 +706,9 @@ impl TraceSource for DiurnalSource {
 
     // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let n = self.vms.len();
-        if n == 0 {
-            return 0;
-        }
-        let want = (buf.len() / n).min(self.n_steps.saturating_sub(self.next_step));
+        let left = self.n_steps.saturating_sub(self.next_step);
+        let cols = columns(buf, self.vms.len(), left);
+        let want = cols.len();
         let Self {
             cfg,
             vms,
@@ -694,9 +716,9 @@ impl TraceSource for DiurnalSource {
             next_step,
             ..
         } = self;
-        for s in 0..want {
+        for (s, col) in cols.enumerate() {
             let step = *next_step + s;
-            for (vm, slot) in vms.iter_mut().zip(buf[s * n..(s + 1) * n].iter_mut()) {
+            for (vm, slot) in vms.iter_mut().zip(col.iter_mut()) {
                 *slot = vm.advance(step, cfg, noise);
             }
         }
@@ -743,10 +765,10 @@ impl<S: TraceSource> TraceSource for Scaled<S> {
 
     // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let got = self.inner.fill_chunk(buf);
-        let n = self.inner.header().n_vms;
-        // lint: allow(implicit_panic) -- fill_chunk returns at most buf.len() / n_vms whole columns
-        for v in &mut buf[..got * n] {
+        let reported = self.inner.fill_chunk(buf);
+        let cols = columns(buf, self.inner.header().n_vms, reported);
+        let got = cols.len();
+        for v in cols.flatten() {
             *v = (*v * self.factor).clamp(0.0, 100.0);
         }
         got
@@ -788,10 +810,10 @@ impl<S: TraceSource> TraceSource for Noisy<S> {
 
     // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let got = self.inner.fill_chunk(buf);
-        let n = self.inner.header().n_vms;
-        // lint: allow(implicit_panic) -- fill_chunk returns at most buf.len() / n_vms whole columns
-        for v in &mut buf[..got * n] {
+        let reported = self.inner.fill_chunk(buf);
+        let cols = columns(buf, self.inner.header().n_vms, reported);
+        let got = cols.len();
+        for v in cols.flatten() {
             *v = (*v + self.dist.sample(&mut self.rng)).clamp(0.0, 100.0);
         }
         got
@@ -808,12 +830,12 @@ impl<S: TraceSource> TraceSource for Noisy<S> {
 #[derive(Debug, Clone)]
 pub struct Coarsened<S> {
     inner: S,
-    factor: usize,
+    factor: NonZeroUsize,
     acc: Vec<f64>,
 }
 
 impl<S: TraceSource> Coarsened<S> {
-    fn new(inner: S, factor: usize) -> Self {
+    fn new(inner: S, factor: NonZeroUsize) -> Self {
         let n = inner.header().n_vms;
         Self {
             inner,
@@ -826,30 +848,20 @@ impl<S: TraceSource> Coarsened<S> {
 impl<S: TraceSource> TraceSource for Coarsened<S> {
     fn header(&self) -> TraceHeader {
         let inner = self.inner.header();
-        let factor = self.factor;
-        debug_assert!(factor > 0, "Coarsened::new rejects factor 0");
         TraceHeader {
             n_vms: inner.n_vms,
-            n_steps: inner.n_steps / factor,
-            step_seconds: inner.step_seconds * factor as u64,
+            n_steps: inner.n_steps / self.factor,
+            step_seconds: inner.step_seconds * self.factor.get() as u64,
         }
     }
 
     // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let n = self.inner.header().n_vms;
-        if n == 0 {
-            return 0;
-        }
-        // The zero guard above makes the division safe; the checker sees
-        // usize-ness through the explicit contract.
-        debug_assert!(n > 0);
-        let coarse_want = buf.len() / n;
-        for cs in 0..coarse_want {
-            // lint: allow(implicit_panic) -- cs < buf.len() / n, so (cs + 1) * n <= buf.len()
-            let col = &mut buf[cs * n..(cs + 1) * n];
+        let cols = columns(buf, self.inner.header().n_vms, usize::MAX);
+        let coarse_want = cols.len();
+        for (cs, col) in cols.enumerate() {
             self.acc.iter_mut().for_each(|a| *a = 0.0);
-            for _ in 0..self.factor {
+            for _ in 0..self.factor.get() {
                 // A partial trailing bucket is dropped, matching the
                 // whole-trace `coarsen` transform.
                 if self.inner.fill_chunk(col) == 0 {
@@ -860,7 +872,7 @@ impl<S: TraceSource> TraceSource for Coarsened<S> {
                 }
             }
             for (c, &a) in col.iter_mut().zip(self.acc.iter()) {
-                *c = a / self.factor as f64;
+                *c = a / self.factor.get() as f64;
             }
         }
         coarse_want

@@ -1,8 +1,8 @@
 //! Property-based tests of the workload generators and trace utilities.
 
 use megh_trace::{
-    load_csv, log10_histogram, save_csv, GoogleConfig, PlanetLabConfig, TraceStats, WorkloadTrace,
-    STEP_SECONDS,
+    load_csv, log10_histogram, save_csv, GoogleConfig, PlanetLabConfig, TraceHeader, TraceSource,
+    TraceStats, WorkloadTrace, STEP_SECONDS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -221,4 +221,127 @@ fn from_rows_validation_gate() {
     assert!(WorkloadTrace::from_rows(300, vec![vec![100.0 + f64::EPSILON * 100.0]]).is_none());
     assert!(WorkloadTrace::from_rows(300, vec![vec![f64::INFINITY]]).is_none());
     assert!(WorkloadTrace::from_rows(0, vec![vec![1.0]]).is_none());
+}
+
+/// Reads `source` to exhaustion `chunk_steps` columns at a time and
+/// returns the column-major concatenation.
+fn drain(source: &mut dyn TraceSource, chunk_steps: usize) -> Vec<f64> {
+    let n = source.header().n_vms;
+    let mut buf = vec![0.0; chunk_steps * n.max(1)];
+    let mut all = Vec::new();
+    loop {
+        let got = source.fill_chunk(&mut buf);
+        assert!(
+            got <= chunk_steps,
+            "{got} columns from a {chunk_steps}-column buffer"
+        );
+        if got == 0 {
+            return all;
+        }
+        all.extend_from_slice(&buf[..got * n]);
+    }
+}
+
+/// `trace` laid out column-major, the order `fill_chunk` streams it in.
+fn column_major(trace: &WorkloadTrace) -> Vec<f64> {
+    (0..trace.n_steps())
+        .flat_map(|step| (0..trace.n_vms()).map(move |vm| trace.utilization(vm, step)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The executed counterpart of the slicing proofs `source.rs` used to
+    /// carry: chunked `fill_chunk` reads over a cursor and both buffer-
+    /// walking adapters reproduce `materialize()` and the adapters'
+    /// per-value formulas bit for bit — for empty fleets, chunks longer
+    /// than the horizon, and horizons the coarsening factor does not
+    /// divide.
+    #[test]
+    fn chunked_reads_reproduce_materialize(
+        n_vms in 0..6usize,
+        steps in 0..40usize,
+        chunk_steps in 1..70usize,
+        factor in 1..5usize,
+        scale in 0.1..3.0f64,
+        seed in 0..50u64,
+    ) {
+        let trace = PlanetLabConfig::new(n_vms, seed).generate_steps(steps);
+        let raw = column_major(&trace);
+
+        prop_assert_eq!(&drain(&mut trace.cursor(), chunk_steps), &raw);
+        prop_assert_eq!(&trace.cursor().materialize(), &trace);
+
+        let scaled = drain(&mut trace.cursor().scaled(scale), chunk_steps);
+        let want: Vec<f64> = raw.iter().map(|u| (u * scale).clamp(0.0, 100.0)).collect();
+        prop_assert_eq!(&scaled, &want);
+        prop_assert_eq!(&scaled, &column_major(&trace.cursor().scaled(scale).materialize()));
+
+        let coarse = drain(&mut trace.cursor().coarsened(factor), chunk_steps);
+        let n = trace.n_vms();
+        let mut want = Vec::new();
+        for bucket in 0..trace.n_steps() / factor {
+            for vm in 0..n {
+                let mut acc = 0.0;
+                for s in 0..factor {
+                    acc += raw[(bucket * factor + s) * n + vm];
+                }
+                want.push(acc / factor as f64);
+            }
+        }
+        prop_assert_eq!(&coarse, &want);
+        prop_assert_eq!(&coarse, &column_major(&trace.cursor().coarsened(factor).materialize()));
+    }
+}
+
+/// A source that fills what it is given honestly and then claims
+/// `usize::MAX` columns — `TraceSource` is a public trait, so nothing
+/// stops an implementation from over-reporting.
+struct Liar<S>(S);
+
+impl<S: TraceSource> TraceSource for Liar<S> {
+    fn header(&self) -> TraceHeader {
+        self.0.header()
+    }
+    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
+        match self.0.fill_chunk(buf) {
+            0 => 0,
+            _ => usize::MAX,
+        }
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// Every consumer of a `fill_chunk` return value holds an over-reporting
+/// source to the columns its buffer has room for: no panic, no read past
+/// them, and — where the honest source filled the whole buffer — the
+/// same values as the honest run.
+#[test]
+fn over_reporting_source_is_clamped_to_the_buffer() {
+    // 3 VMs × 12 steps, read 4 columns at a time: every buffer is full.
+    let trace = PlanetLabConfig::new(3, 5).generate_steps(12);
+    assert_eq!(Liar(trace.cursor()).take_steps(12), trace);
+    assert_eq!(
+        drain(&mut Liar(trace.cursor()).scaled(1.5), 4),
+        drain(&mut trace.cursor().scaled(1.5), 4)
+    );
+    assert_eq!(
+        drain(&mut Liar(trace.cursor()).with_noise(2.0, 9), 4),
+        drain(&mut trace.cursor().with_noise(2.0, 9), 4)
+    );
+    assert_eq!(
+        drain(&mut Liar(trace.cursor()).coarsened(3), 4),
+        drain(&mut trace.cursor().coarsened(3), 4)
+    );
+    // A buffer with a trailing partial column: the adapter touches whole
+    // columns only, and reports no more of them than there are.
+    let mut buf = vec![-1.0; 2 * 3 + 2];
+    assert_eq!(Liar(trace.cursor()).scaled(2.0).fill_chunk(&mut buf), 2);
+    assert_eq!(buf[6..], [-1.0, -1.0]);
+    // Past the end of the inner stream the claim can no longer be told
+    // from the truth; it must still not read past the buffer.
+    assert!(Liar(trace.cursor()).take_steps(100).n_steps() <= 100);
 }
