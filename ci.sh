@@ -22,6 +22,19 @@ cargo run -q -p lint -- --fix --check
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> two-level cost guard (Table 2 fleet, 4 seeds, $(nproc) cores): hier <= 1.25 x flat"
+# The sweep prints one `total cost <mean> ± <sd> USD …` line per scheduler,
+# in --schedulers order. Expected 19562.96 (megh) and 17984.70 (hier); the
+# score coordinator this guard keeps out cost ~39 000.
+target/release/megh sweep --hosts 800 --vms 1052 --days 30 --schedulers megh,hier \
+  --seeds 4 --seed 1 | awk '
+  /^total cost/ { mean[n++] = $3 }
+  END {
+    if (n != 2) { print "cost guard: expected 2 total-cost lines, got " n; exit 1 }
+    printf "flat %.2f USD, hier %.2f USD\n", mean[0], mean[1]
+    if (mean[1] > 1.25 * mean[0]) { print "cost guard: hier exceeds 1.25 x flat"; exit 1 }
+  }'
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
@@ -61,7 +74,6 @@ fi
 
 echo "==> bench-diff (latency warnings advisory; shape/alloc checks fatal)"
 cargo run -q -p megh-bench --bin bench-diff
-cargo run -q -p megh-bench --bin bench-diff BENCH_serve_throughput.json
 
 echo "==> serve smoke: checkpoint, kill -9, restart, byte-identical decides"
 SMOKE_DIR="$(mktemp -d)"

@@ -26,8 +26,7 @@ fn run_family(
         cfg.seed = 42;
         let agent = PeriodicMeghAgent::new(cfg, phases);
         let outcome = run_scheduler(config, trace, agent).expect("valid setup");
-        let mut report = outcome.report();
-        report.scheduler = format!("Megh-P{phases}");
+        let report = outcome.report();
         eprintln!(
             "  [{label}] {} done: {:.1} USD",
             report.scheduler, report.total_cost_usd

@@ -1278,7 +1278,7 @@ mod tests {
         );
         let report: serde_json::Value =
             serde_json::from_str(std::str::from_utf8(&bytes[0]).unwrap()).unwrap();
-        assert_eq!(report["scheduler"], "Megh-H");
+        assert_eq!(report["scheduler"], "Megh-H2");
         assert_eq!(report["runs"].as_array().map(Vec::len), Some(4));
     }
 
@@ -1541,7 +1541,7 @@ mod tests {
             "simulate --workload diurnal --hosts 4 --vms 6 --days 1 --scheduler megh-p4",
         ))
         .unwrap();
-        assert!(out.contains("Megh-P:"), "{out}");
+        assert!(out.contains("Megh-P4:"), "{out}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use megh_sim::{DataCenterView, MigrationRequest, Scheduler, StepFeedback};
+use megh_sim::{DataCenterView, MigrationRequest, PmId, Scheduler, StepFeedback, VmId};
 
 use crate::{ActionSpace, BoltzmannPolicy, MeghConfig, SparseLspi};
 
@@ -241,7 +241,7 @@ impl MeghAgent {
 
     /// Learns from the stored `(a_t, C_{t+1})` pair, if any. Drains
     /// `pending` in place so its buffer is reused step after step.
-    fn learn_pending(&mut self) {
+    pub(crate) fn learn_pending(&mut self) {
         if let Some(cost) = self.last_cost.take() {
             for &a_prev in &self.pending {
                 let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
@@ -257,6 +257,68 @@ impl MeghAgent {
         }
         self.pending.clear();
     }
+
+    /// The actor (Algorithm 2): anneal, then sample this step's actions
+    /// and push the migrations they ask for onto `out`. The agent's
+    /// local VM `j` and host `k` are the view's `vm_lo + j` and
+    /// `host_lo + k`: `(0, 0)` for a flat agent, a shard's offsets under
+    /// [`HierMegh`](crate::HierMegh).
+    pub(crate) fn act_into(
+        &mut self,
+        view: &DataCenterView,
+        vm_lo: usize,
+        host_lo: usize,
+        out: &mut Vec<MigrationRequest>,
+    ) {
+        // Annealing pauses while evaluating so a freeze → thaw
+        // round-trip leaves the exploration schedule exactly where
+        // learning left it.
+        if self.learning {
+            self.policy.decay();
+        }
+        self.steps += 1;
+
+        self.vm_taken.clear();
+        self.vm_taken.resize(self.config.n_vms, false);
+        let space = self.space;
+        for _ in 0..self.config.actions_per_step {
+            let sampled = if self.config.mask_sleeping_targets {
+                // §3.1: migrate only to PMs "with potential capacity" —
+                // waking a sleeping host is justified only to relieve an
+                // overloaded one.
+                self.policy.sample_masked(&self.lspi, &mut self.rng, |a| {
+                    let action = space.decode(a);
+                    let target = PmId(host_lo + action.target.0);
+                    let source = view.host_of(VmId(vm_lo + action.vm.0));
+                    target == source || !view.is_asleep(target) || view.is_overloaded(source)
+                })
+            } else {
+                self.policy.sample(&self.lspi, &mut self.rng)
+            };
+            let Some(a) = sampled else {
+                break;
+            };
+            let action = space.decode(a);
+            let vm_idx = action.vm.0;
+            // Contract: decode() yields in-space actions, and vm_taken
+            // is sized to the VM count at construction.
+            debug_assert!(vm_idx < self.vm_taken.len());
+            let Some(taken) = self.vm_taken.get_mut(vm_idx) else {
+                continue;
+            };
+            if std::mem::replace(taken, true) {
+                continue; // one decision per VM per step
+            }
+            // `pending` was drained by `learn_pending`; it now collects
+            // this step's actions for the next critic pass.
+            self.pending.push(a);
+            let vm = VmId(vm_lo + vm_idx);
+            let target = PmId(host_lo + action.target.0);
+            if view.host_of(vm) != target {
+                out.push(MigrationRequest::new(vm, target));
+            }
+        }
+    }
 }
 
 impl Scheduler for MeghAgent {
@@ -271,65 +333,16 @@ impl Scheduler for MeghAgent {
             (self.config.n_vms, self.config.n_hosts),
             "view dimensions do not match the Megh configuration"
         );
-        if self.space.dim() == 0 {
-            // An empty Vec never touches the heap.
-            return Vec::new(); // lint: allow(alloc)
-        }
-
-        // Critic: fold last step's observed cost into B, z, θ — or, in
-        // an evaluation phase, preview it without mutating.
-        self.learn_pending();
-
-        // Actor: anneal and sample. Annealing pauses while evaluating so
-        // a freeze → thaw round-trip leaves the exploration schedule
-        // exactly where learning left it.
-        if self.learning {
-            self.policy.decay();
-        }
-        self.steps += 1;
-
         // Starts empty (no heap touch); pushes happen only on the rare
         // steps that actually migrate, bounded by actions_per_step.
         let mut requests = Vec::new(); // lint: allow(alloc)
-        self.vm_taken.clear();
-        self.vm_taken.resize(self.config.n_vms, false);
-        for _ in 0..self.config.actions_per_step {
-            let sampled = if self.config.mask_sleeping_targets {
-                // §3.1: migrate only to PMs "with potential capacity" —
-                // waking a sleeping host is justified only to relieve an
-                // overloaded one.
-                let space = self.space;
-                self.policy.sample_masked(&self.lspi, &mut self.rng, |a| {
-                    let action = space.decode(a);
-                    let source = view.host_of(action.vm);
-                    action.target == source
-                        || !view.is_asleep(action.target)
-                        || view.is_overloaded(source)
-                })
-            } else {
-                self.policy.sample(&self.lspi, &mut self.rng)
-            };
-            let Some(a) = sampled else {
-                break;
-            };
-            let action = self.space.decode(a);
-            let vm_idx = action.vm.0;
-            // Contract: decode() yields in-space actions, and vm_taken
-            // is sized to the VM count at construction.
-            debug_assert!(vm_idx < self.vm_taken.len());
-            let Some(taken) = self.vm_taken.get_mut(vm_idx) else {
-                continue;
-            };
-            if std::mem::replace(taken, true) {
-                continue; // one decision per VM per step
-            }
-            // `pending` was drained by `learn_pending`; it now collects
-            // this step's actions for the next critic pass.
-            self.pending.push(a);
-            if view.host_of(action.vm) != action.target {
-                requests.push(MigrationRequest::new(action.vm, action.target));
-            }
+        if self.space.dim() == 0 {
+            return requests;
         }
+        // Critic: fold last step's observed cost into B, z, θ — or, in
+        // an evaluation phase, preview it without mutating.
+        self.learn_pending();
+        self.act_into(view, 0, 0, &mut requests);
         requests
     }
 

@@ -186,7 +186,8 @@ pub enum CheckpointError {
     UnsupportedVersion(String),
     /// A migration hop rejected the data.
     Migration(String),
-    /// The checkpoint decoded but its configuration is invalid.
+    /// The checkpoint decoded but its configuration is invalid, or the
+    /// learned state does not fit it.
     InvalidConfig(&'static str),
 }
 
@@ -253,9 +254,11 @@ pub fn to_versioned_json(checkpoint: &MeghCheckpoint) -> Result<String, Checkpoi
 ///
 /// Versioned envelopes are checksum-verified and then migrated hop by
 /// hop to [`CHECKPOINT_VERSION`]; a bare object without a `version`
-/// key is the legacy v0 format and enters the chain at `0.0.0`. The
-/// embedded configuration is validated before the checkpoint is
-/// returned.
+/// key is the legacy v0 format and enters the chain at `0.0.0`. Before
+/// the checkpoint is returned the embedded configuration is validated,
+/// and so is the state's fit to it (`lspi.dim() == n_vms · n_hosts`, a
+/// positive temperature) — what [`MeghAgent::restore`](crate::MeghAgent::restore)
+/// and the daemon would otherwise panic on.
 ///
 /// # Errors
 ///
@@ -324,6 +327,17 @@ pub fn from_versioned_json(json: &str) -> Result<MeghCheckpoint, CheckpointError
     let checkpoint: MeghCheckpoint =
         value::from_value(data).map_err(|e| CheckpointError::Parse(e.to_string()))?;
     Config::validate(&checkpoint.config).map_err(CheckpointError::InvalidConfig)?;
+    let (config, lspi) = (&checkpoint.config, &checkpoint.lspi);
+    if config.n_vms.checked_mul(config.n_hosts) != Some(lspi.dim()) {
+        return Err(CheckpointError::InvalidConfig(
+            "lspi dimension must equal n_vms * n_hosts",
+        ));
+    }
+    if checkpoint.temperature <= 0.0 || checkpoint.temperature.is_nan() {
+        return Err(CheckpointError::InvalidConfig(
+            "temperature must be positive",
+        ));
+    }
     Ok(checkpoint)
 }
 
@@ -439,6 +453,23 @@ mod tests {
             from_versioned_json(&json),
             Err(CheckpointError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn state_that_does_not_fit_its_config_is_rejected() {
+        // Each tampered checkpoint goes through `to_versioned_json`, so
+        // its checksum is valid and only the final validation can stop it.
+        let mut wrong_dim = sample_checkpoint();
+        wrong_dim.config.n_vms += 1;
+        let mut cold = sample_checkpoint();
+        cold.temperature = 0.0;
+        for (cp, want) in [(wrong_dim, "lspi dimension"), (cold, "temperature")] {
+            let json = to_versioned_json(&cp).unwrap();
+            match from_versioned_json(&json) {
+                Err(CheckpointError::InvalidConfig(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("expected an invalid-config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -5,24 +5,23 @@
 //! sizes — 10 000 hosts × 13 200 VMs is a 132-million-dimensional basis
 //! whose Sherman–Morrison state no single operator should carry. The
 //! scalable-RL literature (see PAPERS.md) decomposes the decision
-//! instead: pick a **cluster** first with a cheap global policy, then
-//! pick a **host inside that cluster** with a full RL agent whose state
-//! is small. [`HierMegh`] realises that split:
+//! instead: pick a **cluster** first, then pick a **host inside that
+//! cluster** with a full RL agent whose state is small. [`HierMegh`]
+//! realises that split:
 //!
 //! * Hosts and VMs are statically partitioned into `n_shards`
 //!   contiguous shards; shard `c` owns `N_c × M_c ≈ (N/S) × (M/S)`
 //!   action pairs, so per-shard LSPI state is bounded by the shard
 //!   size, not the fleet size.
-//! * A **coordinator** scores every shard from O(1) cached aggregates —
-//!   utilization, awake-host fraction, and the shard agent's recent
-//!   evaluation residual — and routes the step's decision budget to the
-//!   shard that needs attention most. Aggregates refresh lazily (a
-//!   rotating handful of shards per decide) so a decide never scans the
-//!   whole fleet; a deterministic round-robin interleave guarantees
-//!   every shard keeps receiving traffic.
-//! * Each shard runs the full Megh actor–critic of `agent.rs` over its
-//!   local basis, with its own [`SparseLspi`], Boltzmann policy, and
-//!   exploration RNG, and its own learning-paused (frozen) state.
+//! * The **coordinator** is a counter: decide `t` goes to shard
+//!   `t mod S`, so every shard gets the same share of the decision
+//!   budget and the coordinator never reads the view. Picking shards by
+//!   a score (utilization, awake hosts, evaluation drift) instead costs
+//!   1.4–2.2× the total USD at every fleet size measured (DESIGN §16).
+//! * Each shard is a plain [`MeghAgent`] over its local `N_c × M_c`
+//!   basis — its own `SparseLspi`, Boltzmann policy, exploration RNG and
+//!   learning-paused (frozen) state — acting through the shard's VM and
+//!   host offsets.
 //! * [`PeriodicMeghAgent`](crate::PeriodicMeghAgent)-style phase
 //!   windows drive **auto-freeze**: a shard whose Q-table stopped
 //!   growing over a phase window freezes — learning and annealing
@@ -45,12 +44,9 @@
 
 use std::num::NonZeroUsize;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use megh_sim::{DataCenterView, MigrationRequest, Scheduler, StepFeedback};
 
-use megh_sim::{DataCenterView, MigrationRequest, PmId, Scheduler, StepFeedback, VmId};
-
-use crate::{ActionSpace, BoltzmannPolicy, MeghConfig, SparseLspi};
+use crate::{MeghAgent, MeghConfig, SparseLspi};
 
 /// Configuration of the hierarchical scheduler.
 ///
@@ -86,12 +82,6 @@ pub struct HierConfig {
     /// A frozen shard thaws when its evaluation residual exceeds this
     /// multiple of the residual observed in its first frozen window.
     pub thaw_drift: f64,
-    /// Shards whose cached aggregates refresh per decide (rotating).
-    pub refresh_per_decide: usize,
-    /// Every `round_robin_every`-th decide bypasses the scores and
-    /// picks the next shard in order, so every shard keeps learning
-    /// (and frozen shards keep accumulating previews). `0` disables.
-    pub round_robin_every: usize,
 }
 
 impl HierConfig {
@@ -105,8 +95,6 @@ impl HierConfig {
             steps_per_period: 288,
             freeze_growth_limit: 0.02,
             thaw_drift: 4.0,
-            refresh_per_decide: 4,
-            round_robin_every: 4,
         }
     }
 
@@ -167,9 +155,9 @@ fn shard_of(index: usize, total: usize, n: NonZeroUsize) -> usize {
     NonZeroUsize::new(total).map_or(0, |total| ((index + 1) * n.get()).saturating_sub(1) / total)
 }
 
-/// SplitMix64 finalizer: derives independent per-shard exploration
-/// seeds from `(base seed, shard index)`.
-fn shard_seed(seed: u64, shard: usize) -> u64 {
+/// SplitMix64 finalizer: derives independent exploration seeds from
+/// `(base seed, shard or phase index)`.
+pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
     let mut z = seed
         .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -178,91 +166,48 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One cluster's local Megh actor–critic plus its freeze bookkeeping.
+/// One cluster: a plain [`MeghAgent`] over the shard's local basis, its
+/// offsets into the fleet, and its freeze bookkeeping.
 #[derive(Debug, Clone)]
 struct Shard {
+    agent: MeghAgent,
     /// First global VM id owned by this shard.
     vm_lo: usize,
     /// First global host id owned by this shard.
     host_lo: usize,
-    space: ActionSpace,
-    lspi: SparseLspi,
-    policy: BoltzmannPolicy,
-    rng: StdRng,
-    pending: Vec<usize>,
-    vm_taken: Vec<bool>,
-    last_cost: Option<f64>,
-    /// `true` while the critic applies updates; `false` while frozen.
-    learning: bool,
     /// Phase window the shard last acted in.
     last_phase: usize,
     /// Q-table size at the start of the current phase window.
     phase_nnz: usize,
     /// Residual of the first completed frozen window, the thaw baseline.
     frozen_baseline: Option<f64>,
-    eval_residual_abs: f64,
-    eval_previews: usize,
 }
 
 impl Shard {
     fn new(cfg: &HierConfig, s: usize, n_shards: NonZeroUsize) -> Self {
         let vms = split_range(cfg.base.n_vms, s, n_shards);
         let hosts = split_range(cfg.base.n_hosts, s, n_shards);
-        let space = ActionSpace::new(vms.len(), hosts.len());
-        // Paper convention, per shard: δ_c = d_c.
-        let delta = space.dim().max(1) as f64;
-        let n_vms = vms.len();
+        let local = MeghConfig {
+            n_vms: vms.len(),
+            n_hosts: hosts.len(),
+            // Paper convention, per shard: δ_c = d_c.
+            delta: (vms.len() * hosts.len()).max(1) as f64,
+            seed: shard_seed(cfg.base.seed, s),
+            ..cfg.base
+        };
         Self {
+            agent: MeghAgent::new(local),
             vm_lo: vms.start,
             host_lo: hosts.start,
-            space,
-            lspi: SparseLspi::new(space.dim(), delta, cfg.base.gamma),
-            policy: BoltzmannPolicy::new(cfg.base.temp0, cfg.base.epsilon),
-            rng: StdRng::seed_from_u64(shard_seed(cfg.base.seed, s)),
-            // One-time construction; both grow once and are then reused.
-            pending: Vec::new(),          // lint: allow(alloc)
-            vm_taken: vec![false; n_vms], // lint: allow(alloc)
-            last_cost: None,
-            learning: true,
             last_phase: 0,
             phase_nnz: 0,
             frozen_baseline: None,
-            eval_residual_abs: 0.0,
-            eval_previews: 0,
         }
-    }
-
-    fn eval_residual_mean(&self) -> Option<f64> {
-        (self.eval_previews > 0).then(|| self.eval_residual_abs / self.eval_previews as f64)
     }
 
     fn freeze(&mut self) {
-        self.learning = false;
+        self.agent.freeze();
         self.frozen_baseline = None;
-        self.eval_residual_abs = 0.0;
-        self.eval_previews = 0;
-    }
-
-    fn thaw(&mut self) {
-        self.learning = true;
-    }
-
-    /// Critic pass over the previous action(s) of this shard: update
-    /// while learning, preview (accumulating the drift residual) while
-    /// frozen. Mirrors `MeghAgent::learn_pending`.
-    fn learn_pending(&mut self) {
-        if let Some(cost) = self.last_cost.take() {
-            for &a_prev in &self.pending {
-                let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
-                if self.learning {
-                    self.lspi.update(a_prev, a_next, cost);
-                } else if let Some(coeff) = self.lspi.preview_update(a_prev, a_next, cost) {
-                    self.eval_residual_abs += coeff.abs();
-                    self.eval_previews += 1;
-                }
-            }
-        }
-        self.pending.clear();
     }
 
     /// Phase-boundary bookkeeping: freeze a shard whose Q-table went
@@ -273,33 +218,33 @@ impl Shard {
             return;
         }
         self.last_phase = phase;
-        if self.learning {
-            let nnz = self.lspi.explicit_nnz();
+        if self.agent.is_frozen() {
+            let residual = self.agent.eval_residual_mean();
+            // Each frozen window's residual is measured on its own.
+            self.agent.freeze();
+            match (residual, self.frozen_baseline) {
+                (None, _) => {}
+                (Some(residual), None) => self.frozen_baseline = Some(residual),
+                (Some(residual), Some(baseline)) => {
+                    if residual > cfg.thaw_drift * baseline + f64::EPSILON {
+                        self.agent.thaw();
+                        self.phase_nnz = self.agent.qtable_nnz();
+                    }
+                }
+            }
+        } else {
+            let nnz = self.agent.qtable_nnz();
             let grown = nnz.saturating_sub(self.phase_nnz);
             let stable = nnz > 0 && (grown as f64) <= cfg.freeze_growth_limit * nnz as f64;
             self.phase_nnz = nnz;
             if stable {
                 self.freeze();
             }
-        } else {
-            if let Some(residual) = self.eval_residual_mean() {
-                match self.frozen_baseline {
-                    None => self.frozen_baseline = Some(residual),
-                    Some(baseline) => {
-                        if residual > cfg.thaw_drift * baseline + f64::EPSILON {
-                            self.thaw();
-                            self.phase_nnz = self.lspi.explicit_nnz();
-                        }
-                    }
-                }
-            }
-            self.eval_residual_abs = 0.0;
-            self.eval_previews = 0;
         }
     }
 
-    /// The shard-local Megh decide: sample actions over the `N_c × M_c`
-    /// basis, map them to global ids, and emit migrations into `out`.
+    /// One Megh step over the shard's `N_c × M_c` basis, emitting
+    /// migrations in global ids into `out`.
     fn decide_local(
         &mut self,
         view: &DataCenterView,
@@ -307,48 +252,12 @@ impl Shard {
         steps_per_period: NonZeroUsize,
         out: &mut Vec<MigrationRequest>,
     ) {
-        if self.space.dim() == 0 {
+        if self.agent.lspi().dim() == 0 {
             return;
         }
-        self.learn_pending();
+        self.agent.learn_pending();
         self.tick_phase(phase_of(view.step(), cfg.n_phases, steps_per_period), cfg);
-        if self.learning {
-            self.policy.decay();
-        }
-        self.vm_taken.iter_mut().for_each(|t| *t = false);
-        let (space, vm_lo, host_lo) = (self.space, self.vm_lo, self.host_lo);
-        for _ in 0..cfg.base.actions_per_step {
-            let sampled = if cfg.base.mask_sleeping_targets {
-                self.policy.sample_masked(&self.lspi, &mut self.rng, |a| {
-                    let action = space.decode(a);
-                    let target = PmId(host_lo + action.target.0);
-                    let source = view.host_of(VmId(vm_lo + action.vm.0));
-                    target == source || !view.is_asleep(target) || view.is_overloaded(source)
-                })
-            } else {
-                self.policy.sample(&self.lspi, &mut self.rng)
-            };
-            let Some(a) = sampled else {
-                break;
-            };
-            let action = self.space.decode(a);
-            let vm_idx = action.vm.0;
-            // Contract: decode() yields in-space actions, and vm_taken
-            // is sized to the shard's VM count at construction.
-            debug_assert!(vm_idx < self.vm_taken.len());
-            let Some(taken) = self.vm_taken.get_mut(vm_idx) else {
-                continue;
-            };
-            if std::mem::replace(taken, true) {
-                continue; // one decision per VM per step
-            }
-            self.pending.push(a);
-            let vm = VmId(self.vm_lo + vm_idx);
-            let target = PmId(self.host_lo + action.target.0);
-            if view.host_of(vm) != target {
-                out.push(MigrationRequest::new(vm, target));
-            }
-        }
+        self.agent.act_into(view, self.vm_lo, self.host_lo, out);
     }
 }
 
@@ -357,16 +266,7 @@ fn phase_of(step: usize, n_phases: usize, period: NonZeroUsize) -> usize {
     (step % period) * n_phases / period
 }
 
-/// Cached O(1) coordinator aggregates of one shard.
-#[derive(Debug, Clone, Copy)]
-struct ShardAgg {
-    /// Demand / capacity over the shard's hosts.
-    utilization: f64,
-    /// Fraction of the shard's hosts that are awake (running VMs).
-    awake_frac: f64,
-}
-
-/// The two-level scheduler: coordinator over per-shard Megh agents.
+/// The two-level scheduler: a counter over per-shard Megh agents.
 ///
 /// # Examples
 ///
@@ -386,12 +286,9 @@ struct ShardAgg {
 pub struct HierMegh {
     config: HierConfig,
     divisors: Divisors,
+    /// `Megh-H<n_shards>`, so sweeps over shard counts stay tellable apart.
+    name: String,
     shards: Vec<Shard>,
-    agg: Vec<ShardAgg>,
-    /// Next shard whose aggregates the rotating refresh touches.
-    refresh_cursor: usize,
-    /// Next shard the round-robin interleave hands the budget to.
-    rr_cursor: usize,
     /// Shard that acted last step (receives the next observed cost).
     last_shard: Option<usize>,
     decides: usize,
@@ -410,25 +307,14 @@ impl HierMegh {
             Err(msg) => panic!("invalid hierarchical Megh configuration: {msg}"),
         };
         // One-time construction of the shard fleet.
-        let shards: Vec<Shard> = (0..config.n_shards)
+        let shards = (0..config.n_shards)
             .map(|s| Shard::new(&config, s, divisors.n_shards))
             .collect(); // lint: allow(alloc)
-                        // Optimistic defaults until the rotating refresh reaches a
-                        // shard: fully awake, idle.
-        let agg = vec![ // lint: allow(alloc)
-            ShardAgg {
-                utilization: 0.0,
-                awake_frac: 1.0,
-            };
-            config.n_shards
-        ];
         Self {
+            name: format!("Megh-H{}", config.n_shards), // lint: allow(alloc)
             config,
             divisors,
             shards,
-            agg,
-            refresh_cursor: 0,
-            rr_cursor: 0,
             last_shard: None,
             decides: 0,
         }
@@ -500,7 +386,7 @@ impl HierMegh {
     /// Total explicit non-zeros across all shard operators (the
     /// hierarchical counterpart of Figure 7's Q-table size).
     pub fn qtable_nnz(&self) -> usize {
-        self.shards.iter().map(|s| s.lspi.explicit_nnz()).sum()
+        self.shards.iter().map(|s| s.agent.qtable_nnz()).sum()
     }
 
     /// The largest single-shard Q-table — the "per-shard memory stays
@@ -508,14 +394,14 @@ impl HierMegh {
     pub fn max_shard_qtable_nnz(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lspi.explicit_nnz())
+            .map(|s| s.agent.qtable_nnz())
             .max()
             .unwrap_or(0)
     }
 
     /// Number of shards whose learning is currently paused (frozen).
     pub fn frozen_shards(&self) -> usize {
-        self.shards.iter().filter(|s| !s.learning).count()
+        self.shards.iter().filter(|s| s.agent.is_frozen()).count()
     }
 
     /// Read access to shard `s`'s LSPI state (tests, benches).
@@ -525,7 +411,7 @@ impl HierMegh {
     /// Panics if `s` is out of range.
     pub fn shard_lspi(&self, s: usize) -> &SparseLspi {
         match self.shards.get(s) {
-            Some(shard) => &shard.lspi,
+            Some(shard) => shard.agent.lspi(),
             // Documented contract. lint: allow(panic)
             None => panic!("shard index out of range"),
         }
@@ -541,7 +427,7 @@ impl HierMegh {
     /// Thaws every shard back to learning.
     pub fn thaw_all(&mut self) {
         for shard in &mut self.shards {
-            shard.thaw();
+            shard.agent.thaw();
         }
     }
 
@@ -549,56 +435,11 @@ impl HierMegh {
     pub fn steps(&self) -> usize {
         self.decides
     }
-
-    /// Recomputes shard `s`'s cached aggregates from the view — the
-    /// only coordinator work that touches per-host state, `O(M_c)` for
-    /// one shard and rotated across decides.
-    fn refresh_agg(&mut self, s: usize, view: &DataCenterView) {
-        // Contract: one ShardAgg per shard, refreshed by shard index.
-        debug_assert!(s < self.agg.len());
-        let hosts = split_range(self.config.base.n_hosts, s, self.divisors.n_shards);
-        let n = hosts.len();
-        if n == 0 {
-            return;
-        }
-        let mut used = 0.0;
-        let mut cap = 0.0;
-        let mut awake = 0usize;
-        for h in hosts {
-            let pm = PmId(h);
-            used += view.host_used_mips(pm);
-            cap += view.host_mips(pm);
-            if !view.is_asleep(pm) {
-                awake += 1;
-            }
-        }
-        if let Some(agg) = self.agg.get_mut(s) {
-            *agg = ShardAgg {
-                utilization: if cap > 0.0 { used / cap } else { 0.0 },
-                awake_frac: awake as f64 / n as f64,
-            };
-        }
-    }
-
-    /// The coordinator score of one shard, from cached aggregates plus
-    /// the shard agent's O(1) drift diagnostic. Higher = more in need
-    /// of the decision budget: busy shards (migration pressure),
-    /// un-consolidated shards (many awake hosts), and frozen shards
-    /// whose policy is drifting. The weights are heuristic; correctness
-    /// never depends on them (any shard the score neglects is still
-    /// reached by the round-robin interleave).
-    fn score(agg: &ShardAgg, shard: &Shard) -> f64 {
-        let drift = match shard.eval_residual_mean() {
-            Some(r) => r / (1.0 + r),
-            None => 0.0,
-        };
-        agg.utilization + 0.5 * agg.awake_frac + 0.5 * drift
-    }
 }
 
 impl Scheduler for HierMegh {
     fn name(&self) -> &str {
-        "Megh-H"
+        &self.name
     }
 
     // lint: depth_budget(12)
@@ -614,44 +455,12 @@ impl Scheduler for HierMegh {
             return requests;
         }
 
-        // Lazy aggregate refresh: a rotating handful of shards per
-        // decide keeps coordinator cost O(refresh · M_c + S), never a
-        // full-fleet scan.
-        let s_count = self.divisors.n_shards;
-        debug_assert_eq!(s_count.get(), self.shards.len());
-        for _ in 0..self.config.refresh_per_decide.min(s_count.get()) {
-            let s = self.refresh_cursor;
-            self.refresh_agg(s, view);
-            self.refresh_cursor = (self.refresh_cursor + 1) % s_count;
-        }
-
-        // Level 1: pick the cluster. A deterministic round-robin
-        // interleave guarantees starvation-freedom regardless of the
-        // score weights.
-        let round_robin = self.config.round_robin_every > 0
-            && self.decides.is_multiple_of(self.config.round_robin_every);
-        let chosen = if round_robin {
-            let s = self.rr_cursor;
-            self.rr_cursor = (self.rr_cursor + 1) % s_count;
-            s
-        } else {
-            // Contract: agg and shards are parallel per-shard arrays.
-            debug_assert_eq!(self.agg.len(), self.shards.len());
-            let mut best = 0usize;
-            let mut best_score = f64::NEG_INFINITY;
-            for (s, (agg, shard)) in self.agg.iter().zip(&self.shards).enumerate() {
-                let score = Self::score(agg, shard);
-                if score.total_cmp(&best_score) == std::cmp::Ordering::Greater {
-                    best = s;
-                    best_score = score;
-                }
-            }
-            best
-        };
+        // Level 1: the clusters take turns.
+        debug_assert_eq!(self.divisors.n_shards.get(), self.shards.len());
+        let chosen = self.decides % self.divisors.n_shards;
         self.decides += 1;
 
-        // Level 2: the chosen cluster's local Megh picks VM and host.
-        debug_assert!(chosen < self.shards.len());
+        // Level 2: the chosen cluster's Megh agent picks VM and host.
         if let Some(shard) = self.shards.get_mut(chosen) {
             let period = self.divisors.steps_per_period;
             shard.decide_local(view, &self.config, period, &mut requests);
@@ -663,11 +472,10 @@ impl Scheduler for HierMegh {
     // lint: depth_budget(2)
     fn observe(&mut self, feedback: &StepFeedback) {
         // Route the observed cost to the shard whose action caused it.
-        if let Some(s) = self.last_shard {
-            debug_assert!(s < self.shards.len());
-            if let Some(shard) = self.shards.get_mut(s) {
-                shard.last_cost = Some(feedback.total_cost_usd);
-            }
+        if let Some(shard) = self.last_shard.and_then(|s| self.shards.get_mut(s)) {
+            // Called by type: megh-lint resolves an untyped receiver's
+            // `observe` to every scheduler's.
+            MeghAgent::observe(&mut shard.agent, feedback);
         }
     }
 }
@@ -715,6 +523,50 @@ mod tests {
         assert!(agent.qtable_nnz() > 0, "no shard learned anything");
         assert!(agent.max_shard_qtable_nnz() <= agent.qtable_nnz());
         assert_eq!(agent.steps(), 120);
+    }
+
+    #[test]
+    fn hier_counter_gives_every_shard_its_turn() {
+        let sim = mini_sim(6, 12, 60);
+        let mut agent = HierMegh::new(HierConfig::paper_defaults(12, 6, 3));
+        sim.run(&mut agent);
+        // 20 decides per shard, the first with nothing to learn from.
+        for s in 0..agent.n_shards() {
+            let lspi = agent.shard_lspi(s);
+            assert_eq!(lspi.updates() + lspi.skipped_singular(), 19, "shard {s}");
+        }
+    }
+
+    /// FNV-1a of the run's fingerprint after the `scheduler=<name>;`
+    /// field (the recorded runs' name had no shard count in it).
+    fn run_digest(n_hosts: usize, n_vms: usize, steps: usize, cfg: HierConfig) -> u64 {
+        let fingerprint = mini_sim(n_hosts, n_vms, steps)
+            .run(HierMegh::new(cfg))
+            .fingerprint();
+        let (_, run) = fingerprint.split_once(';').unwrap();
+        crate::fnv1a64(run.as_bytes())
+    }
+
+    #[test]
+    fn hier_counter_matches_the_parent_with_scoring_off() {
+        // Both constants were recorded on the last tree that had the
+        // score coordinator, with its two knobs set so that every decide
+        // went round-robin and no aggregate was refreshed: shards built
+        // from `MeghAgent` reproduce that tree's hand-rolled shards bit
+        // for bit.
+
+        // Short phases and the lowest thaw threshold: all three shards
+        // freeze, and there are 14 thaws along the way.
+        let mut cfg = HierConfig::paper_defaults(12, 6, 3);
+        cfg.steps_per_period = 40;
+        cfg.thaw_drift = 1.0;
+        assert_eq!(run_digest(6, 12, 600, cfg), 0x7812_b7d8_89bb_8272);
+
+        // The sleeping-target mask, through the shard's id offsets.
+        let mut cfg = HierConfig::paper_defaults(13, 6, 3);
+        cfg.base.mask_sleeping_targets = true;
+        cfg.base.actions_per_step = 2;
+        assert_eq!(run_digest(6, 13, 300, cfg), 0x7ca8_626f_c23d_6c15);
     }
 
     #[test]

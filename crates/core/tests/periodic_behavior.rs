@@ -1,40 +1,28 @@
-//! Behavioural tests of the periodicity-aware Megh variant: the phase
-//! blocks must be genuinely independent, and phase conditioning must
-//! pay off exactly when the workload is periodic.
+//! Behavioural tests of the periodicity-aware Megh variant: the phases
+//! must be genuinely independent, and phase conditioning must not be
+//! catastrophic on a periodic workload.
 
-use megh_core::{MeghConfig, PeriodicMeghAgent, SparseLspi};
+use megh_core::{MeghConfig, PeriodicMeghAgent};
 use megh_sim::{DataCenterConfig, InitialPlacement, Simulation, VmSpec};
 use megh_trace::{DiurnalConfig, WorkloadTrace};
 
-/// Phase blocks never interact in the learned operator: an agent that
-/// only ever acts in phase 0 leaves every other phase's Q at zero.
+/// Phases never interact: an agent that only ever acts in phase 0
+/// learns exactly what a one-phase agent learns, and nothing else.
 #[test]
 fn phases_are_independent_blocks() {
     let (hosts, vms) = (3, 4);
-    let d = hosts * vms;
-    // Period longer than the trace: every step is phase 0.
-    let mut agent = PeriodicMeghAgent::with_period(MeghConfig::paper_defaults(vms, hosts), 4, 4000);
     let trace = WorkloadTrace::from_rows(300, vec![vec![20.0; 50]; vms]).unwrap();
     let config = DataCenterConfig::paper_planetlab(hosts, vms);
     let sim = Simulation::new(config, trace).unwrap();
-    sim.run(&mut agent);
-    assert!(agent.qtable_nnz() > 0, "phase 0 must have learned");
-    // Inspect phase blocks indirectly through phase_of and the nnz of a
-    // fresh single-phase agent: the 4-phase agent's learning is capped
-    // by what a 1-phase agent could touch (only block 0 is reachable).
+    // Period longer than the trace: every step is phase 0.
+    let mut agent = PeriodicMeghAgent::with_period(MeghConfig::paper_defaults(vms, hosts), 4, 4000);
     let mut single =
         PeriodicMeghAgent::with_period(MeghConfig::paper_defaults(vms, hosts), 1, 4000);
-    let trace2 = WorkloadTrace::from_rows(300, vec![vec![20.0; 50]; vms]).unwrap();
-    let config2 = DataCenterConfig::paper_planetlab(hosts, vms);
-    let sim2 = Simulation::new(config2, trace2).unwrap();
-    sim2.run(&mut single);
-    // Same steps, same per-step update count: comparable fill-in scale.
-    let ratio = agent.qtable_nnz() as f64 / single.qtable_nnz().max(1) as f64;
-    assert!(
-        (0.3..=3.0).contains(&ratio),
-        "confined 4-phase agent should fill like a 1-phase agent, ratio {ratio}"
-    );
-    let _ = d;
+    let confined = sim.run(&mut agent);
+    let plain = sim.run(&mut single);
+    assert!(agent.qtable_nnz() > 0, "phase 0 must have learned");
+    assert_eq!(agent.qtable_nnz(), single.qtable_nnz());
+    assert_eq!(confined.final_placement(), plain.final_placement());
 }
 
 /// On a strongly diurnal workload the phase-conditioned agent must not
@@ -84,22 +72,4 @@ fn diurnal_workload_distinguishes_phases() {
         periodic.total_cost_usd,
         plain.total_cost_usd
     );
-}
-
-/// The flat index arithmetic at the phase boundary: the last action of
-/// phase p and the first action of phase p+1 are distinct LSPI indices.
-#[test]
-fn flat_indices_do_not_collide_across_phases() {
-    let agent = PeriodicMeghAgent::with_period(MeghConfig::paper_defaults(3, 2), 3, 30);
-    // d = 6; flat index = phase*6 + action. Verify via a probe LSPI of
-    // the same dimensioning: updating (p=0, a=5) and (p=1, a=0) must
-    // touch different entries.
-    let mut lspi = SparseLspi::new(6 * 3, 18.0, 0.5);
-    lspi.update(5, 5, 1.0); // phase 0, action 5
-    lspi.update(6, 6, 2.0); // phase 1, action 0
-    assert!(lspi.q(5) > 0.0);
-    assert!(lspi.q(6) > 0.0);
-    assert_ne!(lspi.q(5), lspi.q(6));
-    assert_eq!(lspi.q(4), 0.0);
-    let _ = agent;
 }

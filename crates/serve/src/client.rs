@@ -1,10 +1,10 @@
 //! A small blocking client for the daemon's wire protocol.
 //!
-//! Used by `megh client`, the integration tests, and the
-//! `serve_throughput` bench probe. One request per call; responses are
-//! returned both parsed ([`Client::request`]) and as the raw response
-//! line ([`Client::request_raw`]) — the crash-recovery smoke test
-//! diffs raw bytes across a daemon restart.
+//! Used by `megh client`, the integration tests and the acceptance
+//! benchmark. One request per call; responses are returned both parsed
+//! ([`Client::request`]) and as the raw response line
+//! ([`Client::request_raw`]) — the crash-recovery smoke test diffs raw
+//! bytes across a daemon restart.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

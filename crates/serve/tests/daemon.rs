@@ -5,8 +5,11 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use megh_core::{load_checkpoint, ActionSpace, BoltzmannPolicy, Config, MeghConfig, SparseLspi};
-use megh_serve::{Client, Listen, Request, Response, ServeOptions, Server};
+use megh_core::{
+    load_checkpoint, save_checkpoint, ActionSpace, BoltzmannPolicy, CheckpointError, Config,
+    MeghAgent, MeghConfig, SparseLspi,
+};
+use megh_serve::{Client, Listen, Request, Response, ServeError, ServeOptions, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -106,6 +109,32 @@ fn learn_checkpoint_restart_serves_identical_decisions() {
         before.iter().any(|l| l != &before[0]),
         "seed sweep collapsed to one decision: {before:?}"
     );
+}
+
+/// A checksum-valid checkpoint whose learned state does not fit its
+/// configuration is a bind error — it used to load and then panic the
+/// first connection thread that decoded an action (wrong dimension) or
+/// `bind` itself (non-positive temperature).
+#[test]
+fn bind_rejects_a_checkpoint_whose_state_does_not_fit_its_config() {
+    let dir = temp_dir("misfit");
+    let checkpoint = dir.join("checkpoint.json");
+    let opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), checkpoint.clone());
+    let config = MeghConfig::paper_defaults(6, 3);
+
+    let mut wrong_dim = MeghAgent::new(config.clone()).checkpoint();
+    wrong_dim.config.n_hosts = 4;
+    let mut cold = MeghAgent::new(config.clone()).checkpoint();
+    cold.temperature = -1.0;
+    for cp in [wrong_dim, cold] {
+        save_checkpoint(&checkpoint, &cp).unwrap();
+        match Server::bind(config.clone(), &opts) {
+            Err(ServeError::Checkpoint(CheckpointError::InvalidConfig(_))) => {}
+            Err(other) => panic!("expected an invalid-config error, got {other}"),
+            Ok(_) => panic!("bound on a checkpoint that does not fit its config"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

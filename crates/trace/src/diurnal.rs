@@ -6,8 +6,9 @@
 //! load follows the working day — a pronounced daytime plateau, a deep
 //! nightly trough, a weekend dip — plus per-VM phase jitter and AR(1)
 //! noise. It is the substrate on which a periodicity-aware scheduler
-//! ([`megh-core`'s `PeriodicMeghAgent`]) can actually demonstrate an
-//! advantage: the PlanetLab family's bursts are aperiodic by design.
+//! ([`megh-core`'s `PeriodicMeghAgent`]) has something to learn — the
+//! PlanetLab family's bursts are aperiodic by design — though none has
+//! yet shown an advantage on it beyond seed noise (EXPERIMENTS.md).
 
 use serde::{Deserialize, Serialize};
 
