@@ -7,17 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (explicit panics, determinism types, docs, hot-path indexing/division)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo run -p lint"
-cargo run -q -p lint
-
-echo "==> lint-diff (fatal on new violations or property regressions)"
-cargo run -q -p lint -- --diff
-
-echo "==> lint --fix --check (fatal if --fix would rewrite anything)"
-cargo run -q -p lint -- --fix --check
 
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
@@ -71,9 +62,6 @@ if ! [ "${RSS_KB:-99999999}" -lt 32768 ] 2>/dev/null; then
   echo "file-streaming RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
   exit 1
 fi
-
-echo "==> bench-diff (latency warnings advisory; shape/alloc checks fatal)"
-cargo run -q -p megh-bench --bin bench-diff
 
 echo "==> serve smoke: checkpoint, kill -9, restart, byte-identical decides"
 SMOKE_DIR="$(mktemp -d)"

@@ -31,8 +31,24 @@
 //! # Ok::<(), megh_sim::SimError>(())
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
+// No explicit panic path in library code; the few sites that keep one
+// carry an `#[expect]` with the reason (clippy enforces both).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Seeded determinism: no hash-ordered containers, wall clock or free
+// threads (the list is `clippy.toml` beside this crate's manifest).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 mod detector;
 mod madvm;

@@ -17,19 +17,15 @@
 //! assert_eq!(trace.n_vms(), config.vms.len());
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
-mod diff;
 mod plot;
 mod probe;
 mod report;
 mod runner;
 mod setup;
 
-pub use diff::{
-    diff_snapshots, fatal_failures, render_diff, BenchResult, BenchSnapshot, DiffLine, Verdict,
-};
 pub use plot::LineChart;
 pub use probe::MeghProbe;
 pub use report::{

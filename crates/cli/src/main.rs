@@ -3,7 +3,7 @@
 //! See `megh help` for usage; the heavy lifting lives in the library
 //! crates (`megh-sim`, `megh-core`, `megh-baselines`, `megh-trace`).
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
 mod args;

@@ -1,8 +1,12 @@
 //! The Megh agent: Algorithm 1 wired to the simulator's scheduler trait.
 
-// This module is on the Megh decision hot path: steady-state calls must
-// not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the Megh decision hot path. What it allocates is
+// counted, not vouched: `tests/no_alloc.rs` runs a 50 × 66 agent for four
+// days under a counting allocator and holds, over days 3–4, `observe`
+// at 0 and a learning `decide` at no more than 6 allocations per call
+// (3.2 on average: the `Vec` it returns, non-empty on 98 % of steps,
+// plus the Q-table growth of the critic pass). With learning paused the
+// returned `Vec` is all that is left: one allocation, none when empty.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -81,8 +85,7 @@ pub struct MeghAgent {
     policy: BoltzmannPolicy,
     rng: StdRng,
     pending: Vec<usize>,
-    /// Per-VM "already decided this step" scratch, reused across steps
-    /// so the decision loop allocates nothing in the steady state.
+    /// Per-VM "already decided this step" scratch, reused across steps.
     vm_taken: Vec<bool>,
     last_cost: Option<f64>,
     steps: usize,
@@ -103,9 +106,11 @@ impl MeghAgent {
     ///
     /// Panics if the configuration fails [`MeghConfig::validate`].
     pub fn new(config: MeghConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: construction with an invalid config is a programming error, asserted by tests"
+        )]
         if let Err(msg) = config.validate() {
-            // Documented contract: construction with an invalid config is a
-            // programming error, asserted by tests. lint: allow(panic)
             panic!("invalid Megh configuration: {msg}");
         }
         let space = ActionSpace::new(config.n_vms, config.n_hosts);
@@ -119,8 +124,8 @@ impl MeghAgent {
             policy,
             rng,
             // One-time construction; both grow once and are then reused.
-            pending: Vec::new(),  // lint: allow(alloc)
-            vm_taken: Vec::new(), // lint: allow(alloc)
+            pending: Vec::new(),
+            vm_taken: Vec::new(),
             last_cost: None,
             steps: 0,
             learning: true,
@@ -164,8 +169,8 @@ impl MeghAgent {
     pub fn checkpoint(&self) -> MeghCheckpoint {
         // Checkpointing is an explicit cold path (persistence, not decide).
         MeghCheckpoint {
-            config: self.config.clone(), // lint: allow(alloc)
-            lspi: self.lspi.clone(),     // lint: allow(alloc)
+            config: self.config.clone(),
+            lspi: self.lspi.clone(),
             temperature: self.policy.temperature(),
             steps: self.steps,
         }
@@ -177,8 +182,8 @@ impl MeghAgent {
     ///
     /// Panics if the checkpointed configuration is invalid.
     pub fn restore(checkpoint: MeghCheckpoint, seed: u64) -> Self {
+        #[expect(clippy::panic, reason = "documented contract, asserted by tests")]
         if let Err(msg) = checkpoint.config.validate() {
-            // Documented contract, asserted by tests. lint: allow(panic)
             panic!("invalid Megh configuration in checkpoint: {msg}");
         }
         let space = ActionSpace::new(checkpoint.config.n_vms, checkpoint.config.n_hosts);
@@ -190,8 +195,8 @@ impl MeghAgent {
             policy,
             rng: StdRng::seed_from_u64(seed),
             // One-time construction on restore.
-            pending: Vec::new(),  // lint: allow(alloc)
-            vm_taken: Vec::new(), // lint: allow(alloc)
+            pending: Vec::new(),
+            vm_taken: Vec::new(),
             last_cost: None,
             steps: checkpoint.steps,
             config: checkpoint.config,
@@ -326,16 +331,17 @@ impl Scheduler for MeghAgent {
         "Megh"
     }
 
-    // lint: depth_budget(8)
     fn decide(&mut self, view: &DataCenterView) -> Vec<MigrationRequest> {
         assert_eq!(
             (view.n_vms(), view.n_hosts()),
             (self.config.n_vms, self.config.n_hosts),
             "view dimensions do not match the Megh configuration"
         );
-        // Starts empty (no heap touch); pushes happen only on the rare
-        // steps that actually migrate, bounded by actions_per_step.
-        let mut requests = Vec::new(); // lint: allow(alloc)
+        // Starts empty (no heap touch) and holds at most
+        // actions_per_step requests, but migrating steps are the rule, not
+        // the exception — 564 of 576 on the run `tests/no_alloc.rs`
+        // counts — so this is one allocation per decide.
+        let mut requests = Vec::new();
         if self.space.dim() == 0 {
             return requests;
         }
@@ -346,7 +352,6 @@ impl Scheduler for MeghAgent {
         requests
     }
 
-    // lint: depth_budget(2)
     fn observe(&mut self, feedback: &StepFeedback) {
         self.last_cost = Some(feedback.total_cost_usd);
     }

@@ -10,8 +10,8 @@
 //! It also carries the decision-hot-path observability primitives:
 //! [`LatencyStats`] summarises the per-step decision latencies the
 //! simulator records (Figures 4(d)/5(d) are latency plots), and
-//! [`CountingAllocator`] is a global-allocator wrapper used to *prove*
-//! the steady-state decision path performs zero heap allocations.
+//! [`CountingAllocator`] is a global-allocator wrapper used to *count*
+//! what the decision path allocates (`tests/no_alloc.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,11 +136,9 @@ impl Default for CountingAllocator {
 
 // SAFETY: delegates every operation unchanged to `System`; the counters
 // are mere observers and do not affect the returned memory. This is the
-// workspace's sole unsafe allowlist entry (see DESIGN §10).
+// workspace's sole `unsafe` (every other crate root forbids it).
 #[allow(unsafe_code)]
-// lint: allow(unsafe_code)
 unsafe impl GlobalAlloc for CountingAllocator {
-    // lint: allow(unsafe_code)
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocations.fetch_add(1, Ordering::Relaxed);
         self.bytes_allocated
@@ -148,13 +146,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
         System.alloc(layout)
     }
 
-    // lint: allow(unsafe_code)
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.deallocations.fetch_add(1, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
-    // lint: allow(unsafe_code)
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.allocations.fetch_add(1, Ordering::Relaxed);
         self.bytes_allocated
@@ -162,7 +158,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
         System.alloc_zeroed(layout)
     }
 
-    // lint: allow(unsafe_code)
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.allocations.fetch_add(1, Ordering::Relaxed);
         self.bytes_allocated

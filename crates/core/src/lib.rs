@@ -39,6 +39,24 @@
 // allowlisted `unsafe` in the workspace (a GlobalAlloc wrapper must be
 // unsafe) and overrides this with `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
+// No explicit panic path in library code; the few sites that keep one
+// carry an `#[expect]` with the reason (clippy enforces both).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Seeded determinism: no hash-ordered containers, wall clock or free
+// threads (the list is `clippy.toml` beside this crate's manifest).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Every public item is documented.
+#![deny(missing_docs)]
 
 mod action;
 mod agent;

@@ -16,14 +16,15 @@
 //!   `θ' = θ + [ −(vb·z)/den + C·(1 − (vb·u)/den) ]·bu`,
 //!   which follows from `θ' = B'(z + C·u)` and the rank-1 structure.
 //!
-//! The decision hot path is allocation-free in the steady state: the
-//! basis vectors `u`, `v` and the products `bu`, `vb` live in reusable
-//! scratch buffers, and the minimum explicit `θ` entry is cached and
-//! maintained incrementally so [`SparseLspi::min_q`] never scans.
+//! An update on previously seen actions allocates nothing: the basis
+//! vectors `u`, `v` and the products `bu`, `vb` live in reusable scratch
+//! buffers, and the minimum explicit `θ` entry is cached and maintained
+//! incrementally so [`SparseLspi::min_q`] never scans.
 
-// This module is on the Megh decision hot path: steady-state calls must
-// not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the Megh decision hot path. `tests/no_alloc.rs`
+// holds `update` on previously seen action pairs at 0 allocations; a
+// pair that extends the support grows Δ's adjacency rows, θ, z and the
+// product scratch, which is what a learning `decide` pays for.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -111,7 +112,7 @@ impl SparseLspi {
             theta: SparseVec::zeros(dim),
             updates: 0,
             skipped_singular: 0,
-            explored: vec![false; dim], // lint: allow(alloc) — construction
+            explored: vec![false; dim],
             explored_count: 0,
             min_entry: None,
             scratch_u: SparseVec::zeros(dim),
@@ -239,7 +240,6 @@ impl SparseLspi {
     /// # Panics
     ///
     /// Panics if either action index is out of range.
-    // lint: depth_budget(6)
     pub fn update(&mut self, a_prev: usize, a_next: usize, cost: f64) -> bool {
         assert!(a_prev < self.dim, "a_prev out of range");
         assert!(a_next < self.dim, "a_next out of range");
@@ -321,7 +321,6 @@ impl SparseLspi {
     /// # Panics
     ///
     /// Panics if either action index is out of range.
-    // lint: depth_budget(6)
     pub fn preview_update(&mut self, a_prev: usize, a_next: usize, cost: f64) -> Option<f64> {
         assert!(a_prev < self.dim, "a_prev out of range");
         assert!(a_next < self.dim, "a_next out of range");
@@ -449,12 +448,6 @@ struct SparseLspiRepr {
 }
 
 impl Serialize for SparseLspi {
-    // Serialization is an explicit cold path (persistence, not decide);
-    // the unknown-receiver fallback also aliases the inner
-    // `.serialize(serializer)` call to every workspace `serialize`,
-    // including megh-serve's allocating wire impls, so the whole
-    // subtree is vouched rather than chased.
-    // lint: allow(transitive_alloc)
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // Serialization is an explicit cold path (persistence, not decide).
         let explored = self
@@ -463,14 +456,14 @@ impl Serialize for SparseLspi {
             .enumerate()
             .filter(|&(_, &e)| e)
             .map(|(a, _)| a)
-            .collect(); // lint: allow(alloc)
+            .collect();
         SparseLspiRepr {
             dim: self.dim,
             inv_delta: self.inv_delta,
             gamma: self.gamma,
-            delta_b: self.delta_b.clone(), // lint: allow(alloc)
-            z: self.z.clone(),             // lint: allow(alloc)
-            theta: self.theta.clone(),     // lint: allow(alloc)
+            delta_b: self.delta_b.clone(),
+            z: self.z.clone(),
+            theta: self.theta.clone(),
             updates: self.updates,
             skipped_singular: self.skipped_singular,
             explored,
@@ -480,15 +473,12 @@ impl Serialize for SparseLspi {
 }
 
 impl<'de> Deserialize<'de> for SparseLspi {
-    // Cold path, same aliasing as `serialize` above.
-    // lint: allow(transitive_alloc)
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = SparseLspiRepr::deserialize(deserializer)?;
-        let mut explored = vec![false; repr.dim]; // lint: allow(alloc) — deserialization
+        let mut explored = vec![false; repr.dim];
         for &a in &repr.explored {
             // explored was sized to repr.dim just above.
             let Some(slot) = explored.get_mut(a) else {
-                // lint: allow(alloc)
                 return Err(serde::de::Error::custom(format!(
                     "explored action {a} outside dim {}",
                     repr.dim

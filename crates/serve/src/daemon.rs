@@ -34,7 +34,8 @@
 //! contract, bounded by `checkpoint_every`.
 
 // A long-running process must not die on an index or a division:
-// enforced by clippy, and the attribute's presence by `cargo run -p lint`.
+// enforced by clippy, and the attribute's presence by
+// `tests/static_gates.rs`.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)

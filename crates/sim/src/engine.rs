@@ -368,8 +368,10 @@ fn run_core<T: TraceSource, S: Scheduler>(
     let mut step_util_frac = vec![0.0f64; m];
     let mut step_sla = vec![0.0f64; n];
 
-    // Wall clock for operator progress lines only; never feeds results.
-    // lint: allow(nondet)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall clock for operator progress lines only; never feeds results"
+    )]
     let run_started = Instant::now();
     let mut last_report = 0usize;
 
@@ -450,9 +452,11 @@ fn run_core<T: TraceSource, S: Scheduler>(
                 migration_cap: cap,
             };
 
-            // 3. Timed decision. Wall-clock here only *measures* the
-            // scheduler; it never feeds back into any decision.
-            // lint: allow(nondet)
+            // 3. Timed decision.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall clock here only measures the scheduler; it never feeds back into any decision"
+            )]
             let started = Instant::now();
             let requested = scheduler.decide(&view);
             let decision_micros = started.elapsed().as_micros() as u64;

@@ -59,17 +59,23 @@ impl PowerModel {
     }
 
     /// The HP ProLiant ML110 G4 model (Table 1, first row).
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: the Table 1 constants are finite and non-negative"
+    )]
     pub fn hp_proliant_g4() -> Self {
-        // Infallible: the Table 1 constants are finite and non-negative.
         Self::from_table("HP ProLiant ML110 G4", &HP_PROLIANT_G4_WATTS)
-            .expect("table 1 constants are valid") // lint: allow(panic)
+            .expect("table 1 constants are valid")
     }
 
     /// The HP ProLiant ML110 G5 model (Table 1, second row).
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible: the Table 1 constants are finite and non-negative"
+    )]
     pub fn hp_proliant_g5() -> Self {
-        // Infallible: the Table 1 constants are finite and non-negative.
         Self::from_table("HP ProLiant ML110 G5", &HP_PROLIANT_G5_WATTS)
-            .expect("table 1 constants are valid") // lint: allow(panic)
+            .expect("table 1 constants are valid")
     }
 
     /// Instantaneous draw in Watts at `utilization` (fraction; clamped to

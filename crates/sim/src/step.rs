@@ -8,9 +8,13 @@
 //! ascending index order.
 //!
 //! Kernels are pure over their slices and run on the per-step hot path:
-//! they must not allocate, panic, or read any nondeterministic state.
-//! Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+//! they read and write caller-owned slices and hold no container, so
+//! there is nothing in them to allocate, and clippy rejects an index, a
+//! division or an explicit panic here (attribute below and crate root).
+//! The loop that calls them is another matter — `run_core` rebuilds the
+//! scheduler's view every step, 118 allocations at 50 × 66 — which is
+//! why `crates/core/tests/no_alloc.rs` counts inside the scheduler's
+//! calls only.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -29,7 +33,6 @@ use crate::{CostParams, PowerModel};
 /// * otherwise `out_util[h] = used/mips`, `out_joules[h]` is the
 ///   SPECpower draw over `tau` seconds, and `out_deficit[h]` is the
 ///   unserved fraction `1 - 1/u` when demand exceeds capacity (§3.3).
-// lint: depth_budget(5)
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn host_metrics_chunk(
     host_used: &[f64],
@@ -95,7 +98,6 @@ pub(crate) fn host_metrics_chunk(
 /// the same VM range; `deficit` is the *full* per-host deficit array
 /// from [`host_metrics_chunk`]. The caller sums `out_sla` in ascending
 /// VM order.
-// lint: depth_budget(3)
 pub(crate) fn vm_sla_chunk(
     placement: &[usize],
     deficit: &[f64],

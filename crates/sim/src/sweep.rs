@@ -60,10 +60,10 @@ where
     F: Fn(u64) -> S + Sync,
 {
     if seeds.is_empty() {
-        return Vec::new(); // lint: allow(alloc)
+        return Vec::new();
     }
     let threads = threads.clamp(1, seeds.len());
-    let mut slots: Vec<Option<SimulationOutcome>> = Vec::new(); // lint: allow(alloc)
+    let mut slots: Vec<Option<SimulationOutcome>> = Vec::new();
     slots.resize_with(seeds.len(), || None);
     // Contiguous chunks keep each worker on a disjoint slice of the slot
     // vector: no locks, and slot index == seed index by construction.
@@ -86,7 +86,7 @@ where
     }
     // Every slot was filled by exactly one worker (panics would have
     // propagated out of the scope above), so flatten drops nothing.
-    slots.into_iter().flatten().collect() // lint: allow(alloc)
+    slots.into_iter().flatten().collect()
 }
 
 /// One seed's deterministic summary — a [`crate::SummaryReport`] minus
@@ -157,8 +157,8 @@ impl SweepReport {
                     mean_active_hosts: summary.mean_active_hosts,
                 }
             })
-            .collect(); // lint: allow(alloc) — report assembly is a cold path
-        let costs: Vec<f64> = runs.iter().map(|r| r.total_cost_usd).collect(); // lint: allow(alloc)
+            .collect(); // report assembly is a cold path
+        let costs: Vec<f64> = runs.iter().map(|r| r.total_cost_usd).collect();
         if runs.is_empty() {
             // Keep every aggregate finite so the report always
             // serializes to plain JSON numbers.
@@ -177,7 +177,7 @@ impl SweepReport {
         Self {
             scheduler: outcomes
                 .first()
-                .map(|o| o.scheduler().to_string()) // lint: allow(alloc)
+                .map(|o| o.scheduler().to_string())
                 .unwrap_or_default(),
             seeds: runs.len(),
             mean_total_cost_usd: mean(&costs),
@@ -192,13 +192,13 @@ impl SweepReport {
                 &runs
                     .iter()
                     .map(|r| r.total_migrations as f64)
-                    .collect::<Vec<f64>>(), // lint: allow(alloc)
+                    .collect::<Vec<f64>>(),
             ),
             mean_active_hosts: mean(
                 &runs
                     .iter()
                     .map(|r| r.mean_active_hosts)
-                    .collect::<Vec<f64>>(), // lint: allow(alloc)
+                    .collect::<Vec<f64>>(),
             ),
             runs,
         }

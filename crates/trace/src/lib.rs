@@ -26,7 +26,7 @@
 //! assert!(stats.overall_mean > 0.0);
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
 mod csv;

@@ -29,9 +29,10 @@
 //! * Emitted values are finite and within `[0, 100]`;
 //!   `header().step_seconds` is non-zero.
 
-// This module is on the simulation hot path: steady-state `fill_chunk`
-// calls must not allocate. Enforced by `cargo run -p lint`.
-// lint: deny_alloc
+// This module is on the simulation hot path: a generator source sizes
+// its per-VM state at construction, and `fill_chunk` allocates nothing
+// after the first call — held at 0 for `PlanetLabSource`, `GoogleSource`
+// and `DiurnalSource` by `crates/core/tests/no_alloc.rs`.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -98,14 +99,13 @@ pub trait TraceSource {
         let header = self.header();
         let n_vms = header.n_vms;
         if n_vms == 0 || n == 0 {
-            // lint: allow(alloc) — cold materialization path
             return WorkloadTrace::from_rows(header.step_seconds, Vec::new())
                 .expect("an empty trace with a non-zero interval is valid");
         }
-        // lint: allow(alloc) — cold materialization path
+        // Cold materialization path: the one place a source's values
+        // are copied onto the heap.
         let mut rows: Vec<Vec<f64>> = (0..n_vms).map(|_| Vec::with_capacity(n)).collect();
         let chunk_steps = 64usize.min(n);
-        // lint: allow(alloc) — cold materialization path
         let mut buf = vec![0.0f64; chunk_steps * n_vms];
         let mut done = 0usize;
         while done < n {
@@ -172,20 +172,13 @@ pub trait TraceSource {
     }
 }
 
-// The forwarding impls are generic over every source, so the lint's
-// conservative trait dispatch sees the file readers' error paths (which
-// allocate an error value once, then go quiescent) behind `fill_chunk`
-// and the readers' buffer re-creation behind `reset`. Generators and
-// in-memory cursors — the per-step hot path — stay alloc-free.
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     fn header(&self) -> TraceHeader {
         (**self).header()
     }
-    // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         (**self).fill_chunk(buf)
     }
-    // lint: allow(transitive_alloc)
     fn reset(&mut self) {
         (**self).reset();
     }
@@ -195,11 +188,9 @@ impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
     fn header(&self) -> TraceHeader {
         (**self).header()
     }
-    // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         (**self).fill_chunk(buf)
     }
-    // lint: allow(transitive_alloc)
     fn reset(&mut self) {
         (**self).reset();
     }
@@ -248,7 +239,6 @@ fn vm_seed(seed: u64, vm: usize) -> u64 {
 }
 
 /// Shared column fill over an in-memory [`WorkloadTrace`].
-// lint: depth_budget(3)
 fn fill_from_trace(trace: &WorkloadTrace, next: &mut usize, buf: &mut [f64]) -> usize {
     let left = trace.n_steps().saturating_sub(*next);
     let cols = columns(buf, trace.n_vms(), left);
@@ -423,7 +413,7 @@ impl PlanetLabSource {
         let p_enter = (cfg.burst_fraction * p_exit) / (1.0 - cfg.burst_fraction).max(1e-9);
         let vms = (0..cfg.n_vms)
             .map(|vm| PlVm::init(&cfg, &base_dist, &burst_level, vm))
-            .collect(); // lint: allow(alloc) — one-time construction
+            .collect();
         Self {
             cfg,
             n_steps,
@@ -447,7 +437,6 @@ impl TraceSource for PlanetLabSource {
         }
     }
 
-    // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let left = self.n_steps.saturating_sub(self.next_step);
         let cols = columns(buf, self.vms.len(), left);
@@ -580,7 +569,7 @@ impl GoogleSource {
         let util_dist = LogNormal::new(cfg.task_util_mean.max(0.1).ln(), 0.6)
             .expect("valid lognormal parameters");
         let noise = Normal::new(0.0, 0.8).expect("valid normal parameters");
-        let vms = (0..cfg.n_vms).map(|vm| GVm::init(&cfg, vm)).collect(); // lint: allow(alloc) — one-time construction
+        let vms = (0..cfg.n_vms).map(|vm| GVm::init(&cfg, vm)).collect();
         Self {
             cfg,
             n_steps,
@@ -601,7 +590,6 @@ impl TraceSource for GoogleSource {
         }
     }
 
-    // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let left = self.n_steps.saturating_sub(self.next_step);
         let cols = columns(buf, self.vms.len(), left);
@@ -683,7 +671,7 @@ impl DiurnalSource {
         let noise = Normal::new(0.0, cfg.noise_sigma.max(0.0)).expect("valid normal");
         let vms = (0..cfg.n_vms)
             .map(|vm| DiVm::init(&cfg, &scale_dist, vm))
-            .collect(); // lint: allow(alloc) — one-time construction
+            .collect();
         Self {
             cfg,
             n_steps,
@@ -704,7 +692,6 @@ impl TraceSource for DiurnalSource {
         }
     }
 
-    // lint: depth_budget(4)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let left = self.n_steps.saturating_sub(self.next_step);
         let cols = columns(buf, self.vms.len(), left);
@@ -743,12 +730,10 @@ impl TraceSource for DiurnalSource {
 // ---------------------------------------------------------------------------
 // Adapters
 //
-// Adapters wrap *any* source, so — exactly as for the forwarding impls
-// above — the lint's conservative trait dispatch reaches the file
-// readers' error-path allocations through `inner.fill_chunk()` /
-// `inner.reset()`, and the dispatch cycle defeats a finite depth
-// budget. The adapters themselves only touch the caller's buffer and
-// their own pre-allocated scratch.
+// Adapters wrap *any* source and only touch the caller's buffer and
+// their own pre-allocated scratch; what `inner.fill_chunk()` allocates
+// is the wrapped source's business (the file readers allocate an error
+// value once, then go quiescent).
 // ---------------------------------------------------------------------------
 
 /// Adapter multiplying every value by a factor, clamped to `[0, 100]`.
@@ -763,7 +748,6 @@ impl<S: TraceSource> TraceSource for Scaled<S> {
         self.inner.header()
     }
 
-    // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let reported = self.inner.fill_chunk(buf);
         let cols = columns(buf, self.inner.header().n_vms, reported);
@@ -774,7 +758,6 @@ impl<S: TraceSource> TraceSource for Scaled<S> {
         got
     }
 
-    // lint: allow(transitive_alloc)
     fn reset(&mut self) {
         self.inner.reset();
     }
@@ -808,7 +791,6 @@ impl<S: TraceSource> TraceSource for Noisy<S> {
         self.inner.header()
     }
 
-    // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let reported = self.inner.fill_chunk(buf);
         let cols = columns(buf, self.inner.header().n_vms, reported);
@@ -819,7 +801,6 @@ impl<S: TraceSource> TraceSource for Noisy<S> {
         got
     }
 
-    // lint: allow(transitive_alloc)
     fn reset(&mut self) {
         self.inner.reset();
         self.rng = StdRng::seed_from_u64(self.seed);
@@ -840,7 +821,7 @@ impl<S: TraceSource> Coarsened<S> {
         Self {
             inner,
             factor,
-            acc: vec![0.0; n], // lint: allow(alloc) — one-time scratch
+            acc: vec![0.0; n],
         }
     }
 }
@@ -855,7 +836,6 @@ impl<S: TraceSource> TraceSource for Coarsened<S> {
         }
     }
 
-    // lint: allow(transitive_alloc)
     fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
         let cols = columns(buf, self.inner.header().n_vms, usize::MAX);
         let coarse_want = cols.len();
@@ -878,7 +858,6 @@ impl<S: TraceSource> TraceSource for Coarsened<S> {
         coarse_want
     }
 
-    // lint: allow(transitive_alloc)
     fn reset(&mut self) {
         self.inner.reset();
     }

@@ -33,7 +33,7 @@
 //! assert!(outcome.report().total_cost_usd > 0.0);
 //! ```
 
-// No unsafe code anywhere in this crate (also enforced by `cargo run -p lint`).
+// No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
 pub use megh_baselines as baselines;
