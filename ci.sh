@@ -4,6 +4,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `cargo test <filter>` passes when the filter matches nothing, so a
+# filtered stage also fails unless some test binary ran at least one test.
+filtered_test() {
+  local out
+  if ! out=$(cargo test "$@" 2>&1); then
+    echo "$out"
+    return 1
+  fi
+  echo "$out" | grep '^test result' || true
+  if ! echo "$out" | grep -Eq '^test result: ok\. [1-9]'; then
+    echo "filter selected no test: cargo test $*" >&2
+    return 1
+  fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -33,33 +48,33 @@ echo "==> cargo test --workspace --features check-invariants"
 cargo test --workspace --features check-invariants -q
 
 echo "==> sweep determinism under check-invariants"
-cargo test -q -p megh-cli --features megh-core/check-invariants sweep_determinism
+filtered_test -q -p megh-cli --features megh-core/check-invariants sweep_determinism
 
-echo "==> streaming determinism (chunk-size invariance)"
-cargo test -q -p megh-sim streaming_
-cargo test -q -p megh-cli stream_
+echo "==> streamed runs equal in-memory runs (engine chunk sizes; CLI vs library; file errors)"
+filtered_test -q -p megh-sim streaming_
+filtered_test -q -p megh-cli stream_
 
-echo "==> streaming peak-RSS budget (500 VMs x 30 days, noop, budget <32768 kB)"
+echo "==> simulate peak-RSS budget (500 VMs x 30 days, noop, budget <32768 kB)"
 RSS_LINE=$(target/release/megh simulate --workload planetlab --hosts 250 --vms 500 \
-  --days 30 --scheduler noop --stream --mem-stats | tail -n 1)
+  --days 30 --scheduler noop --mem-stats | tail -n 1)
 echo "$RSS_LINE"
 RSS_KB=$(echo "$RSS_LINE" | awk '/^peak RSS/ {print $3}')
 if ! [ "${RSS_KB:-99999999}" -lt 32768 ] 2>/dev/null; then
-  echo "streaming RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
+  echo "simulate RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
   exit 1
 fi
 
-echo "==> file-streaming peak-RSS budget (500 VMs x 30 days CSV, noop, budget <32768 kB)"
+echo "==> simulate --file peak-RSS budget (500 VMs x 30 days CSV, noop, budget <32768 kB)"
 TRACE_DIR="$(mktemp -d)"
 target/release/megh trace-gen --workload planetlab --vms 500 --days 30 --seed 11 \
   --out "$TRACE_DIR/trace.csv" >/dev/null
 RSS_LINE=$(target/release/megh simulate --file "$TRACE_DIR/trace.csv" --hosts 250 \
-  --scheduler noop --stream --mem-stats | tail -n 1)
+  --scheduler noop --mem-stats | tail -n 1)
 rm -rf "$TRACE_DIR"
 echo "$RSS_LINE"
 RSS_KB=$(echo "$RSS_LINE" | awk '/^peak RSS/ {print $3}')
 if ! [ "${RSS_KB:-99999999}" -lt 32768 ] 2>/dev/null; then
-  echo "file-streaming RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
+  echo "simulate --file RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
   exit 1
 fi
 

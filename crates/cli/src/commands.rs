@@ -10,8 +10,8 @@ use megh_sim::{
     Scheduler, SimOptions, Simulation, SimulationOutcome, SlavMetrics, SummaryReport, SweepReport,
 };
 use megh_trace::{
-    load_csv, load_planetlab_dir, CsvSource, DiurnalConfig, GoogleConfig, PlanetLabConfig,
-    PlanetLabDirSource, TraceSource, TraceStats, WorkloadTrace,
+    CsvSource, DiurnalConfig, GoogleConfig, PlanetLabConfig, PlanetLabDirSource, TraceCsvError,
+    TraceSource, TraceStats, WorkloadTrace,
 };
 use serde::Serialize;
 
@@ -50,23 +50,15 @@ const COMMON_FLAGS: FlagTable = FlagTable::new(
     ],
 );
 
-/// Streaming-engine knobs honoured by `simulate` and `sweep`.
+/// Step-loop knobs honoured by `simulate` and `sweep`.
 const ENGINE_FLAGS: FlagTable = FlagTable::new(
     "ENGINE OPTIONS (simulate, sweep)",
-    &[
-        FlagSpec::opt(
-            "chunk-steps",
-            "N",
-            "288",
-            "trace steps resident in memory per chunk",
-        ),
-        FlagSpec::opt(
-            "progress-every",
-            "N",
-            "0",
-            "print progress/ETA to stderr every N steps (0 = off)",
-        ),
-    ],
+    &[FlagSpec::opt(
+        "progress-every",
+        "N",
+        "0",
+        "print progress/ETA to stderr every N steps (0 = off)",
+    )],
 );
 
 const SIMULATE_FLAGS: FlagTable = FlagTable::new(
@@ -79,10 +71,6 @@ const SIMULATE_FLAGS: FlagTable = FlagTable::new(
             "PATH",
             "",
             "simulate a trace CSV (or PlanetLab directory) instead of a generated workload",
-        ),
-        FlagSpec::switch(
-            "stream",
-            "pull the trace lazily chunk-by-chunk instead of materializing it",
         ),
         FlagSpec::switch("mem-stats", "print the process peak RSS after the run"),
         FlagSpec::opt(
@@ -188,7 +176,7 @@ const CLIENT_FLAGS: FlagTable = FlagTable::new(
 /// Common simulation parameters parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
-    /// Workload family ("planetlab" or "google").
+    /// Workload family ("planetlab", "google" or "diurnal").
     pub workload: String,
     /// Number of hosts.
     pub hosts: usize,
@@ -261,27 +249,27 @@ impl SimSpec {
         self.days * megh_trace::STEPS_PER_DAY
     }
 
-    /// Builds just the data-center configuration (streaming mode pulls
-    /// the trace lazily from a generator source instead).
-    pub fn build_config(&self) -> DataCenterConfig {
+    /// The data-center configuration for `n_vms` VMs: `--hosts`, the
+    /// workload family and `--outage` come from the command line, the VM
+    /// count from `--vms` or from the trace file's header.
+    pub fn config(&self, n_vms: usize) -> DataCenterConfig {
         let mut config = if self.workload == "google" {
-            DataCenterConfig::paper_google(self.hosts, self.vms)
+            DataCenterConfig::paper_google(self.hosts, n_vms)
         } else {
-            DataCenterConfig::paper_planetlab(self.hosts, self.vms)
+            DataCenterConfig::paper_planetlab(self.hosts, n_vms)
         };
         config.initial_placement = InitialPlacement::DemandPacked;
         config.outages = self.outages.clone();
         config
     }
 
-    /// Builds the data-center configuration and a materialized trace.
-    pub fn build(&self) -> (DataCenterConfig, WorkloadTrace) {
-        let trace = match self.workload.as_str() {
+    /// The generated workload, materialized (`sweep` and `trace-gen`).
+    pub fn trace(&self) -> WorkloadTrace {
+        match self.workload.as_str() {
             "google" => GoogleConfig::new(self.vms, self.seed).generate(self.days),
             "diurnal" => DiurnalConfig::new(self.vms, self.seed).generate(self.days),
             _ => PlanetLabConfig::new(self.vms, self.seed).generate(self.days),
-        };
-        (self.build_config(), trace)
+        }
     }
 }
 
@@ -347,77 +335,74 @@ pub fn build_named_scheduler(
     Ok(scheduler)
 }
 
-/// Instantiates a scheduler by CLI name and runs it.
+/// Runs one named scheduler over `simulate`'s workload, streamed: the
+/// engine pulls the trace chunk-by-chunk from the `--workload` generator,
+/// or from `file` through [`CsvSource`]/[`PlanetLabDirSource`], and never
+/// materializes it, so memory stays flat in `--days` and in file length.
 ///
 /// # Errors
 ///
-/// Returns [`ArgsError`] for unknown scheduler names.
-pub fn run_named_scheduler(
-    name: &str,
-    config: &DataCenterConfig,
-    trace: &WorkloadTrace,
-    seed: u64,
-) -> Result<SimulationOutcome, ArgsError> {
-    run_named_scheduler_with(name, config, trace, seed, &SimOptions::default())
-}
-
-/// [`run_named_scheduler`] with explicit engine options
-/// (`--chunk-steps`, `--progress-every`).
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unknown scheduler names.
-pub fn run_named_scheduler_with(
-    name: &str,
-    config: &DataCenterConfig,
-    trace: &WorkloadTrace,
-    seed: u64,
-    options: &SimOptions,
-) -> Result<SimulationOutcome, ArgsError> {
-    let sim = Simulation::new(config.clone(), trace.clone())
-        .map_err(setup_error)?
-        .with_options(*options);
-    let scheduler = build_named_scheduler(name, config, seed)?;
-    Ok(sim.run(scheduler))
-}
-
-/// Runs one named scheduler over a *streamed* generator source: the
-/// trace is produced chunk-by-chunk inside the engine and never fully
-/// materialized, so memory stays flat in `--days`.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unknown scheduler names or an
-/// inconsistent configuration.
+/// Returns [`ArgsError`] for unknown scheduler names, an inconsistent
+/// configuration, or an unreadable or malformed trace file — including a
+/// malformed line met mid-run, named with its line number.
 pub fn run_streamed_named(
     name: &str,
-    config: &DataCenterConfig,
     spec: &SimSpec,
+    file: Option<&str>,
     options: &SimOptions,
 ) -> Result<SimulationOutcome, ArgsError> {
-    let scheduler = build_named_scheduler(name, config, spec.seed)?;
-    let steps = spec.n_steps();
-    match spec.workload.as_str() {
-        "google" => run_streamed(
-            config,
-            GoogleConfig::new(spec.vms, spec.seed).source(steps),
-            scheduler,
-            *options,
-        ),
-        "diurnal" => run_streamed(
-            config,
-            DiurnalConfig::new(spec.vms, spec.seed).source(steps),
-            scheduler,
-            *options,
-        ),
-        _ => run_streamed(
-            config,
-            PlanetLabConfig::new(spec.vms, spec.seed).source(steps),
-            scheduler,
-            *options,
-        ),
+    let (vms, seed, steps) = (spec.vms, spec.seed, spec.n_steps());
+    let Some(path) = file else {
+        return match spec.workload.as_str() {
+            "google" => run_source(
+                name,
+                spec,
+                GoogleConfig::new(vms, seed).source(steps),
+                options,
+            ),
+            "diurnal" => run_source(
+                name,
+                spec,
+                DiurnalConfig::new(vms, seed).source(steps),
+                options,
+            ),
+            _ => run_source(
+                name,
+                spec,
+                PlanetLabConfig::new(vms, seed).source(steps),
+                options,
+            ),
+        };
+    };
+    // A file reader ends its stream at a malformed line, which the engine
+    // cannot tell from the end of the file: report what stopped it.
+    let file_error = |e| trace_file_error(path, e);
+    if std::path::Path::new(path).is_dir() {
+        let mut source = PlanetLabDirSource::open(path).map_err(file_error)?;
+        let outcome = run_source(name, spec, &mut source, options)?;
+        source
+            .take_error()
+            .map_or(Ok(outcome), |e| Err(file_error(e)))
+    } else {
+        let mut source = CsvSource::open(path).map_err(file_error)?;
+        let outcome = run_source(name, spec, &mut source, options)?;
+        source
+            .take_error()
+            .map_or(Ok(outcome), |e| Err(file_error(e)))
     }
-    .map_err(setup_error)
+}
+
+/// Runs one named scheduler over `source`, sizing the data center from
+/// the source's VM count.
+fn run_source<T: TraceSource>(
+    name: &str,
+    spec: &SimSpec,
+    source: T,
+    options: &SimOptions,
+) -> Result<SimulationOutcome, ArgsError> {
+    let config = spec.config(source.header().n_vms);
+    let scheduler = build_named_scheduler(name, &config, spec.seed)?;
+    run_streamed(&config, source, scheduler, *options).map_err(setup_error)
 }
 
 fn setup_error(e: megh_sim::SimError) -> ArgsError {
@@ -428,7 +413,7 @@ fn setup_error(e: megh_sim::SimError) -> ArgsError {
     }
 }
 
-fn trace_file_error(path: &str, e: megh_trace::TraceCsvError) -> ArgsError {
+fn trace_file_error(path: &str, e: TraceCsvError) -> ArgsError {
     ArgsError::Invalid {
         key: "file".into(),
         value: format!("{path}: {e}"),
@@ -436,87 +421,13 @@ fn trace_file_error(path: &str, e: megh_trace::TraceCsvError) -> ArgsError {
     }
 }
 
-/// The data-center configuration for a file trace: `--hosts` and the
-/// workload family come from the CLI, the VM count from the file.
-fn file_config(spec: &SimSpec, n_vms: usize) -> DataCenterConfig {
-    let mut config = if spec.workload == "google" {
-        DataCenterConfig::paper_google(spec.hosts, n_vms)
-    } else {
-        DataCenterConfig::paper_planetlab(spec.hosts, n_vms)
-    };
-    config.initial_placement = InitialPlacement::DemandPacked;
-    config.outages = spec.outages.clone();
-    config
-}
-
-/// Materializes a trace file: a directory is read as a PlanetLab
-/// per-VM file tree, anything else as a trace CSV.
+/// Parses the shared `--progress-every` engine knob.
 ///
 /// # Errors
 ///
-/// Returns [`ArgsError`] for unreadable or malformed inputs.
-pub fn load_trace_file(path: &str) -> Result<WorkloadTrace, ArgsError> {
-    if std::path::Path::new(path).is_dir() {
-        load_planetlab_dir(path).map_err(|e| trace_file_error(path, e))
-    } else {
-        load_csv(path).map_err(|e| trace_file_error(path, e))
-    }
-}
-
-/// Peeks a trace file's header (VM count) without materializing it.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unreadable or malformed inputs.
-pub fn peek_trace_file_vms(path: &str) -> Result<usize, ArgsError> {
-    let header = if std::path::Path::new(path).is_dir() {
-        PlanetLabDirSource::open(path)
-            .map_err(|e| trace_file_error(path, e))?
-            .header()
-    } else {
-        CsvSource::open(path)
-            .map_err(|e| trace_file_error(path, e))?
-            .header()
-    };
-    Ok(header.n_vms)
-}
-
-/// Runs one named scheduler over a *streamed* trace file: the rows are
-/// pulled through [`CsvSource`]/[`PlanetLabDirSource`] chunk-by-chunk
-/// inside the engine and the full trace is never resident, so memory
-/// stays flat in the file length.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unknown scheduler names, unreadable trace
-/// files, or an inconsistent configuration.
-pub fn run_streamed_file(
-    name: &str,
-    config: &DataCenterConfig,
-    path: &str,
-    seed: u64,
-    options: &SimOptions,
-) -> Result<SimulationOutcome, ArgsError> {
-    let scheduler = build_named_scheduler(name, config, seed)?;
-    if std::path::Path::new(path).is_dir() {
-        let source = PlanetLabDirSource::open(path).map_err(|e| trace_file_error(path, e))?;
-        run_streamed(config, source, scheduler, *options)
-    } else {
-        let source = CsvSource::open(path).map_err(|e| trace_file_error(path, e))?;
-        run_streamed(config, source, scheduler, *options)
-    }
-    .map_err(setup_error)
-}
-
-/// Parses the shared `--chunk-steps` / `--progress-every` engine knobs.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unparsable or zero values.
+/// Returns [`ArgsError`] for an unparsable value.
 pub fn engine_options(args: &Args) -> Result<SimOptions, ArgsError> {
-    let defaults = SimOptions::default();
     Ok(SimOptions {
-        chunk_steps: ENGINE_FLAGS.positive_usize(args, "chunk-steps", defaults.chunk_steps)?,
         progress_every: ENGINE_FLAGS.parsed(args, "progress-every", 0, "integer")?,
     })
 }
@@ -546,7 +457,8 @@ pub struct LatencyAllocReport {
     pub bytes_allocated: u64,
 }
 
-/// `megh simulate`: one scheduler, one workload, summary to stdout.
+/// `megh simulate`: one scheduler (or `all`), one workload, summary to
+/// stdout. The trace is always streamed ([`run_streamed_named`]).
 ///
 /// With `--out FILE`, also writes `latency_alloc_report.json` next to
 /// `FILE` with per-scheduler decision-latency and allocation deltas.
@@ -557,24 +469,8 @@ pub struct LatencyAllocReport {
 pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     let spec = SimSpec::from_args(args)?;
     let options = engine_options(args)?;
-    let stream = SIMULATE_FLAGS.switch(args, "stream");
     let scheduler = SIMULATE_FLAGS.get(args, "scheduler").unwrap_or("megh");
     let file = SIMULATE_FLAGS.get(args, "file").filter(|p| !p.is_empty());
-    // Streaming mode never materializes the trace; the engine pulls it
-    // chunk-by-chunk from the generator — or, with --file, from the
-    // CSV/PlanetLab-directory source.
-    let (config, trace) = match (&file, stream) {
-        (Some(path), true) => (file_config(&spec, peek_trace_file_vms(path)?), None),
-        (Some(path), false) => {
-            let trace = load_trace_file(path)?;
-            (file_config(&spec, trace.n_vms()), Some(trace))
-        }
-        (None, true) => (spec.build_config(), None),
-        (None, false) => {
-            let (config, trace) = spec.build();
-            (config, Some(trace))
-        }
-    };
     let mut out = String::new();
     let names: Vec<&str> = if scheduler == "all" {
         vec![
@@ -588,13 +484,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     for name in names {
         let allocs_before = crate::ALLOC.allocations();
         let bytes_before = crate::ALLOC.bytes_allocated();
-        let outcome = match (&trace, &file) {
-            (Some(trace), _) => {
-                run_named_scheduler_with(name, &config, trace, spec.seed, &options)?
-            }
-            (None, Some(path)) => run_streamed_file(name, &config, path, spec.seed, &options)?,
-            (None, None) => run_streamed_named(name, &config, &spec, &options)?,
-        };
+        let outcome = run_streamed_named(name, &spec, file, &options)?;
         let report = outcome.report();
         diagnostics.push(LatencyAllocReport {
             scheduler: report.scheduler.clone(),
@@ -645,39 +535,6 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     Ok(out)
 }
 
-/// `megh compare`: all schedulers side by side.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for bad arguments.
-pub fn cmd_compare(args: &Args) -> Result<String, ArgsError> {
-    let spec = SimSpec::from_args(args)?;
-    let (config, trace) = spec.build();
-    let mut rows = Vec::new();
-    for name in [
-        "thr-mmt", "iqr-mmt", "mad-mmt", "lr-mmt", "lrr-mmt", "madvm", "megh",
-    ] {
-        rows.push(run_named_scheduler(name, &config, &trace, spec.seed)?.report());
-    }
-    let mut out = format!(
-        "{:<10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
-        "scheduler", "total USD", "energy USD", "SLA USD", "#migrations", "active", "exec ms"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<10} {:>12.2} {:>12.2} {:>12.2} {:>12} {:>12.1} {:>10.3}\n",
-            r.scheduler,
-            r.total_cost_usd,
-            r.energy_cost_usd,
-            r.sla_cost_usd,
-            r.total_migrations,
-            r.mean_active_hosts,
-            r.mean_decision_ms
-        ));
-    }
-    Ok(out)
-}
-
 /// `megh sweep`: one scheduler over many seeds, fanned across threads.
 ///
 /// Seeds are `--seed, --seed+1, …, --seed+N-1`. The stdout summary
@@ -720,13 +577,13 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgsError> {
     // the machine has; more workers than seeds would sit idle.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let threads: usize = SWEEP_FLAGS.positive_usize(args, "threads", cores.min(n_seeds))?;
-    let (config, trace) = spec.build();
+    let config = spec.config(spec.vms);
     // Validate every scheduler name once, up front: the factory closure
     // handed to the workers has no error channel.
     for name in &schedulers {
         build_named_scheduler(name, &config, spec.seed)?;
     }
-    let sim = Simulation::new(config.clone(), trace)
+    let sim = Simulation::new(config.clone(), spec.trace())
         .map_err(setup_error)?
         .with_options(options);
     let seeds: Vec<u64> = (0..n_seeds as u64)
@@ -826,7 +683,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgsError> {
 pub fn cmd_trace_gen(args: &Args) -> Result<String, ArgsError> {
     let spec = SimSpec::from_args(args)?;
     let out = TRACE_GEN_FLAGS.required(args, "out")?;
-    let (_, trace) = spec.build();
+    let trace = spec.trace();
     megh_trace::save_csv(&trace, out).map_err(|e| ArgsError::Invalid {
         key: "out".into(),
         value: format!("{out}: {e}"),
@@ -990,8 +847,7 @@ USAGE:
   megh <command> [options]
 
 COMMANDS:
-  simulate     run one scheduler over a synthetic workload
-  compare      run every scheduler over the same workload
+  simulate     run scheduler(s) over a streamed workload or trace file
   sweep        run scheduler(s) over many seeds in parallel
   trace-gen    write a synthetic workload trace to CSV
   trace-stats  summarize a trace CSV
@@ -1027,7 +883,6 @@ fn command(name: &str) -> Option<(&'static [&'static FlagTable], Command)> {
             &[&COMMON_FLAGS, &ENGINE_FLAGS, &SIMULATE_FLAGS],
             cmd_simulate,
         ),
-        "compare" => (&[&COMMON_FLAGS], cmd_compare),
         "sweep" => (&[&COMMON_FLAGS, &ENGINE_FLAGS, &SWEEP_FLAGS], cmd_sweep),
         "trace-gen" => (&[&COMMON_FLAGS, &TRACE_GEN_FLAGS], cmd_trace_gen),
         "trace-stats" => (&[&TRACE_STATS_FLAGS], cmd_trace_stats),
@@ -1092,16 +947,6 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("SLATAH"));
-    }
-
-    #[test]
-    fn compare_lists_all_schedulers() {
-        let out = dispatch(&parse("compare --hosts 4 --vms 6 --days 1")).unwrap();
-        for name in [
-            "THR-MMT", "IQR-MMT", "MAD-MMT", "LR-MMT", "LRR-MMT", "MadVM", "Megh",
-        ] {
-            assert!(out.contains(name), "missing {name} in:\n{out}");
-        }
     }
 
     #[test]
@@ -1178,8 +1023,20 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let reports: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = reports.as_array().expect("an array of reports");
-        assert_eq!(arr.len(), 9, "all nine schedulers must be in the file");
+        let names: Vec<&str> = reports
+            .as_array()
+            .expect("an array of reports")
+            .iter()
+            .filter_map(|r| r["scheduler"].as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "NoOp", "THR-MMT", "IQR-MMT", "MAD-MMT", "LR-MMT", "LRR-MMT", "MadVM", "Megh",
+                "Megh-H1"
+            ],
+            "all nine schedulers must be in the file"
+        );
     }
 
     #[test]
@@ -1360,39 +1217,47 @@ mod tests {
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --schedulers megh,bogus")).is_err());
     }
 
+    /// A summary line minus its wall-clock `ms/decision` figure.
+    fn deterministic_summary(line: &str) -> String {
+        let (head, tail) = line.split_once(" active hosts, ").expect("summary line");
+        let (_, steps) = tail.split_once(" ms/decision").expect("summary line");
+        format!("{head}{steps}")
+    }
+
     #[test]
     fn stream_matches_materialized_total_cost() {
-        // The streamed generator path must reproduce the materialized
-        // run exactly (engine tests cover fingerprints; this checks the
-        // CLI wiring end to end, per workload).
-        for workload in WORKLOAD_NAMES {
-            let base = dispatch(&parse(&format!(
-                "simulate --workload {workload} --hosts 3 --vms 5 --days 1 --scheduler thr-mmt"
-            )))
-            .unwrap();
-            let streamed = dispatch(&parse(&format!(
-                "simulate --workload {workload} --hosts 3 --vms 5 --days 1 --scheduler thr-mmt \
-                 --chunk-steps 7 --stream"
-            )))
-            .unwrap();
-            let total = |s: &str| {
-                let tail = s.split("total ").nth(1).expect("summary line");
-                tail.split(" USD").next().expect("cost figure").to_string()
-            };
+        // `simulate` streams the generator; the library's in-memory
+        // `Simulation` over the materialized trace is the reference. Every
+        // workload, plus an outage under a learning scheduler.
+        for (workload, scheduler, extra) in [
+            ("planetlab", "thr-mmt", ""),
+            ("google", "thr-mmt", ""),
+            ("diurnal", "thr-mmt", ""),
+            ("planetlab", "megh", " --outage 0:10:40"),
+        ] {
+            let line = format!(
+                "simulate --workload {workload} --hosts 3 --vms 5 --days 1 \
+                 --scheduler {scheduler}{extra}"
+            );
+            let args = parse(&line);
+            let streamed = dispatch(&args).unwrap();
+            let spec = SimSpec::from_args(&args).unwrap();
+            let config = spec.config(spec.vms);
+            let run = build_named_scheduler(scheduler, &config, spec.seed).unwrap();
+            let want = Simulation::new(config, spec.trace()).unwrap().run(run);
             assert_eq!(
-                total(&base),
-                total(&streamed),
-                "{workload}:\n{base}{streamed}"
+                deterministic_summary(&streamed),
+                deterministic_summary(&render_summary(&want.report())),
+                "{line}"
             );
         }
     }
 
     #[test]
     fn stream_file_csv_matches_materialized_run() {
-        // A trace CSV written by trace-gen must simulate identically
-        // whether it is materialized up front or streamed through
-        // CsvSource chunk-by-chunk — total cost included, for a
-        // learning scheduler.
+        // A trace CSV written by trace-gen, streamed through CsvSource by
+        // `simulate --file`, must simulate exactly like the library run
+        // over the loaded trace — for a learning scheduler.
         let dir = std::env::temp_dir().join(format!("megh-cli-fstream-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("trace.csv");
@@ -1401,76 +1266,101 @@ mod tests {
             csv.display()
         )))
         .unwrap();
-        let base = dispatch(&parse(&format!(
+        let args = parse(&format!(
             "simulate --hosts 3 --scheduler megh --file {}",
             csv.display()
-        )))
-        .unwrap();
-        let streamed = dispatch(&parse(&format!(
-            "simulate --hosts 3 --scheduler megh --file {} --stream --chunk-steps 7",
-            csv.display()
-        )))
-        .unwrap();
+        ));
+        let streamed = dispatch(&args).unwrap();
+        let trace = megh_trace::load_csv(&csv).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        let total = |s: &str| {
-            let tail = s.split("total ").nth(1).expect("summary line");
-            tail.split(" USD").next().expect("cost figure").to_string()
-        };
-        assert_eq!(total(&base), total(&streamed), "{base}{streamed}");
-        assert!(base.contains("288 steps"), "{base}");
+        let spec = SimSpec::from_args(&args).unwrap();
+        let config = spec.config(trace.n_vms());
+        let run = build_named_scheduler("megh", &config, spec.seed).unwrap();
+        let want = Simulation::new(config, trace).unwrap().run(run);
+        assert_eq!(
+            deterministic_summary(&streamed),
+            deterministic_summary(&render_summary(&want.report()))
+        );
+        assert!(streamed.contains("288 steps"), "{streamed}");
     }
 
     #[test]
     fn stream_file_errors_are_reported() {
-        let err = dispatch(&parse(
-            "simulate --hosts 3 --file /no/such/trace.csv --stream",
-        ));
-        assert!(err.is_err(), "{err:?}");
         let err = dispatch(&parse("simulate --hosts 3 --file /no/such/trace.csv"));
         assert!(err.is_err(), "{err:?}");
     }
 
     #[test]
-    fn sweep_determinism_chunking_never_changes_out_file() {
-        // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // chunk size must never change the --out bytes.
-        let dir = std::env::temp_dir().join(format!("megh-cli-chunk-{}", std::process::id()));
+    fn stream_file_malformed_csv_row_fails_naming_its_line() {
+        // A 288-step CSV whose line 151 (step 149; line 1 is the header)
+        // holds a non-number: the reader stops there, and the run must
+        // fail naming the line instead of reporting a 149-step run.
+        let dir = std::env::temp_dir().join(format!("megh-cli-badcsv-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        for chunk in [288usize, 7] {
-            let path = dir.join(format!("sweep-c{chunk}.json"));
-            let line = format!(
-                "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --scheduler megh \
-                 --chunk-steps {chunk} --out {}",
-                path.display()
-            );
-            dispatch(&parse(&line)).unwrap();
-            bytes.push(std::fs::read(&path).unwrap());
-        }
+        let csv = dir.join("trace.csv");
+        dispatch(&parse(&format!(
+            "trace-gen --vms 4 --days 1 --out {}",
+            csv.display()
+        )))
+        .unwrap();
+        let text = std::fs::read_to_string(&csv).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 289, "header + 288 steps");
+        lines[150] = "1.0,2.0,oops,4.0";
+        std::fs::write(&csv, lines.join("\n")).unwrap();
+        let result = dispatch(&parse(&format!(
+            "simulate --hosts 2 --scheduler noop --file {}",
+            csv.display()
+        )));
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(
-            bytes[0], bytes[1],
-            "sweep report bytes must not depend on chunking"
-        );
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("line 151"), "{err}");
+        assert!(err.contains("trace.csv"), "{err}");
     }
 
     #[test]
-    fn engine_flags_reject_zero() {
-        assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --chunk-steps 0")).is_err());
-        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --chunk-steps 0")).is_err());
+    fn stream_file_corrupt_planetlab_file_fails_naming_its_line() {
+        // One VM file of three has a non-number on its line 100.
+        let dir = std::env::temp_dir().join(format!("megh-cli-baddir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let series: Vec<String> = (0..288).map(|s| (s % 50).to_string()).collect();
+        for vm in ["vm_a", "vm_b", "vm_c"] {
+            let mut lines = series.clone();
+            if vm == "vm_b" {
+                lines[99] = "xyz".into();
+            }
+            std::fs::write(dir.join(vm), lines.join("\n")).unwrap();
+        }
+        let result = dispatch(&parse(&format!(
+            "simulate --hosts 2 --scheduler noop --file {}",
+            dir.display()
+        )));
+        std::fs::remove_dir_all(&dir).ok();
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("line 100"), "{err}");
+    }
+
+    #[test]
+    fn engine_progress_flag_rejects_garbage() {
+        assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --progress-every x")).is_err());
+        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --progress-every x")).is_err());
     }
 
     #[test]
     fn undeclared_options_are_rejected_and_documented_ones_accepted() {
-        // The two flags PR 13 removed, a misspelling of a real flag and
-        // a flag of another command must fail by name instead of running
-        // with the default. The removed names are spelt in two pieces so
-        // a grep for them over the sources stays empty.
+        // The flags PRs 13 and 21 removed, a misspelling of a real flag
+        // and a flag of another command must fail by name instead of
+        // running with the default. PR 13's names are spelt in two pieces
+        // so a grep for them over the sources stays empty.
         for (command_line, flag) in [
             ("simulate --hosts 2 --vms 2", concat!("sim", "-threads")),
             ("serve --checkpoint x", concat!("sha", "rds")),
+            ("simulate", "stream"),
+            ("simulate", "chunk-steps"),
+            ("sweep", "stream"),
+            ("sweep", "chunk-steps"),
             ("simulate", "chunk-step"),
-            ("compare", "stream"),
+            ("trace-gen", "scheduler"),
         ] {
             let line = format!("{command_line} --{flag} 2");
             let err = dispatch(&parse(&line)).unwrap_err();
@@ -1480,6 +1370,10 @@ mod tests {
             );
             assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
         }
+        // `compare` is gone: `simulate --scheduler all` runs its rows.
+        let err = dispatch(&parse("compare --hosts 2")).unwrap_err();
+        assert_eq!(err, ArgsError::UnknownCommand("compare".into()));
+        assert!(err.to_string().contains("compare"), "{err}");
 
         // Every flag line `help()` prints is accepted by each command
         // its section is for.
@@ -1504,7 +1398,7 @@ mod tests {
                 }
             } else if let Some(title) = line.strip_suffix(':') {
                 commands = match title {
-                    "COMMON OPTIONS" => vec!["simulate", "compare", "sweep", "trace-gen"],
+                    "COMMON OPTIONS" => vec!["simulate", "sweep", "trace-gen"],
                     "ENGINE OPTIONS (simulate, sweep)" => vec!["simulate", "sweep"],
                     command_name => vec![command_name],
                 };
@@ -1525,12 +1419,7 @@ mod tests {
     #[test]
     fn help_documents_streaming_flags() {
         let h = help();
-        for flag in [
-            "--chunk-steps",
-            "--progress-every",
-            "--stream",
-            "--mem-stats",
-        ] {
+        for flag in ["--progress-every", "--mem-stats", "--file"] {
             assert!(h.contains(flag), "missing {flag} in help:\n{h}");
         }
     }

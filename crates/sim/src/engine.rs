@@ -23,13 +23,13 @@
 //! # Streaming
 //!
 //! The loop is driven by any [`TraceSource`], pulling utilization
-//! columns in chunks of [`SimOptions::chunk_steps`] steps, so a run
-//! holds only the current chunk in memory regardless of trace length.
-//! [`Simulation::run`] streams from an in-memory [`WorkloadTrace`]
-//! cursor; [`run_streamed`] drives the same loop from a lazy source
-//! (generator or file reader) without ever materializing the trace.
-//! Outcomes are byte-identical for any chunk size (see
-//! [`SimulationOutcome::fingerprint`]).
+//! columns one simulated day ([`STEPS_PER_DAY`] steps) at a time, so a
+//! run holds only the current chunk in memory regardless of trace
+//! length. [`Simulation::run`] streams from an in-memory
+//! [`WorkloadTrace`] cursor; [`run_streamed`] drives the same loop from
+//! a lazy source (generator or file reader) without ever materializing
+//! the trace. Outcomes do not depend on the chunk size (the engine's
+//! tests sweep it; see [`SimulationOutcome::fingerprint`]).
 //!
 //! A step runs on one thread: the phase-5 accounting is a few
 //! microseconds of arithmetic, less than one hand-off to a worker
@@ -42,7 +42,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use megh_trace::{TraceSource, WorkloadTrace};
+use megh_trace::{TraceSource, WorkloadTrace, STEPS_PER_DAY};
 
 use crate::step::{host_metrics_chunk, vm_sla_chunk};
 use crate::{
@@ -50,29 +50,13 @@ use crate::{
     StepRecord, SummaryReport,
 };
 
-/// Tuning knobs for the streaming step loop.
-///
-/// The defaults reproduce the paper setup: one simulated day per chunk
-/// (288 five-minute steps), no progress output. Every combination of
-/// these knobs yields a byte-identical [`SimulationOutcome`]; they
-/// trade memory only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Operator knobs for the step loop. None of them changes the
+/// [`SimulationOutcome`]; the default prints nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimOptions {
-    /// Trace steps fetched per [`TraceSource::fill_chunk`] call. Peak
-    /// trace memory is `chunk_steps × n_vms` doubles. Clamped to ≥ 1.
-    pub chunk_steps: usize,
     /// Emit a progress/ETA line on stderr roughly every this many
-    /// steps; 0 disables progress output.
+    /// steps (reported at chunk boundaries); 0 disables progress output.
     pub progress_every: usize,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        Self {
-            chunk_steps: 288,
-            progress_every: 0,
-        }
-    }
 }
 
 /// A configured simulation, ready to run a scheduler over a trace.
@@ -127,7 +111,7 @@ impl Simulation {
         })
     }
 
-    /// Replaces the streaming options (builder style).
+    /// Replaces the step-loop options (builder style).
     pub fn with_options(mut self, options: SimOptions) -> Self {
         self.options = options;
         self
@@ -148,7 +132,7 @@ impl Simulation {
         &self.initial_placement
     }
 
-    /// The active streaming options.
+    /// The active step-loop options.
     pub fn options(&self) -> &SimOptions {
         &self.options
     }
@@ -254,13 +238,14 @@ impl Simulation {
             max_steps,
             scheduler,
             &self.options,
+            STEPS_PER_DAY,
         )
     }
 }
 
 /// Runs a scheduler directly over a lazy [`TraceSource`] without ever
 /// materializing the full trace: peak trace memory is one chunk
-/// ([`SimOptions::chunk_steps`] columns), independent of trace length.
+/// ([`STEPS_PER_DAY`] columns), independent of trace length.
 ///
 /// The source must be freshly constructed or [`TraceSource::reset`];
 /// its declared header drives validation and the step count. The
@@ -305,14 +290,16 @@ pub fn run_streamed<T: TraceSource, S: Scheduler>(
         header.n_steps,
         scheduler,
         &options,
+        STEPS_PER_DAY,
     ))
 }
 
 /// The step loop shared by [`Simulation::run_steps`] and
 /// [`run_streamed`]. `source` must be positioned at step 0; the loop
-/// pulls `opts.chunk_steps` columns at a time and stops early if the
-/// source dries up before its declared `n_steps` (e.g. a file reader
-/// that hit an I/O error mid-stream).
+/// pulls `chunk_steps` columns at a time (both callers pass one day;
+/// the tests sweep it) and stops early if the source dries up before
+/// its declared `n_steps` (e.g. a file reader that hit a malformed
+/// line, which the reader keeps for its caller to report).
 fn run_core<T: TraceSource, S: Scheduler>(
     config: &DataCenterConfig,
     initial_placement: &[usize],
@@ -320,6 +307,7 @@ fn run_core<T: TraceSource, S: Scheduler>(
     max_steps: usize,
     mut scheduler: S,
     opts: &SimOptions,
+    chunk_steps: usize,
 ) -> SimulationOutcome {
     let header = source.header();
     let n = config.vms.len();
@@ -328,7 +316,7 @@ fn run_core<T: TraceSource, S: Scheduler>(
     let steps = max_steps.min(header.n_steps);
     let cap = config.migration_cap();
     let cost = &config.cost;
-    let chunk_steps = opts.chunk_steps.max(1);
+    let chunk_steps = chunk_steps.max(1);
 
     let mut placement = initial_placement.to_vec();
     let mut vm_downtime_s = vec![0.0f64; n];
@@ -691,8 +679,8 @@ impl SimulationOutcome {
     /// event log, the final placement, and the per-VM / per-host
     /// accumulators. `decision_micros` is excluded — it measures wall
     /// clock. Two runs of the same scheduler over the same trace must
-    /// produce equal fingerprints regardless of [`SimOptions`]; the CI
-    /// equivalence tests assert exactly that.
+    /// produce equal fingerprints regardless of [`SimOptions`] and of the
+    /// chunk size; the CI equivalence tests assert exactly that.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "scheduler={};", self.scheduler);
@@ -1192,17 +1180,18 @@ mod tests {
     #[test]
     fn streaming_chunk_size_is_invisible() {
         let (config, trace) = busy_setup(50);
-        let base = Simulation::new(config.clone(), trace.clone())
-            .unwrap()
-            .run(Rotor);
+        let sim = Simulation::new(config.clone(), trace.clone()).unwrap();
+        let base = sim.run(Rotor);
         for chunk_steps in [1usize, 7, 64, 50] {
-            let out = Simulation::new(config.clone(), trace.clone())
-                .unwrap()
-                .with_options(SimOptions {
-                    chunk_steps,
-                    ..SimOptions::default()
-                })
-                .run(Rotor);
+            let out = run_core(
+                &config,
+                sim.initial_placement(),
+                trace.cursor(),
+                trace.n_steps(),
+                Rotor,
+                &SimOptions::default(),
+                chunk_steps,
+            );
             assert_eq!(
                 out.fingerprint(),
                 base.fingerprint(),
@@ -1220,16 +1209,7 @@ mod tests {
         config.initial_placement = InitialPlacement::DemandPacked;
         let trace = gen.generate_steps(30);
         let base = Simulation::new(config.clone(), trace).unwrap().run(Rotor);
-        let out = run_streamed(
-            &config,
-            gen.source(30),
-            Rotor,
-            SimOptions {
-                chunk_steps: 7,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
+        let out = run_streamed(&config, gen.source(30), Rotor, SimOptions::default()).unwrap();
         assert_eq!(out.fingerprint(), base.fingerprint());
     }
 
@@ -1256,10 +1236,7 @@ mod tests {
         }
         let gen = PlanetLabConfig::new(8, 21);
         let (config, _) = busy_setup(1);
-        let options = SimOptions {
-            chunk_steps: 7,
-            ..SimOptions::default()
-        };
+        let options = SimOptions::default();
         let honest = run_streamed(&config, gen.source(30), Rotor, options).unwrap();
         let lied = run_streamed(&config, Liar(gen.source(30)), Rotor, options).unwrap();
         assert_eq!(lied.records().len(), 30);

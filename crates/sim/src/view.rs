@@ -30,7 +30,7 @@ impl std::fmt::Display for VmId {
 /// demand and each host's recent utilization, and the scheduler decides
 /// which VMs to migrate where. Everything a scheduler may legitimately
 /// observe is here; schedulers cannot mutate the simulation directly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCenterView {
     pub(crate) step: usize,
     pub(crate) step_seconds: u64,

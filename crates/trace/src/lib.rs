@@ -37,7 +37,6 @@ mod planetlab;
 mod source;
 mod stats;
 mod trace;
-mod transform;
 
 pub use csv::{load_csv, save_csv, CsvSource, TraceCsvError};
 pub use diurnal::DiurnalConfig;
@@ -45,12 +44,10 @@ pub use files::{load_google_usage_csv, load_planetlab_dir, PlanetLabDirSource};
 pub use google::GoogleConfig;
 pub use planetlab::PlanetLabConfig;
 pub use source::{
-    Coarsened, DiurnalSource, GoogleSource, MaterializedSource, Noisy, PlanetLabSource, Scaled,
-    TraceCursor, TraceHeader, TraceSource,
+    DiurnalSource, GoogleSource, PlanetLabSource, TraceCursor, TraceHeader, TraceSource,
 };
 pub use stats::{log10_histogram, CullenFrey, DurationStats, TraceStats};
 pub use trace::WorkloadTrace;
-pub use transform::{add_noise, coarsen, merge_populations, scale_utilization};
 
 /// The observation interval used throughout the paper: 5 minutes.
 pub const STEP_SECONDS: u64 = 300;

@@ -10,11 +10,10 @@
 //! * the synthetic generators ([`PlanetLabSource`], [`GoogleSource`],
 //!   [`DiurnalSource`]) synthesize columns on demand from per-VM RNG
 //!   state, so a year-long trace costs per-VM state, not per-sample RAM;
-//! * [`TraceCursor`] / [`MaterializedSource`] replay an in-memory
-//!   [`WorkloadTrace`] (the materialized case);
-//! * [`Scaled`], [`Noisy`], and [`Coarsened`] are composable adapters
-//!   (`source.scaled(f).with_noise(sigma, seed)`) replacing whole-trace
-//!   transform copies.
+//! * [`TraceCursor`] replays an in-memory [`WorkloadTrace`] (the
+//!   materialized case);
+//! * the file readers (`CsvSource`, `PlanetLabDirSource`) parse one step
+//!   per call from a reused line buffer.
 //!
 //! # Contract
 //!
@@ -126,50 +125,6 @@ pub trait TraceSource {
         WorkloadTrace::from_rows(header.step_seconds, rows)
             .expect("sanitized columns always form a valid trace")
     }
-
-    /// Materializes the whole declared stream (`header().n_steps`).
-    fn materialize(self) -> WorkloadTrace
-    where
-        Self: Sized,
-    {
-        let n = self.header().n_steps;
-        self.take_steps(n)
-    }
-
-    /// Scales every emitted value by `factor`, clamped to `[0, 100]`.
-    fn scaled(self, factor: f64) -> Scaled<Self>
-    where
-        Self: Sized,
-    {
-        Scaled {
-            inner: self,
-            factor,
-        }
-    }
-
-    /// Adds zero-mean Gaussian noise (σ in utilization points) to every
-    /// emitted value, clamped to `[0, 100]`. Deterministic under `seed`.
-    fn with_noise(self, sigma: f64, seed: u64) -> Noisy<Self>
-    where
-        Self: Sized,
-    {
-        Noisy::new(self, sigma, seed)
-    }
-
-    /// Resamples to a coarser interval by averaging whole buckets of
-    /// `factor` consecutive steps (trailing partial buckets dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    fn coarsened(self, factor: usize) -> Coarsened<Self>
-    where
-        Self: Sized,
-    {
-        assert!(factor > 0, "factor must be positive");
-        // The assert makes the fallback unreachable.
-        Coarsened::new(self, NonZeroUsize::new(factor).unwrap_or(NonZeroUsize::MIN))
-    }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for &mut T {
@@ -273,49 +228,10 @@ impl TraceSource for TraceCursor<'_> {
     }
 }
 
-/// An owning [`TraceSource`] over an in-memory [`WorkloadTrace`] — the
-/// materialized case, e.g. for `Box<dyn TraceSource>` pipelines.
-#[derive(Debug, Clone)]
-pub struct MaterializedSource {
-    trace: WorkloadTrace,
-    next: usize,
-}
-
-impl MaterializedSource {
-    /// The wrapped trace.
-    pub fn trace(&self) -> &WorkloadTrace {
-        &self.trace
-    }
-}
-
-impl TraceSource for MaterializedSource {
-    fn header(&self) -> TraceHeader {
-        TraceHeader {
-            n_vms: self.trace.n_vms(),
-            n_steps: self.trace.n_steps(),
-            step_seconds: self.trace.step_seconds(),
-        }
-    }
-    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        fill_from_trace(&self.trace, &mut self.next, buf)
-    }
-    fn reset(&mut self) {
-        self.next = 0;
-    }
-}
-
 impl WorkloadTrace {
     /// A borrowing streaming view of this trace, positioned at step 0.
     pub fn cursor(&self) -> TraceCursor<'_> {
         TraceCursor {
-            trace: self,
-            next: 0,
-        }
-    }
-
-    /// Converts the trace into an owning [`TraceSource`].
-    pub fn into_source(self) -> MaterializedSource {
-        MaterializedSource {
             trace: self,
             next: 0,
         }
@@ -727,142 +643,6 @@ impl TraceSource for DiurnalSource {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Adapters
-//
-// Adapters wrap *any* source and only touch the caller's buffer and
-// their own pre-allocated scratch; what `inner.fill_chunk()` allocates
-// is the wrapped source's business (the file readers allocate an error
-// value once, then go quiescent).
-// ---------------------------------------------------------------------------
-
-/// Adapter multiplying every value by a factor, clamped to `[0, 100]`.
-#[derive(Debug, Clone)]
-pub struct Scaled<S> {
-    inner: S,
-    factor: f64,
-}
-
-impl<S: TraceSource> TraceSource for Scaled<S> {
-    fn header(&self) -> TraceHeader {
-        self.inner.header()
-    }
-
-    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let reported = self.inner.fill_chunk(buf);
-        let cols = columns(buf, self.inner.header().n_vms, reported);
-        let got = cols.len();
-        for v in cols.flatten() {
-            *v = (*v * self.factor).clamp(0.0, 100.0);
-        }
-        got
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// Adapter adding zero-mean Gaussian noise, clamped to `[0, 100]`.
-///
-/// Draws are column-major in stream order, so the noise sequence is
-/// independent of the chunk size used to read the stream.
-#[derive(Debug, Clone)]
-pub struct Noisy<S> {
-    inner: S,
-    seed: u64,
-    rng: StdRng,
-    dist: Normal,
-}
-
-impl<S> Noisy<S> {
-    fn new(inner: S, sigma: f64, seed: u64) -> Self {
-        Self {
-            inner,
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-            dist: Normal::new(0.0, sigma.max(0.0)).expect("sigma >= 0"),
-        }
-    }
-}
-
-impl<S: TraceSource> TraceSource for Noisy<S> {
-    fn header(&self) -> TraceHeader {
-        self.inner.header()
-    }
-
-    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let reported = self.inner.fill_chunk(buf);
-        let cols = columns(buf, self.inner.header().n_vms, reported);
-        let got = cols.len();
-        for v in cols.flatten() {
-            *v = (*v + self.dist.sample(&mut self.rng)).clamp(0.0, 100.0);
-        }
-        got
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.rng = StdRng::seed_from_u64(self.seed);
-    }
-}
-
-/// Adapter averaging whole buckets of `factor` consecutive steps.
-#[derive(Debug, Clone)]
-pub struct Coarsened<S> {
-    inner: S,
-    factor: NonZeroUsize,
-    acc: Vec<f64>,
-}
-
-impl<S: TraceSource> Coarsened<S> {
-    fn new(inner: S, factor: NonZeroUsize) -> Self {
-        let n = inner.header().n_vms;
-        Self {
-            inner,
-            factor,
-            acc: vec![0.0; n],
-        }
-    }
-}
-
-impl<S: TraceSource> TraceSource for Coarsened<S> {
-    fn header(&self) -> TraceHeader {
-        let inner = self.inner.header();
-        TraceHeader {
-            n_vms: inner.n_vms,
-            n_steps: inner.n_steps / self.factor,
-            step_seconds: inner.step_seconds * self.factor.get() as u64,
-        }
-    }
-
-    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let cols = columns(buf, self.inner.header().n_vms, usize::MAX);
-        let coarse_want = cols.len();
-        for (cs, col) in cols.enumerate() {
-            self.acc.iter_mut().for_each(|a| *a = 0.0);
-            for _ in 0..self.factor.get() {
-                // A partial trailing bucket is dropped, matching the
-                // whole-trace `coarsen` transform.
-                if self.inner.fill_chunk(col) == 0 {
-                    return cs;
-                }
-                for (a, &v) in self.acc.iter_mut().zip(col.iter()) {
-                    *a += v;
-                }
-            }
-            for (c, &a) in col.iter_mut().zip(self.acc.iter()) {
-                *c = a / self.factor.get() as f64;
-            }
-        }
-        coarse_want
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,7 +699,6 @@ mod tests {
         let t = toy();
         assert_eq!(t.cursor().take_steps(4), t);
         assert_eq!(t.cursor().take_steps(2), t.truncated(2));
-        assert_eq!(t.clone().into_source().take_steps(4), t);
     }
 
     #[test]
@@ -948,11 +727,6 @@ mod tests {
         assert_eq!(s.fill_chunk(&mut [0.0; 3]), 0, "exhausted before reset");
         s.reset();
         assert_eq!(drain(&mut s, 8), first);
-
-        let mut noisy = DiurnalConfig::new(3, 5).source(20).with_noise(2.0, 77);
-        let first = drain(&mut noisy, 6);
-        noisy.reset();
-        assert_eq!(drain(&mut noisy, 6), first);
     }
 
     #[test]
@@ -963,38 +737,6 @@ mod tests {
         let b = PlanetLabConfig::new(6, 5).source(20).take_steps(20);
         assert_eq!(a.vm_row(0), b.vm_row(0));
         assert_eq!(a.vm_row(1), b.vm_row(1));
-    }
-
-    #[test]
-    fn scaled_adapter_matches_scale_transform() {
-        let t = toy();
-        let scaled = t.cursor().scaled(3.0).take_steps(4);
-        assert_eq!(scaled, crate::scale_utilization(&t, 3.0));
-        assert_eq!(scaled.utilization(0, 3), 100.0, "clamped");
-    }
-
-    #[test]
-    fn coarsened_adapter_averages_and_rescales_interval() {
-        let t = toy();
-        let c = t.cursor().coarsened(2);
-        assert_eq!(
-            c.header(),
-            TraceHeader {
-                n_vms: 2,
-                n_steps: 2,
-                step_seconds: 600
-            }
-        );
-        let coarse = c.take_steps(2);
-        assert_eq!(coarse.utilization(0, 0), 15.0);
-        assert_eq!(coarse.utilization(0, 1), 35.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn coarsened_rejects_zero_factor() {
-        let t = toy();
-        let _ = t.cursor().coarsened(0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The in-memory workload trace representation.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A per-VM CPU-utilization time series sampled at a fixed interval.
@@ -133,25 +131,6 @@ impl WorkloadTrace {
         }
     }
 
-    /// Returns a trace with `k` VMs sampled uniformly without replacement.
-    ///
-    /// This is the paper's §6.3/§6.4 protocol: random subsets of the full
-    /// trace for MadVM comparisons and the scalability sweep. When
-    /// `k >= n_vms()` the whole trace is cloned.
-    pub fn sample_vms<R: Rng>(&self, k: usize, rng: &mut R) -> Self {
-        if k >= self.n_vms() {
-            return self.clone();
-        }
-        let mut indices: Vec<usize> = (0..self.n_vms()).collect();
-        indices.shuffle(rng);
-        indices.truncate(k);
-        indices.sort_unstable();
-        Self {
-            step_seconds: self.step_seconds,
-            rows: indices.iter().map(|&i| self.rows[i].clone()).collect(),
-        }
-    }
-
     /// Mean utilization over all VMs and steps.
     pub fn overall_mean(&self) -> f64 {
         let n = self.n_vms() * self.n_steps();
@@ -165,8 +144,6 @@ impl WorkloadTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn toy() -> WorkloadTrace {
         WorkloadTrace::from_rows(
@@ -223,25 +200,6 @@ mod tests {
         assert_eq!(t.n_vms(), 3);
         // Truncating beyond length is a no-op.
         assert_eq!(toy().truncated(10).n_steps(), 3);
-    }
-
-    #[test]
-    fn sampling_is_without_replacement() {
-        let t = toy();
-        let mut rng = StdRng::seed_from_u64(7);
-        let s = t.sample_vms(2, &mut rng);
-        assert_eq!(s.n_vms(), 2);
-        assert_eq!(s.n_steps(), 3);
-        // Sampling at least n_vms returns everything.
-        assert_eq!(t.sample_vms(5, &mut rng).n_vms(), 3);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_under_seed() {
-        let t = toy();
-        let a = t.sample_vms(2, &mut StdRng::seed_from_u64(42));
-        let b = t.sample_vms(2, &mut StdRng::seed_from_u64(42));
-        assert_eq!(a, b);
     }
 
     #[test]

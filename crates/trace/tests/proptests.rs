@@ -5,8 +5,6 @@ use megh_trace::{
     TraceStats, WorkloadTrace, STEP_SECONDS,
 };
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -59,21 +57,6 @@ proptest! {
         for d in cfg.sample_task_durations(200) {
             prop_assert!(d >= cfg.min_task_seconds * 0.999);
             prop_assert!(d <= cfg.max_task_seconds * 1.001);
-        }
-    }
-
-    /// Sub-sampling VMs preserves rows verbatim and never duplicates.
-    #[test]
-    fn vm_sampling_preserves_rows(k in 0..10usize, seed in 0..100u64) {
-        let trace = PlanetLabConfig::new(8, 3).generate_steps(30);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sub = trace.sample_vms(k, &mut rng);
-        prop_assert_eq!(sub.n_vms(), k.min(8));
-        // Every sampled row must exist in the original.
-        for vm in 0..sub.n_vms() {
-            let row = sub.vm_row(vm);
-            let found = (0..trace.n_vms()).any(|orig| trace.vm_row(orig) == row);
-            prop_assert!(found, "sampled row not found in source");
         }
     }
 
@@ -144,58 +127,6 @@ proptest! {
             );
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Scaling by a factor then by its inverse is identity wherever no
-    /// clamping occurred; all outputs stay in range regardless.
-    #[test]
-    fn scaling_properties(factor in 0.1..3.0f64, seed in 0..50u64) {
-        let trace = PlanetLabConfig::new(4, seed).generate_steps(30);
-        let scaled = megh_trace::scale_utilization(&trace, factor);
-        for vm in 0..scaled.n_vms() {
-            for (step, &u) in scaled.vm_row(vm).iter().enumerate() {
-                prop_assert!((0.0..=100.0).contains(&u));
-                let raw = trace.utilization(vm, step) * factor;
-                if raw <= 100.0 {
-                    prop_assert!((u - raw).abs() < 1e-9);
-                }
-            }
-        }
-    }
-
-    /// Coarsening preserves the overall mean over whole buckets.
-    #[test]
-    fn coarsening_preserves_mean(factor in 1..6usize, seed in 0..50u64) {
-        let steps = 30 - (30 % factor); // whole buckets only
-        let trace = PlanetLabConfig::new(4, seed).generate_steps(steps);
-        let coarse = megh_trace::coarsen(&trace, factor);
-        prop_assert_eq!(coarse.n_steps(), steps / factor);
-        if coarse.n_steps() > 0 {
-            prop_assert!((coarse.overall_mean() - trace.overall_mean()).abs() < 1e-9);
-        }
-    }
-
-    /// Merging keeps every original row findable and the step count is
-    /// the max of the two inputs.
-    #[test]
-    fn merge_properties(n_a in 1..5usize, n_b in 1..5usize, seed in 0..30u64) {
-        let a = PlanetLabConfig::new(n_a, seed).generate_steps(20);
-        let b = PlanetLabConfig::new(n_b, seed + 1).generate_steps(10);
-        let merged = megh_trace::merge_populations(&a, &b);
-        prop_assert_eq!(merged.n_vms(), n_a + n_b);
-        prop_assert_eq!(merged.n_steps(), 20);
-        for vm in 0..n_a {
-            prop_assert_eq!(merged.vm_row(vm), a.vm_row(vm));
-        }
-        // b's rows are zero-padded to a's length.
-        for vm in 0..n_b {
-            prop_assert_eq!(&merged.vm_row(n_a + vm)[..10], b.vm_row(vm));
-            prop_assert!(merged.vm_row(n_a + vm)[10..].iter().all(|&u| u == 0.0));
-        }
-    }
 
     /// The diurnal generator stays in range and keeps its period.
     #[test]
@@ -253,45 +184,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The executed counterpart of the slicing proofs `source.rs` used to
-    /// carry: chunked `fill_chunk` reads over a cursor and both buffer-
-    /// walking adapters reproduce `materialize()` and the adapters'
-    /// per-value formulas bit for bit — for empty fleets, chunks longer
-    /// than the horizon, and horizons the coarsening factor does not
-    /// divide.
+    /// carry: chunked `fill_chunk` reads over a cursor reproduce the trace
+    /// column-major, and `take_steps` materializes it back bit for bit —
+    /// for empty fleets and chunks longer than the horizon.
     #[test]
     fn chunked_reads_reproduce_materialize(
         n_vms in 0..6usize,
         steps in 0..40usize,
         chunk_steps in 1..70usize,
-        factor in 1..5usize,
-        scale in 0.1..3.0f64,
         seed in 0..50u64,
     ) {
         let trace = PlanetLabConfig::new(n_vms, seed).generate_steps(steps);
-        let raw = column_major(&trace);
-
-        prop_assert_eq!(&drain(&mut trace.cursor(), chunk_steps), &raw);
-        prop_assert_eq!(&trace.cursor().materialize(), &trace);
-
-        let scaled = drain(&mut trace.cursor().scaled(scale), chunk_steps);
-        let want: Vec<f64> = raw.iter().map(|u| (u * scale).clamp(0.0, 100.0)).collect();
-        prop_assert_eq!(&scaled, &want);
-        prop_assert_eq!(&scaled, &column_major(&trace.cursor().scaled(scale).materialize()));
-
-        let coarse = drain(&mut trace.cursor().coarsened(factor), chunk_steps);
-        let n = trace.n_vms();
-        let mut want = Vec::new();
-        for bucket in 0..trace.n_steps() / factor {
-            for vm in 0..n {
-                let mut acc = 0.0;
-                for s in 0..factor {
-                    acc += raw[(bucket * factor + s) * n + vm];
-                }
-                want.push(acc / factor as f64);
-            }
-        }
-        prop_assert_eq!(&coarse, &want);
-        prop_assert_eq!(&coarse, &column_major(&trace.cursor().coarsened(factor).materialize()));
+        prop_assert_eq!(&drain(&mut trace.cursor(), chunk_steps), &column_major(&trace));
+        prop_assert_eq!(&trace.cursor().take_steps(trace.n_steps()), &trace);
     }
 }
 
@@ -321,26 +226,9 @@ impl<S: TraceSource> TraceSource for Liar<S> {
 /// same values as the honest run.
 #[test]
 fn over_reporting_source_is_clamped_to_the_buffer() {
-    // 3 VMs × 12 steps, read 4 columns at a time: every buffer is full.
+    // 3 VMs × 12 steps, read in one 12-column buffer that is filled.
     let trace = PlanetLabConfig::new(3, 5).generate_steps(12);
     assert_eq!(Liar(trace.cursor()).take_steps(12), trace);
-    assert_eq!(
-        drain(&mut Liar(trace.cursor()).scaled(1.5), 4),
-        drain(&mut trace.cursor().scaled(1.5), 4)
-    );
-    assert_eq!(
-        drain(&mut Liar(trace.cursor()).with_noise(2.0, 9), 4),
-        drain(&mut trace.cursor().with_noise(2.0, 9), 4)
-    );
-    assert_eq!(
-        drain(&mut Liar(trace.cursor()).coarsened(3), 4),
-        drain(&mut trace.cursor().coarsened(3), 4)
-    );
-    // A buffer with a trailing partial column: the adapter touches whole
-    // columns only, and reports no more of them than there are.
-    let mut buf = vec![-1.0; 2 * 3 + 2];
-    assert_eq!(Liar(trace.cursor()).scaled(2.0).fill_chunk(&mut buf), 2);
-    assert_eq!(buf[6..], [-1.0, -1.0]);
     // Past the end of the inner stream the claim can no longer be told
     // from the truth; it must still not read past the buffer.
     assert!(Liar(trace.cursor()).take_steps(100).n_steps() <= 100);
