@@ -25,6 +25,13 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (explicit panics, determinism types, docs, hot-path indexing/division)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (the ten megh crates: dangling or private intra-doc links)"
+# Not --workspace: that also documents the vendored proptest, whose `[vec]`
+# links are ambiguous.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p megh -p megh-linalg -p megh-trace \
+  -p megh-sim -p megh-core -p megh-serve -p megh-baselines -p megh-flags -p megh-cli \
+  -p megh-bench
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

@@ -1,6 +1,6 @@
 //! VM-selection policies: which VM leaves an overloaded host.
 
-use megh_sim::{DataCenterView, PmId, VmId};
+use megh_sim::{migration_seconds, DataCenterView, PmId, VmId};
 use rand::Rng;
 
 use crate::total_f64;
@@ -17,7 +17,8 @@ pub enum SelectionPolicy {
     Random,
 }
 
-/// Picks the VM with the minimum migration time `RAM / bandwidth` from
+/// Picks the VM with the minimum migration time
+/// ([`migration_seconds`] of its RAM over the host's bandwidth) from
 /// `host`, breaking ties toward the lower VM id.
 ///
 /// Returns `None` when the host runs no VMs.
@@ -32,9 +33,10 @@ pub enum SelectionPolicy {
 /// ```
 pub fn select_minimum_migration_time(view: &DataCenterView, host: PmId) -> Option<VmId> {
     let bw = view.host_bw_mbps(host);
-    view.vms_on(host).into_iter().min_by(|&a, &b| {
-        total_f64(migration_time(view, a, bw), migration_time(view, b, bw)).then(a.0.cmp(&b.0))
-    })
+    let tm = |vm: VmId| migration_seconds(view.vm_ram_mb(vm), bw);
+    view.vms_on(host)
+        .into_iter()
+        .min_by(|&a, &b| total_f64(tm(a), tm(b)).then(a.0.cmp(&b.0)))
 }
 
 /// Picks a uniformly random VM from `host` (ablation control).
@@ -47,13 +49,6 @@ pub fn select_random<R: Rng>(view: &DataCenterView, host: PmId, rng: &mut R) -> 
     } else {
         Some(vms[rng.gen_range(0..vms.len())])
     }
-}
-
-fn migration_time(view: &DataCenterView, vm: VmId, bw_mbps: f64) -> f64 {
-    if bw_mbps <= 0.0 {
-        return f64::INFINITY;
-    }
-    view.vm_ram_mb(vm) * 8.0 / bw_mbps
 }
 
 #[cfg(test)]
@@ -107,7 +102,7 @@ mod tests {
     #[test]
     fn empty_host_selects_nothing() {
         let view = three_vm_setup();
-        // Host 1 has no VMs (FirstFit packed all three on host 0).
+        // Host 1 has no VMs (the explicit placement put all three on host 0).
         assert!(view.is_asleep(PmId(1)));
         assert_eq!(select_minimum_migration_time(&view, PmId(1)), None);
         let mut rng = StdRng::seed_from_u64(1);

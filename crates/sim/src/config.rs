@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::{CostParams, MigrationModel, NetworkModel, PmSpec, VmSpec};
+use crate::{CostParams, PmSpec, VmSpec};
 
 /// How VMs are assigned to hosts before the first step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InitialPlacement {
     /// An explicit VM→host assignment (index `j` gives VM `j`'s host).
     /// Must have one entry per VM, each a valid host index.
@@ -22,9 +20,6 @@ pub enum InitialPlacement {
         /// Seed for the placement RNG.
         seed: u64,
     },
-    /// First-fit by requested MIPS: each VM goes to the first host whose
-    /// total *requested* capacity stays within the β threshold.
-    FirstFit,
     /// First-fit *decreasing by step-0 demand*: VMs are sorted by their
     /// first observed CPU demand and packed onto hosts while demand stays
     /// within the β threshold. This mirrors CloudSim's power-aware
@@ -41,7 +36,7 @@ pub enum InitialPlacement {
 /// counterpart to the trace-driven workload uncertainty. Schedulers see
 /// the outage through [`crate::DataCenterView::is_down`] and are
 /// expected to evacuate; VMs left on a down host accrue full downtime.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostOutage {
     /// The affected host index.
     pub host: usize,
@@ -71,7 +66,7 @@ impl HostOutage {
 /// c.migration_cap_fraction = 0.02;
 /// assert_eq!(c.migration_cap(), 1); // ceil(2 % of 20)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataCenterConfig {
     /// Host catalogue.
     pub pms: Vec<PmSpec>,
@@ -87,23 +82,15 @@ pub struct DataCenterConfig {
     /// Table 2. Megh limits itself through its `actions_per_step`
     /// parameter; set this field to 0.02 to enforce the cap globally.
     pub migration_cap_fraction: f64,
-    /// Length of the per-host utilization history window exposed to
-    /// schedulers (the adaptive MMT detectors use ~10–12 observations).
-    pub history_window: usize,
-    /// How migration duration and downtime are derived (§3.3's single
-    /// copy by default; iterative pre-copy available).
-    pub migration_model: MigrationModel,
-    /// Network fabric model: which migrations contend for bandwidth
-    /// (full bisection by default, the paper's implicit assumption).
-    pub network: NetworkModel,
     /// Scheduled host outages (maintenance windows / injected failures).
     pub outages: Vec<HostOutage>,
-    /// CPU oversubscription ratio: a host may carry VMs whose *requested*
-    /// MIPS total up to `ratio × capacity`. CloudSim reserves requested
+    /// CPU oversubscription ratio for the initial packing: demand-packed
+    /// placement puts a VM on a host only while the *requested* MIPS
+    /// there total at most `ratio × capacity`. CloudSim reserves requested
     /// capacity outright (ratio 1, no overcommit); real IaaS clouds
-    /// oversubscribe CPU. Placement policies (initial packing, PABFD,
-    /// MadVM) honor this bound; it caps how hard consolidation can pack
-    /// and therefore how much SLA-relevant overload is even possible.
+    /// oversubscribe CPU. Only the initial packing reads it: PABFD
+    /// deliberately ignores it and MadVM never reads it, and the engine
+    /// does not force it on scheduler actions.
     pub oversubscription_ratio: f64,
 }
 
@@ -117,9 +104,6 @@ impl DataCenterConfig {
             cost: CostParams::paper_defaults(),
             initial_placement: InitialPlacement::RoundRobin,
             migration_cap_fraction: 1.0,
-            history_window: 12,
-            migration_model: MigrationModel::Simple,
-            network: NetworkModel::FullBisection,
             outages: Vec::new(),
             oversubscription_ratio: 2.0,
         }
@@ -149,12 +133,15 @@ impl DataCenterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when VMs exist without hosts, or any spec has
-    /// a non-positive capacity.
+    /// Returns [`SimError`] when VMs exist without hosts, any spec has a
+    /// non-positive capacity or bandwidth or a negative RAM size, or a
+    /// parameter, outage or explicit placement is out of range.
     pub fn validate(&self) -> Result<(), SimError> {
         if !self.vms.is_empty() && self.pms.is_empty() {
             return Err(SimError::NoHosts);
         }
+        // A positive NIC and non-negative RAM keep every migration's
+        // `migration_seconds` finite and non-negative in the step loop.
         if let Some(i) = self
             .pms
             .iter()
@@ -168,9 +155,6 @@ impl DataCenterConfig {
             .position(|v| v.mips <= 0.0 || v.ram_mb < 0.0)
         {
             return Err(SimError::InvalidVm(j));
-        }
-        if self.history_window == 0 {
-            return Err(SimError::InvalidParameter("history_window must be ≥ 1"));
         }
         if !(0.0..=1.0).contains(&self.migration_cap_fraction) {
             return Err(SimError::InvalidParameter(
@@ -208,110 +192,6 @@ impl DataCenterConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// A builder for [`DataCenterConfig`], validating on
-/// [`DataCenterBuilder::build`].
-///
-/// # Examples
-///
-/// ```
-/// use megh_sim::{DataCenterConfig, InitialPlacement, PmSpec, VmSpec};
-///
-/// let config = DataCenterConfig::builder()
-///     .hosts(PmSpec::paper_fleet(4))
-///     .vms(VmSpec::paper_mix(8, 1))
-///     .placement(InitialPlacement::DemandPacked)
-///     .migration_cap_fraction(0.02)
-///     .build()?;
-/// assert_eq!(config.pms.len(), 4);
-/// # Ok::<(), megh_sim::SimError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct DataCenterBuilder {
-    config: DataCenterConfig,
-}
-
-impl DataCenterConfig {
-    /// Starts a builder from the paper's cost model and defaults, with
-    /// an empty fleet.
-    pub fn builder() -> DataCenterBuilder {
-        DataCenterBuilder {
-            config: DataCenterConfig::paper_planetlab(0, 0),
-        }
-    }
-}
-
-impl DataCenterBuilder {
-    /// Sets the host catalogue.
-    pub fn hosts(mut self, pms: Vec<PmSpec>) -> Self {
-        self.config.pms = pms;
-        self
-    }
-
-    /// Sets the VM catalogue.
-    pub fn vms(mut self, vms: Vec<VmSpec>) -> Self {
-        self.config.vms = vms;
-        self
-    }
-
-    /// Overrides the cost model.
-    pub fn cost(mut self, cost: CostParams) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Sets the initial placement policy.
-    pub fn placement(mut self, placement: InitialPlacement) -> Self {
-        self.config.initial_placement = placement;
-        self
-    }
-
-    /// Caps migrations per step to this fraction of the VM count.
-    pub fn migration_cap_fraction(mut self, fraction: f64) -> Self {
-        self.config.migration_cap_fraction = fraction;
-        self
-    }
-
-    /// Sets the per-host utilization history window length.
-    pub fn history_window(mut self, window: usize) -> Self {
-        self.config.history_window = window;
-        self
-    }
-
-    /// Sets the migration timing model.
-    pub fn migration_model(mut self, model: MigrationModel) -> Self {
-        self.config.migration_model = model;
-        self
-    }
-
-    /// Sets the network fabric model.
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.config.network = network;
-        self
-    }
-
-    /// Sets the CPU oversubscription ratio.
-    pub fn oversubscription_ratio(mut self, ratio: f64) -> Self {
-        self.config.oversubscription_ratio = ratio;
-        self
-    }
-
-    /// Adds a scheduled host outage.
-    pub fn outage(mut self, outage: HostOutage) -> Self {
-        self.config.outages.push(outage);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] exactly as [`DataCenterConfig::validate`].
-    pub fn build(self) -> Result<DataCenterConfig, SimError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -444,10 +324,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_parameters() {
         let mut c = DataCenterConfig::paper_planetlab(2, 2);
-        c.history_window = 0;
-        assert!(matches!(c.validate(), Err(SimError::InvalidParameter(_))));
-
-        let mut c = DataCenterConfig::paper_planetlab(2, 2);
         c.migration_cap_fraction = 1.5;
         assert!(matches!(c.validate(), Err(SimError::InvalidParameter(_))));
     }
@@ -499,48 +375,6 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn builder_produces_validated_configs() {
-        let config = DataCenterConfig::builder()
-            .hosts(PmSpec::paper_fleet(3))
-            .vms(VmSpec::paper_mix(5, 2))
-            .placement(InitialPlacement::RoundRobin)
-            .oversubscription_ratio(1.5)
-            .history_window(8)
-            .outage(HostOutage {
-                host: 1,
-                from_step: 3,
-                until_step: 5,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(config.pms.len(), 3);
-        assert_eq!(config.oversubscription_ratio, 1.5);
-        assert_eq!(config.history_window, 8);
-        assert_eq!(config.outages.len(), 1);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configs() {
-        let err = DataCenterConfig::builder()
-            .vms(VmSpec::paper_mix(2, 1))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SimError::NoHosts);
-
-        let err = DataCenterConfig::builder()
-            .hosts(PmSpec::paper_fleet(2))
-            .vms(VmSpec::paper_mix(2, 1))
-            .outage(HostOutage {
-                host: 7,
-                from_step: 0,
-                until_step: 1,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::InvalidParameter(_)));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 3. validates the requested migrations (in-range, not self-migrations,
 //!    one per VM) and truncates to the configured per-step cap,
 //! 4. applies them: the VM moves, and `migration_downtime_fraction × TM`
-//!    seconds of downtime accrue to it, where `TM = RAM/bandwidth` (§3.3),
+//!    seconds of downtime accrue to it, where [`migration_seconds`]
+//!    gives `TM = 8·RAM/B` over the slower of the two NICs, or over the
+//!    destination's NIC when the source host is down (§3.3),
 //! 5. accounts energy (SPECpower draw × τ; hosts with no VMs sleep at
 //!    0 W) and SLA costs (hosts whose demand exceeds capacity add the
 //!    unserved fraction of τ as downtime to each of their VMs;
@@ -46,9 +48,14 @@ use megh_trace::{TraceSource, WorkloadTrace, STEPS_PER_DAY};
 
 use crate::step::{host_metrics_chunk, vm_sla_chunk};
 use crate::{
-    config::InitialPlacement, DataCenterConfig, DataCenterView, Scheduler, SimError, StepFeedback,
-    StepRecord, SummaryReport,
+    config::InitialPlacement, migration_seconds, DataCenterConfig, DataCenterView, Scheduler,
+    SimError, StepFeedback, StepRecord, SummaryReport,
 };
+
+/// Length of the per-host utilization history handed to schedulers
+/// ([`DataCenterView::host_history`]); the adaptive MMT detectors read
+/// the last 10–12 observations.
+const HISTORY_WINDOW: usize = 12;
 
 /// Operator knobs for the step loop. None of them changes the
 /// [`SimulationOutcome`]; the default prints nothing.
@@ -171,10 +178,6 @@ impl Simulation {
             InitialPlacement::RandomUniform { seed } => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 (0..n).map(|_| rng.gen_range(0..m)).collect()
-            }
-            InitialPlacement::FirstFit => {
-                let loads: Vec<f64> = config.vms.iter().map(|vm| vm.mips).collect();
-                Self::first_fit(config, (0..n).collect(), &loads)
             }
             InitialPlacement::DemandPacked => {
                 let loads: Vec<f64> = (0..n)
@@ -396,11 +399,9 @@ fn run_core<T: TraceSource, S: Scheduler>(
             let demand: Vec<f64> = (0..n).map(|j| util[j] / 100.0 * vm_mips[j]).collect();
 
             let mut host_used = vec![0.0f64; m];
-            let mut host_reserved = vec![0.0f64; m];
             let mut host_vms: Vec<Vec<usize>> = vec![Vec::new(); m];
             for j in 0..n {
                 host_used[placement[j]] += demand[j];
-                host_reserved[placement[j]] += vm_mips[j];
                 host_vms[placement[j]].push(j);
             }
 
@@ -412,9 +413,8 @@ fn run_core<T: TraceSource, S: Scheduler>(
                     0.0
                 };
                 host_history[h].push(u);
-                let window = config.history_window;
-                if host_history[h].len() > window {
-                    let excess = host_history[h].len() - window;
+                if host_history[h].len() > HISTORY_WINDOW {
+                    let excess = host_history[h].len() - HISTORY_WINDOW;
                     host_history[h].drain(..excess);
                 }
             }
@@ -433,10 +433,8 @@ fn run_core<T: TraceSource, S: Scheduler>(
                 host_vms,
                 host_history: host_history.clone(),
                 host_power: host_power.clone(),
-                host_reserved_mips: host_reserved,
                 host_down: down.clone(),
                 beta_overload: cost.beta_overload,
-                oversubscription_ratio: config.oversubscription_ratio,
                 migration_cap: cap,
             };
 
@@ -449,47 +447,29 @@ fn run_core<T: TraceSource, S: Scheduler>(
             let requested = scheduler.decide(&view);
             let decision_micros = started.elapsed().as_micros() as u64;
 
-            // 4. Validate, dedupe per VM, cap; then price the whole
-            // batch's bandwidth at once (concurrent migrations may
-            // share rack uplinks) and apply.
+            // 4. Validate, dedupe per VM, cap, and apply.
             let mut seen = vec![false; n];
-            let mut staged: Vec<(usize, usize, usize)> = Vec::new(); // (vm, src, dst)
+            let mut applied = Vec::new();
+            let mut migration_events = Vec::new();
             for req in requested {
-                if staged.len() >= cap {
+                if applied.len() >= cap {
                     break;
                 }
-                let (j, k) = (req.vm.0, req.target.0);
-                if j >= n || k >= m || placement[j] == k || seen[j] || down[k] {
+                let (j, dst) = (req.vm.0, req.target.0);
+                if j >= n || dst >= m || placement[j] == dst || seen[j] || down[dst] {
                     continue; // a down host cannot receive a VM
                 }
                 seen[j] = true;
-                staged.push((j, placement[j], k));
-            }
-            let endpoints: Vec<(usize, usize, f64)> = staged
-                .iter()
-                .map(|&(_, src, dst)| {
-                    // Evacuating a down host copies from storage at the
-                    // destination's speed; otherwise the slower NIC binds.
-                    let bw = if down[src] {
-                        host_bw[dst]
-                    } else {
-                        host_bw[src].min(host_bw[dst])
-                    };
-                    (src, dst, bw)
-                })
-                .collect();
-            let effective_bw = config.network.effective_bandwidths(&endpoints);
-            let mut applied = Vec::new();
-            let mut migration_events = Vec::new();
-            for (&(j, src, dst), &bw) in staged.iter().zip(&effective_bw) {
-                let Some(estimate) = config.migration_model.estimate(
-                    config.vms[j].ram_mb,
-                    bw,
-                    cost.migration_downtime_fraction,
-                ) else {
-                    continue;
+                let src = placement[j];
+                // Evacuating a down host copies from storage at the
+                // destination's speed; otherwise the slower NIC binds.
+                let bw = if down[src] {
+                    host_bw[dst]
+                } else {
+                    host_bw[src].min(host_bw[dst])
                 };
-                vm_downtime_s[j] += estimate.downtime_seconds;
+                vm_downtime_s[j] += cost.migration_downtime_fraction.clamp(0.0, 1.0)
+                    * migration_seconds(vm_ram[j], bw);
                 host_used[src] -= demand[j];
                 host_used[dst] += demand[j];
                 placement[j] = dst;
@@ -786,27 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_respects_beta() {
-        let mut config = DataCenterConfig::paper_planetlab(4, 6);
-        config.initial_placement = InitialPlacement::FirstFit;
-        let trace = flat_trace(6, 2, 10.0);
-        let sim = Simulation::new(config.clone(), trace).unwrap();
-        // Requested MIPS per host never exceeds β × capacity at placement
-        // time unless overcommit was forced (not the case for 6 VMs on 4
-        // hosts here).
-        let mut requested = [0.0; 4];
-        for (j, &h) in sim.initial_placement().iter().enumerate() {
-            requested[h] += config.vms[j].mips;
-        }
-        for (h, req) in requested.iter().enumerate() {
-            assert!(
-                req / config.pms[h].mips <= config.cost.beta_overload + 1e-9,
-                "host {h} over-committed at placement time"
-            );
-        }
-    }
-
-    #[test]
     fn noop_run_has_no_migrations_and_positive_cost() {
         let trace = flat_trace(4, 6, 20.0);
         let sim = Simulation::new(DataCenterConfig::paper_planetlab(2, 4), trace).unwrap();
@@ -820,15 +779,15 @@ mod tests {
 
     #[test]
     fn energy_cost_matches_hand_computation() {
-        // 1 host awake, 1 asleep. Two small VMs first-fit onto host 0 at
-        // 0 % utilization.
+        // 1 host awake, 1 asleep. Two small VMs on host 0 at 0 %
+        // utilization.
         let mut config = DataCenterConfig::paper_planetlab(2, 2);
         config.vms = vec![
             crate::VmSpec::new(500.0, 613.0, 100.0),
             crate::VmSpec::new(500.0, 613.0, 100.0),
         ];
         let trace = flat_trace(2, 1, 0.0);
-        config.initial_placement = InitialPlacement::FirstFit;
+        config.initial_placement = InitialPlacement::Explicit(vec![0, 0]);
         let sim = Simulation::new(config.clone(), trace).unwrap();
         let outcome = sim.run(NoOpScheduler);
         let r = &outcome.records()[0];
@@ -849,6 +808,31 @@ mod tests {
         assert_eq!(outcome.final_placement()[0], 2);
         assert!(outcome.vm_downtime_seconds()[0] > 0.0);
         assert_eq!(outcome.vm_downtime_seconds()[1], 0.0);
+    }
+
+    #[test]
+    fn migration_downtime_is_alpha_tm_over_the_binding_nic() {
+        // vm0 leaves host 0, whose NIC is slow, for host 2: the slower
+        // NIC binds. With host 0 down the copy runs at host 2's speed.
+        let downtime = |source_down: bool| {
+            let mut config = DataCenterConfig::paper_planetlab(3, 2);
+            config.pms[0].bw_mbps = 100.0;
+            config.initial_placement = InitialPlacement::Explicit(vec![0, 1]);
+            if source_down {
+                config.outages = vec![crate::HostOutage {
+                    host: 0,
+                    from_step: 0,
+                    until_step: 1,
+                }];
+            }
+            let sim = Simulation::new(config, flat_trace(2, 1, 10.0)).unwrap();
+            sim.run(OneMove { vm: 0, target: 2 }).vm_downtime_seconds()[0]
+        };
+        let config = DataCenterConfig::paper_planetlab(3, 2);
+        let alpha = config.cost.migration_downtime_fraction;
+        let ram = config.vms[0].ram_mb;
+        assert_eq!(downtime(false), alpha * migration_seconds(ram, 100.0));
+        assert_eq!(downtime(true), alpha * migration_seconds(ram, 1000.0));
     }
 
     #[test]
@@ -981,76 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_network_slows_concurrent_inter_rack_migrations() {
-        // Two hosts per rack, heavy oversubscription; two simultaneous
-        // inter-rack migrations must each see less downtime-relevant
-        // bandwidth than a lone one would.
-        struct MoveTwo;
-        impl Scheduler for MoveTwo {
-            fn name(&self) -> &str {
-                "MoveTwo"
-            }
-            fn decide(&mut self, view: &DataCenterView) -> Vec<MigrationRequest> {
-                if view.step() == 0 {
-                    vec![
-                        MigrationRequest::new(VmId(0), PmId(2)),
-                        MigrationRequest::new(VmId(1), PmId(3)),
-                    ]
-                } else {
-                    Vec::new()
-                }
-            }
-        }
-        let run_with = |network: crate::NetworkModel| {
-            let mut config = DataCenterConfig::paper_planetlab(4, 2);
-            config.vms = vec![crate::VmSpec::new(1000.0, 1024.0, 100.0); 2];
-            config.initial_placement = InitialPlacement::Explicit(vec![0, 1]);
-            config.network = network;
-            let trace = flat_trace(2, 2, 10.0);
-            let sim = Simulation::new(config, trace).unwrap();
-            let outcome = sim.run(MoveTwo);
-            assert_eq!(outcome.report().total_migrations, 2);
-            outcome.vm_downtime_seconds().to_vec()
-        };
-        let full = run_with(crate::NetworkModel::FullBisection);
-        let shared = run_with(crate::NetworkModel::RackOversubscribed {
-            hosts_per_rack: 2,
-            ratio: 8.0,
-        });
-        for (f, s) in full.iter().zip(&shared) {
-            assert!(
-                s > f,
-                "contended migration must incur more downtime ({s} vs {f})"
-            );
-        }
-    }
-
-    #[test]
-    fn precopy_migration_model_changes_downtime() {
-        let run_with = |model: crate::MigrationModel| {
-            let mut config = DataCenterConfig::paper_planetlab(3, 2);
-            config.vms = vec![crate::VmSpec::new(1000.0, 2048.0, 100.0); 2];
-            config.migration_model = model;
-            let trace = flat_trace(2, 2, 10.0);
-            let sim = Simulation::new(config, trace).unwrap();
-            let outcome = sim.run(OneMove { vm: 0, target: 2 });
-            outcome.vm_downtime_seconds()[0]
-        };
-        let simple = run_with(crate::MigrationModel::Simple);
-        let precopy = run_with(crate::MigrationModel::PreCopy(
-            crate::PreCopyModel::default(),
-        ));
-        assert!(simple > 0.0);
-        assert!(precopy > 0.0);
-        // The idle-ish VM dirties slowly: pre-copy's stop-and-copy pause
-        // is far below the simple model's 10 % blanket charge.
-        assert!(
-            precopy < simple,
-            "precopy {precopy} should undercut simple {simple} for a quiet VM"
-        );
-    }
-
-    #[test]
     fn event_log_tracks_sleep_and_wake_edges() {
         // vm0 moves from host 0 (shared with vm1) to empty host 2 at
         // step 0: host 2 wakes; nothing sleeps. No further changes.
@@ -1123,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn history_window_is_bounded() {
+    fn host_history_is_bounded() {
         struct HistoryProbe {
             max_seen: usize,
         }
@@ -1139,13 +1053,11 @@ mod tests {
             }
         }
         let trace = flat_trace(2, 40, 10.0);
-        let mut config = DataCenterConfig::paper_planetlab(2, 2);
-        config.history_window = 7;
-        let sim = Simulation::new(config, trace).unwrap();
+        let sim = Simulation::new(DataCenterConfig::paper_planetlab(2, 2), trace).unwrap();
         // Run and inspect via a probe-owned max (scheduler is consumed).
         let mut probe = HistoryProbe { max_seen: 0 };
         sim.run(&mut probe);
-        assert_eq!(probe.max_seen, 7);
+        assert_eq!(probe.max_seen, HISTORY_WINDOW);
     }
 
     /// A contrived scheduler that migrates a rotating VM every step so

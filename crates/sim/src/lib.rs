@@ -59,8 +59,6 @@ mod config;
 mod cost;
 mod engine;
 mod metrics;
-mod migration;
-mod network;
 mod power;
 mod scheduler;
 mod slav;
@@ -69,15 +67,13 @@ mod step;
 pub mod sweep;
 mod view;
 
-pub use config::{DataCenterBuilder, DataCenterConfig, HostOutage, InitialPlacement, SimError};
+pub use config::{DataCenterConfig, HostOutage, InitialPlacement, SimError};
 pub use cost::{CostParams, SlaBand};
 pub use engine::{run_streamed, SimOptions, Simulation, SimulationOutcome};
 pub use metrics::{Comparison, MigrationEvent, StepEvents, StepRecord, SummaryReport};
-pub use migration::{MigrationEstimate, MigrationModel, PreCopyModel};
-pub use network::NetworkModel;
 pub use power::PowerModel;
 pub use scheduler::{MigrationRequest, NoOpScheduler, Scheduler, StepFeedback};
 pub use slav::SlavMetrics;
-pub use spec::{PmSpec, VmSpec};
+pub use spec::{migration_seconds, PmSpec, VmSpec};
 pub use sweep::{run_sweep, SeedRun, SweepReport};
 pub use view::{DataCenterView, PmId, VmId};

@@ -124,17 +124,23 @@ impl VmSpec {
             .map(|_| types[rng.gen_range(0..types.len())].clone())
             .collect()
     }
+}
 
-    /// Expected live-migration duration onto/off a host with `host_bw`
-    /// Mbps: all RAM pages copied over the network, `TM = M / B` (§3.3).
-    ///
-    /// RAM is megabytes, bandwidth megabits/s, so the factor 8 converts.
-    pub fn migration_seconds(&self, host_bw_mbps: f64) -> f64 {
-        if host_bw_mbps <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.ram_mb * 8.0 / host_bw_mbps
+/// Live-migration duration in seconds: all of a VM's `ram_mb` megabytes
+/// copied once over a `bw_mbps` megabit/s link, `TM = 8·RAM/B` (§3.3).
+/// Infinite when the link has no bandwidth.
+///
+/// # Examples
+///
+/// ```
+/// // §6.3: a 0.5 GB VM takes at least 4000 ms over 1 Gbps.
+/// assert_eq!(megh_sim::migration_seconds(512.0, 1000.0), 4.096);
+/// ```
+pub fn migration_seconds(ram_mb: f64, bw_mbps: f64) -> f64 {
+    if bw_mbps <= 0.0 {
+        return f64::INFINITY;
     }
+    ram_mb * 8.0 / bw_mbps
 }
 
 #[cfg(test)]
@@ -170,16 +176,15 @@ mod tests {
     fn migration_time_matches_paper_figure() {
         // §6.3: "the migration time of a VM of 0.5 GB RAM is at least
         // 4000 ms" on the 1 Gbps PlanetLab setup.
-        let vm = VmSpec::new(500.0, 512.0, 100.0);
-        let tm = vm.migration_seconds(1000.0);
+        let tm = migration_seconds(512.0, 1000.0);
         assert!((tm - 4.096).abs() < 1e-9, "tm = {tm}");
         assert!(tm * 1000.0 >= 4000.0);
     }
 
     #[test]
     fn migration_time_with_zero_bandwidth_is_infinite() {
-        let vm = VmSpec::new(500.0, 512.0, 100.0);
-        assert!(vm.migration_seconds(0.0).is_infinite());
+        assert!(migration_seconds(512.0, 0.0).is_infinite());
+        assert!(migration_seconds(512.0, -1.0).is_infinite());
     }
 
     #[test]

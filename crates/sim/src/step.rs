@@ -12,7 +12,7 @@
 //! there is nothing in them to allocate, and clippy rejects an index, a
 //! division or an explicit panic here (attribute below and crate root).
 //! The loop that calls them is another matter — `run_core` rebuilds the
-//! scheduler's view every step, 118 allocations at 50 × 66 — which is
+//! scheduler's view every step, 117 allocations at 50 × 66 — which is
 //! why `crates/core/tests/no_alloc.rs` counts inside the scheduler's
 //! calls only.
 #![cfg_attr(

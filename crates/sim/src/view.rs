@@ -45,10 +45,8 @@ pub struct DataCenterView {
     pub(crate) host_vms: Vec<Vec<usize>>,
     pub(crate) host_history: Vec<Vec<f64>>,
     pub(crate) host_power: std::sync::Arc<Vec<PowerModel>>,
-    pub(crate) host_reserved_mips: Vec<f64>,
     pub(crate) host_down: Vec<bool>,
     pub(crate) beta_overload: f64,
-    pub(crate) oversubscription_ratio: f64,
     pub(crate) migration_cap: usize,
 }
 
@@ -73,8 +71,10 @@ impl DataCenterView {
         self.host_mips.len()
     }
 
-    /// Maximum number of migrations the engine will apply this step
-    /// (§6.1: at most 2 % of VMs).
+    /// Maximum number of migrations the engine will apply this step:
+    /// [`crate::DataCenterConfig::migration_cap`], which is every VM under the
+    /// default fraction 1.0 (uncapped) and `ceil(2 % of VMs)` under §6.1's
+    /// cap of 0.02.
     pub fn migration_cap(&self) -> usize {
         self.migration_cap
     }
@@ -191,30 +191,6 @@ impl DataCenterView {
         used / cap <= self.beta_overload
     }
 
-    /// Sum of the *requested* MIPS of the VMs on `host` (its reserved
-    /// capacity, as opposed to the demand actually drawn this step).
-    pub fn host_reserved_mips(&self, host: PmId) -> f64 {
-        self.host_reserved_mips[host.0]
-    }
-
-    /// The configured CPU oversubscription ratio.
-    pub fn oversubscription_ratio(&self) -> f64 {
-        self.oversubscription_ratio
-    }
-
-    /// Whether the oversubscription policy allows `vm` to land on
-    /// `host`: the host's reserved MIPS plus the VM's requested MIPS must
-    /// stay within `ratio × capacity`. Placement policies (PABFD, MadVM,
-    /// the initial packing) honor this bound; the engine does not force
-    /// it on arbitrary scheduler actions.
-    pub fn reservation_allows(&self, vm: VmId, host: PmId) -> bool {
-        let cap = self.host_mips[host.0];
-        if cap <= 0.0 {
-            return false;
-        }
-        self.host_reserved_mips[host.0] + self.vm_mips[vm.0] <= self.oversubscription_ratio * cap
-    }
-
     /// Power draw of `host` in Watts at a hypothetical `utilization`
     /// fraction. Power-aware placement (PABFD) uses this to rank
     /// destinations by marginal power increase.
@@ -256,10 +232,8 @@ pub(crate) mod tests {
                 PowerModel::hp_proliant_g5(),
                 PowerModel::hp_proliant_g4(),
             ]),
-            host_reserved_mips: vec![3000.0, 500.0, 0.0],
             host_down: vec![false; 3],
             beta_overload: 0.7,
-            oversubscription_ratio: 2.0,
             migration_cap: 1,
         }
     }

@@ -155,13 +155,12 @@ proptest! {
     #[test]
     fn initial_placements_are_valid(
         trace in trace_strategy(6, 2),
-        policy_idx in 0..4usize,
+        policy_idx in 0..3usize,
     ) {
         let mut config = small_config(3, 6);
         config.initial_placement = match policy_idx {
             0 => InitialPlacement::RoundRobin,
             1 => InitialPlacement::RandomUniform { seed: 11 },
-            2 => InitialPlacement::FirstFit,
             _ => InitialPlacement::DemandPacked,
         };
         let sim = Simulation::new(config, trace).expect("valid");

@@ -1,55 +1,19 @@
-//! Loaders for the *real* trace formats, for users who have the data.
+//! A streaming reader for the *real* PlanetLab trace format, for users
+//! who have the data.
 //!
 //! The synthetic generators in this crate reproduce the published
-//! statistics, but anyone holding the original datasets can feed them
-//! in directly:
-//!
-//! * **CloudSim PlanetLab format**: a directory per day, one file per
-//!   VM, each file containing one integer utilization percentage per
-//!   line (288 lines = 24 h at 5-minute sampling). This is the format
-//!   shipped in CloudSim's `examples/workload/planetlab`.
-//! * **Google cluster-usage subset**: a CSV with
-//!   `timestamp_s,vm_id,cpu_rate` rows (the relevant columns of the
-//!   2011 `task_usage` table after the usual preprocessing), resampled
-//!   here onto the 5-minute grid.
+//! statistics, but anyone holding the original dataset can feed it in
+//! directly. The **CloudSim PlanetLab format** is a directory per day,
+//! one file per VM, each file containing one integer utilization
+//! percentage per line (288 lines = 24 h at 5-minute sampling). This is
+//! the format shipped in CloudSim's `examples/workload/planetlab`.
 
-use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use crate::source::{TraceHeader, TraceSource};
-use crate::{TraceCsvError, WorkloadTrace, STEP_SECONDS};
-
-/// Loads a directory of CloudSim PlanetLab-format VM files.
-///
-/// Every regular file in `dir` is one VM; files are taken in
-/// lexicographic order so runs are reproducible. Each line must parse
-/// as a number in `[0, 100]`. Files shorter than the longest one are
-/// padded with zeros (the VM finished early), matching CloudSim's
-/// behaviour of treating missing samples as idle.
-///
-/// # Errors
-///
-/// Returns [`TraceCsvError`] on I/O failure, an unparsable line, or an
-/// out-of-range value.
-///
-/// # Examples
-///
-/// ```no_run
-/// let trace = megh_trace::load_planetlab_dir("planetlab/20110303")?;
-/// println!("{} VMs, {} steps", trace.n_vms(), trace.n_steps());
-/// # Ok::<(), megh_trace::TraceCsvError>(())
-/// ```
-pub fn load_planetlab_dir(dir: impl AsRef<Path>) -> Result<WorkloadTrace, TraceCsvError> {
-    let mut source = PlanetLabDirSource::open(dir)?;
-    let n_steps = source.header().n_steps;
-    let trace = (&mut source).take_steps(n_steps);
-    match source.take_error() {
-        Some(err) => Err(err),
-        None => Ok(trace),
-    }
-}
+use crate::{TraceCsvError, STEP_SECONDS};
 
 /// A buffered streaming [`TraceSource`] over a CloudSim PlanetLab-format
 /// directory (one file per VM, one value per line).
@@ -221,89 +185,10 @@ impl TraceSource for PlanetLabDirSource {
     }
 }
 
-/// Loads a Google cluster-usage subset CSV: `timestamp_s,vm_id,cpu_rate`
-/// per line (`cpu_rate` a fraction in `[0, 1]`), and resamples onto the
-/// 5-minute grid by averaging samples per (VM, step) bucket.
-///
-/// VM ids may be arbitrary non-negative integers; they are compacted to
-/// dense row indices in ascending order. Steps with no sample are idle
-/// (0 %).
-///
-/// # Errors
-///
-/// Returns [`TraceCsvError`] on I/O failure, short rows, unparsable
-/// cells, or out-of-range rates.
-pub fn load_google_usage_csv(path: impl AsRef<Path>) -> Result<WorkloadTrace, TraceCsvError> {
-    let content = fs::read_to_string(path)?;
-    // (vm_id -> (step -> (sum, count)))
-    let mut buckets: BTreeMap<u64, BTreeMap<usize, (f64, usize)>> = BTreeMap::new();
-    let mut max_step = 0usize;
-    for (idx, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-        if cells.len() < 3 {
-            return Err(TraceCsvError::Format(format!(
-                "line {} has {} cells, expected timestamp,vm_id,cpu_rate",
-                idx + 1,
-                cells.len()
-            )));
-        }
-        let parse = |cell: &str| -> Result<f64, TraceCsvError> {
-            cell.parse().map_err(|_| TraceCsvError::Parse {
-                line: idx + 1,
-                cell: cell.to_string(),
-            })
-        };
-        let timestamp = parse(cells[0])?;
-        let vm_id = parse(cells[1])? as u64;
-        let rate = parse(cells[2])?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(TraceCsvError::Format(format!(
-                "cpu_rate {rate} outside [0, 1] on line {}",
-                idx + 1
-            )));
-        }
-        if timestamp < 0.0 {
-            return Err(TraceCsvError::Format(format!(
-                "negative timestamp on line {}",
-                idx + 1
-            )));
-        }
-        let step = (timestamp / STEP_SECONDS as f64) as usize;
-        max_step = max_step.max(step);
-        let entry = buckets
-            .entry(vm_id)
-            .or_default()
-            .entry(step)
-            .or_insert((0.0, 0));
-        entry.0 += rate;
-        entry.1 += 1;
-    }
-    if buckets.is_empty() {
-        return WorkloadTrace::from_rows(STEP_SECONDS, Vec::new())
-            .ok_or_else(|| TraceCsvError::Format("empty trace".into()));
-    }
-    let steps = max_step + 1;
-    let rows: Vec<Vec<f64>> = buckets
-        .values()
-        .map(|per_step| {
-            let mut row = vec![0.0; steps];
-            for (&step, &(sum, count)) in per_step {
-                row[step] = (sum / count as f64 * 100.0).clamp(0.0, 100.0);
-            }
-            row
-        })
-        .collect();
-    WorkloadTrace::from_rows(STEP_SECONDS, rows)
-        .ok_or_else(|| TraceCsvError::Format("inconsistent google usage rows".into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadTrace;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("megh-files-{}-{name}", std::process::id()));
@@ -311,12 +196,21 @@ mod tests {
         dir
     }
 
+    /// Streams the whole directory into memory, surfacing the error that
+    /// stopped the stream, if any.
+    fn read_all(dir: &Path) -> Result<WorkloadTrace, TraceCsvError> {
+        let mut source = PlanetLabDirSource::open(dir)?;
+        let n_steps = source.header().n_steps;
+        let trace = (&mut source).take_steps(n_steps);
+        source.take_error().map_or(Ok(trace), Err)
+    }
+
     #[test]
     fn planetlab_dir_roundtrip() {
         let dir = tmp_dir("pl");
         fs::write(dir.join("vm_a"), "10\n20\n30\n").unwrap();
         fs::write(dir.join("vm_b"), "5\n15\n").unwrap(); // short → padded
-        let trace = load_planetlab_dir(&dir).unwrap();
+        let trace = read_all(&dir).unwrap();
         fs::remove_dir_all(&dir).ok();
         assert_eq!(trace.n_vms(), 2);
         assert_eq!(trace.n_steps(), 3);
@@ -328,7 +222,7 @@ mod tests {
     fn planetlab_rejects_out_of_range() {
         let dir = tmp_dir("pl-bad");
         fs::write(dir.join("vm_a"), "10\n120\n").unwrap();
-        let err = load_planetlab_dir(&dir).unwrap_err();
+        let err = read_all(&dir).unwrap_err();
         fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, TraceCsvError::Format(_)));
     }
@@ -337,17 +231,17 @@ mod tests {
     fn planetlab_rejects_garbage_line() {
         let dir = tmp_dir("pl-garbage");
         fs::write(dir.join("vm_a"), "10\nxyz\n").unwrap();
-        let err = load_planetlab_dir(&dir).unwrap_err();
+        let err = read_all(&dir).unwrap_err();
         fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, TraceCsvError::Parse { line: 2, .. }));
     }
 
     #[test]
-    fn planetlab_dir_source_streams_identically_to_load() {
+    fn planetlab_dir_source_streams_identically_to_take_steps() {
         let dir = tmp_dir("pl-stream");
         fs::write(dir.join("vm_a"), "10\n20\n30\n").unwrap();
         fs::write(dir.join("vm_b"), "5\n15\n").unwrap();
-        let loaded = load_planetlab_dir(&dir).unwrap();
+        let loaded = read_all(&dir).unwrap();
         let mut source = PlanetLabDirSource::open(&dir).unwrap();
         assert_eq!(source.header().n_vms, 2);
         assert_eq!(source.header().n_steps, 3);
@@ -366,57 +260,5 @@ mod tests {
         let replay = source.take_steps(3);
         fs::remove_dir_all(&dir).ok();
         assert_eq!(replay, loaded);
-    }
-
-    #[test]
-    fn google_usage_resamples_onto_grid() {
-        let dir = tmp_dir("g");
-        let path = dir.join("usage.csv");
-        // VM 7: two samples in step 0 (averaged), one in step 2.
-        // VM 3: one sample in step 1.
-        fs::write(
-            &path,
-            "# comment\n0,7,0.2\n100,7,0.4\n650,7,0.5\n301,3,1.0\n",
-        )
-        .unwrap();
-        let trace = load_google_usage_csv(&path).unwrap();
-        fs::remove_dir_all(&dir).ok();
-        assert_eq!(trace.n_vms(), 2);
-        assert_eq!(trace.n_steps(), 3);
-        // Rows are in ascending vm_id order: row 0 = vm 3, row 1 = vm 7.
-        assert_eq!(trace.utilization(0, 1), 100.0);
-        assert!((trace.utilization(1, 0) - 30.0).abs() < 1e-9);
-        assert_eq!(trace.utilization(1, 1), 0.0);
-        assert_eq!(trace.utilization(1, 2), 50.0);
-    }
-
-    #[test]
-    fn google_usage_rejects_bad_rate() {
-        let dir = tmp_dir("g-bad");
-        let path = dir.join("usage.csv");
-        fs::write(&path, "0,1,1.5\n").unwrap();
-        let err = load_google_usage_csv(&path).unwrap_err();
-        fs::remove_dir_all(&dir).ok();
-        assert!(matches!(err, TraceCsvError::Format(_)));
-    }
-
-    #[test]
-    fn google_usage_rejects_short_row() {
-        let dir = tmp_dir("g-short");
-        let path = dir.join("usage.csv");
-        fs::write(&path, "0,1\n").unwrap();
-        let err = load_google_usage_csv(&path).unwrap_err();
-        fs::remove_dir_all(&dir).ok();
-        assert!(matches!(err, TraceCsvError::Format(_)));
-    }
-
-    #[test]
-    fn empty_google_csv_yields_empty_trace() {
-        let dir = tmp_dir("g-empty");
-        let path = dir.join("usage.csv");
-        fs::write(&path, "# nothing\n").unwrap();
-        let trace = load_google_usage_csv(&path).unwrap();
-        fs::remove_dir_all(&dir).ok();
-        assert_eq!(trace.n_vms(), 0);
     }
 }

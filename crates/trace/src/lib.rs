@@ -40,7 +40,7 @@ mod trace;
 
 pub use csv::{load_csv, save_csv, CsvSource, TraceCsvError};
 pub use diurnal::DiurnalConfig;
-pub use files::{load_google_usage_csv, load_planetlab_dir, PlanetLabDirSource};
+pub use files::PlanetLabDirSource;
 pub use google::GoogleConfig;
 pub use planetlab::PlanetLabConfig;
 pub use source::{

@@ -15,18 +15,7 @@
 //! * the file readers (`CsvSource`, `PlanetLabDirSource`) parse one step
 //!   per call from a reused line buffer.
 //!
-//! # Contract
-//!
-//! * `fill_chunk(buf)` expects `buf.len()` to be a (non-zero) multiple of
-//!   `header().n_vms`; it writes column-major (`buf[s * n_vms + vm]`),
-//!   returns the number of whole steps written, and returns `0` once the
-//!   source is exhausted (or when `n_vms == 0`). It never allocates.
-//! * Sources are *resumable*: consecutive `fill_chunk` calls continue
-//!   where the last one stopped, and the concatenation of the returned
-//!   chunks is independent of the chunk size used to read them.
-//! * `reset()` rewinds to step 0 and reproduces the identical stream.
-//! * Emitted values are finite and within `[0, 100]`;
-//!   `header().step_seconds` is non-zero.
+//! The contract every source keeps is on [`TraceSource`].
 
 // This module is on the simulation hot path: a generator source sizes
 // its per-VM state at construction, and `fill_chunk` allocates nothing
@@ -60,7 +49,18 @@ pub struct TraceHeader {
 
 /// A chunked, resumable stream of per-step utilization columns.
 ///
-/// See the [module documentation](self) for the full contract.
+/// # Contract
+///
+/// * `fill_chunk(buf)` expects `buf.len()` to be a (non-zero) multiple of
+///   `header().n_vms`; it writes column-major (`buf[s * n_vms + vm]`),
+///   returns the number of whole steps written, and returns `0` once the
+///   source is exhausted (or when `n_vms == 0`). It never allocates.
+/// * Sources are *resumable*: consecutive `fill_chunk` calls continue
+///   where the last one stopped, and the concatenation of the returned
+///   chunks is independent of the chunk size used to read them.
+/// * `reset()` rewinds to step 0 and reproduces the identical stream.
+/// * Emitted values are finite and within `[0, 100]`;
+///   `header().step_seconds` is non-zero.
 ///
 /// # Examples
 ///
