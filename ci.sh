@@ -51,11 +51,8 @@ target/release/megh sweep --hosts 800 --vms 1052 --days 30 --schedulers megh,hie
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo test --workspace --features check-invariants"
-cargo test --workspace --features check-invariants -q
-
-echo "==> sweep determinism under check-invariants"
-filtered_test -q -p megh-cli --features megh-core/check-invariants sweep_determinism
+echo "==> sweep determinism (thread count never changes --out)"
+filtered_test -q -p megh-cli sweep_determinism
 
 echo "==> streamed runs equal in-memory runs (engine chunk sizes; CLI vs library; file errors)"
 filtered_test -q -p megh-sim streaming_

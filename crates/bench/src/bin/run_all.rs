@@ -7,7 +7,7 @@
 use std::process::Command;
 
 /// Experiment binaries, in a sensible order (cheap first).
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 15] = [
     "fig1_workloads",
     "table2_planetlab",
     "table3_google",
@@ -23,7 +23,6 @@ const EXPERIMENTS: [&str; 16] = [
     "ablation_oversubscription",
     "ext_slav_metrics",
     "ext_qlearning",
-    "ext_periodic",
 ];
 
 fn main() {

@@ -1,7 +1,6 @@
 //! CLI subcommand implementations.
 
 use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
-use megh_core::diagnostics::{decision_latency, LatencyStats};
 use megh_core::{HierMegh, MeghAgent, MeghConfig, PeriodicMeghAgent};
 use megh_flags::{FlagSpec, FlagTable};
 use megh_serve::{Client as ServeClient, Listen, Request as ServeRequest, ServeOptions};
@@ -13,7 +12,6 @@ use megh_trace::{
     CsvSource, DiurnalConfig, GoogleConfig, PlanetLabConfig, PlanetLabDirSource, TraceCsvError,
     TraceSource, TraceStats, WorkloadTrace,
 };
-use serde::Serialize;
 
 use crate::args::{Args, ArgsError};
 
@@ -73,12 +71,7 @@ const SIMULATE_FLAGS: FlagTable = FlagTable::new(
             "simulate a trace CSV (or PlanetLab directory) instead of a generated workload",
         ),
         FlagSpec::switch("mem-stats", "print the process peak RSS after the run"),
-        FlagSpec::opt(
-            "out",
-            "FILE",
-            "",
-            "write the summary as JSON; also writes latency_alloc_report.json next to FILE",
-        ),
+        FlagSpec::opt("out", "FILE", "", "write the summary as JSON"),
     ],
 );
 
@@ -440,28 +433,8 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// One scheduler's hot-path observability record written to
-/// `latency_alloc_report.json`: the decision-latency summary the
-/// simulator recorded plus the process-wide heap-allocation delta
-/// across the whole run (simulation bookkeeping included — the point
-/// of the number is its *growth rate* across schedulers and sizes).
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencyAllocReport {
-    /// Scheduler display name (matches the summary report).
-    pub scheduler: String,
-    /// Per-step decision-latency summary, microseconds.
-    pub latency: LatencyStats,
-    /// Heap acquisitions observed during the run.
-    pub allocations: u64,
-    /// Total bytes requested during the run.
-    pub bytes_allocated: u64,
-}
-
 /// `megh simulate`: one scheduler (or `all`), one workload, summary to
 /// stdout. The trace is always streamed ([`run_streamed_named`]).
-///
-/// With `--out FILE`, also writes `latency_alloc_report.json` next to
-/// `FILE` with per-scheduler decision-latency and allocation deltas.
 ///
 /// # Errors
 ///
@@ -480,18 +453,9 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
         vec![scheduler]
     };
     let mut reports = Vec::new();
-    let mut diagnostics = Vec::new();
     for name in names {
-        let allocs_before = crate::ALLOC.allocations();
-        let bytes_before = crate::ALLOC.bytes_allocated();
         let outcome = run_streamed_named(name, &spec, file, &options)?;
         let report = outcome.report();
-        diagnostics.push(LatencyAllocReport {
-            scheduler: report.scheduler.clone(),
-            latency: decision_latency(outcome.records()),
-            allocations: crate::ALLOC.allocations() - allocs_before,
-            bytes_allocated: crate::ALLOC.bytes_allocated() - bytes_before,
-        });
         out.push_str(&render_summary(&report));
         if SIMULATE_FLAGS.switch(args, "slav") {
             let m = SlavMetrics::from_run(&outcome);
@@ -509,28 +473,14 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
         }
     }
     if let Some(path) = SIMULATE_FLAGS.get(args, "out") {
-        let write_json = |target: &std::path::Path, json: String| {
-            std::fs::write(target, json).map_err(|_| ArgsError::Invalid {
-                key: "out".into(),
-                value: target.display().to_string(),
-                expected: "writable path",
-            })
-        };
-        // One JSON document covering every scheduler that ran.
-        let json = serde_json::to_string_pretty(&reports).map_err(|_| ArgsError::Invalid {
+        let unwritable = || ArgsError::Invalid {
             key: "out".into(),
             value: path.to_string(),
             expected: "writable path",
-        })?;
-        write_json(std::path::Path::new(path), json)?;
-        // The hot-path observability companion, next to the cost report.
-        let diag_path = std::path::Path::new(path).with_file_name("latency_alloc_report.json");
-        let json = serde_json::to_string_pretty(&diagnostics).map_err(|_| ArgsError::Invalid {
-            key: "out".into(),
-            value: diag_path.display().to_string(),
-            expected: "writable path",
-        })?;
-        write_json(&diag_path, json)?;
+        };
+        // One JSON document covering every scheduler that ran.
+        let json = serde_json::to_string_pretty(&reports).map_err(|_| unwritable())?;
+        std::fs::write(path, json).map_err(|_| unwritable())?;
     }
     Ok(out)
 }
@@ -1014,14 +964,21 @@ mod tests {
 
     #[test]
     fn simulate_all_writes_every_report_to_out() {
-        let path = std::env::temp_dir().join(format!("megh-cli-all-{}.json", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("megh-cli-all-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r.json");
         let line = format!(
             "simulate --hosts 3 --vms 4 --days 1 --scheduler all --out {}",
             path.display()
         );
         dispatch(&parse(&line)).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(written, ["r.json"], "--out writes its file and no other");
         let reports: serde_json::Value = serde_json::from_str(&json).unwrap();
         let names: Vec<&str> = reports
             .as_array()
@@ -1036,33 +993,6 @@ mod tests {
                 "Megh-H1"
             ],
             "all nine schedulers must be in the file"
-        );
-    }
-
-    #[test]
-    fn simulate_out_writes_latency_alloc_companion() {
-        let dir = std::env::temp_dir().join(format!("megh-cli-diag-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        let line = format!(
-            "simulate --hosts 3 --vms 4 --days 1 --scheduler noop --out {}",
-            path.display()
-        );
-        dispatch(&parse(&line)).unwrap();
-        let companion = dir.join("latency_alloc_report.json");
-        let json = std::fs::read_to_string(&companion).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let entries: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let entry = &entries.as_array().expect("array of diagnostics")[0];
-        assert_eq!(entry["scheduler"], "NoOp");
-        assert_eq!(
-            entry["latency"]["samples"].as_u64(),
-            Some(288),
-            "one day = 288 steps"
-        );
-        assert!(
-            entry["allocations"].as_u64().is_some(),
-            "allocation delta must be recorded: {entry:?}"
         );
     }
 

@@ -11,13 +11,6 @@ mod commands;
 
 use std::process::ExitCode;
 
-/// Counts every heap allocation the process performs. `simulate` reads
-/// the per-run deltas to report hot-path allocation behaviour alongside
-/// decision latency (see `latency_alloc_report.json`).
-#[global_allocator]
-static ALLOC: megh_core::diagnostics::CountingAllocator =
-    megh_core::diagnostics::CountingAllocator::system();
-
 fn main() -> ExitCode {
     let parsed = args::Args::parse(std::env::args().skip(1));
     match commands::dispatch(&parsed) {

@@ -25,11 +25,13 @@
 //!   invalid agent is rejected with an error, not a panic.
 //!
 //! Writes go through [`save_checkpoint`], which writes a sibling
-//! temporary file and renames it into place: on any crash the previous
+//! temporary file, syncs it to disk and renames it into place (then
+//! syncs the directory): on any crash or power cut the previous
 //! checkpoint file is either fully intact or fully replaced.
 
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
 use serde::value::{self, Value};
@@ -342,9 +344,10 @@ pub fn from_versioned_json(json: &str) -> Result<MeghCheckpoint, CheckpointError
 }
 
 /// Atomically writes a checkpoint: the envelope is written to a
-/// sibling `<name>.tmp` file and renamed over `path`, so a crash at
-/// any instant leaves either the previous checkpoint or the new one —
-/// never a torn file.
+/// sibling `<name>.tmp` file, synced to disk and renamed over `path`,
+/// and on Unix the directory holding the rename is synced too, so a
+/// crash or power cut at any instant leaves either the previous
+/// checkpoint or the new one — never a torn file.
 ///
 /// # Errors
 ///
@@ -358,9 +361,25 @@ pub fn save_checkpoint(path: &Path, checkpoint: &MeghCheckpoint) -> Result<(), C
             path.display()
         )));
     };
+    let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
     let tmp = path.with_file_name(format!("{name}.tmp"));
-    fs::write(&tmp, json.as_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
+    let mut file = fs::File::create(&tmp).map_err(io)?;
+    file.write_all(json.as_bytes()).map_err(io)?;
+    // On disk before it is renamed into place, so a power cut cannot
+    // leave `path` naming blocks that were never written.
+    file.sync_all().map_err(io)?;
+    drop(file);
+    fs::rename(&tmp, path).map_err(io)?;
+    // The rename lives in the directory; sync that too.
+    #[cfg(unix)]
+    {
+        let dir = path
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)?;
+    }
+    Ok(())
 }
 
 /// Reads and migrates a checkpoint file written by any release.

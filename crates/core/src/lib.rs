@@ -35,10 +35,8 @@
 //! # Ok::<(), megh_sim::SimError>(())
 //! ```
 
-// `deny`, not `forbid`: diagnostics::CountingAllocator is the one
-// allowlisted `unsafe` in the workspace (a GlobalAlloc wrapper must be
-// unsafe) and overrides this with `#[allow(unsafe_code)]`.
-#![deny(unsafe_code)]
+// No unsafe code anywhere in this crate.
+#![forbid(unsafe_code)]
 // No explicit panic path in library code; the few sites that keep one
 // carry an `#[expect]` with the reason (clippy enforces both).
 #![cfg_attr(

@@ -33,21 +33,6 @@
 use megh_linalg::{DokMatrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
-#[cfg(feature = "check-invariants")]
-use megh_linalg::DenseMatrix;
-
-/// Shadow-`T` maintenance costs `O(dim²)` memory, so verification is
-/// disabled above this dimension (the checks silently no-op).
-#[cfg(feature = "check-invariants")]
-const VERIFY_MAX_DIM: usize = 512;
-/// The `O(dim²)` residual check runs on every `VERIFY_EVERY`-th
-/// successful update; the shadow itself is maintained on every one.
-#[cfg(feature = "check-invariants")]
-const VERIFY_EVERY: usize = 16;
-/// Tolerance on the inverse-drift residual `‖B·T − I‖∞`.
-#[cfg(feature = "check-invariants")]
-const VERIFY_TOL: f64 = 1e-6;
-
 /// Incremental least-squares policy-iteration state over `d` actions.
 ///
 /// # Examples
@@ -85,13 +70,6 @@ pub struct SparseLspi {
     scratch_v: SparseVec,
     scratch_bu: SparseVec,
     scratch_vb: SparseVec,
-    /// Dense shadow of `T = δ·I + Σ u·vᵀ`, the operator whose inverse
-    /// `B` purports to be. Maintained only under `check-invariants` and
-    /// only when `dim ≤ VERIFY_MAX_DIM`; `None` otherwise — and after
-    /// deserialization, which cannot reconstruct `T` without replaying
-    /// the whole update stream.
-    #[cfg(feature = "check-invariants")]
-    shadow_t: Option<DenseMatrix>,
 }
 
 impl SparseLspi {
@@ -119,23 +97,7 @@ impl SparseLspi {
             scratch_v: SparseVec::zeros(dim),
             scratch_bu: SparseVec::zeros(dim),
             scratch_vb: SparseVec::zeros(dim),
-            #[cfg(feature = "check-invariants")]
-            shadow_t: Self::shadow_for(dim, delta),
         }
-    }
-
-    /// Builds the dense shadow operator `T₀ = δ·I` when the dimension
-    /// is small enough to afford `O(dim²)` verification state.
-    #[cfg(feature = "check-invariants")]
-    fn shadow_for(dim: usize, delta: f64) -> Option<DenseMatrix> {
-        if dim > VERIFY_MAX_DIM {
-            return None;
-        }
-        let mut t = DenseMatrix::zeros(dim, dim);
-        for i in 0..dim {
-            t.set(i, i, delta);
-        }
-        Some(t)
     }
 
     /// The projected dimension `d`.
@@ -277,8 +239,6 @@ impl SparseLspi {
         }
 
         self.updates += 1;
-        #[cfg(feature = "check-invariants")]
-        self.verify_update(a_prev, a_next);
         true
     }
 
@@ -332,55 +292,6 @@ impl SparseLspi {
         let vb_z = self.scratch_vb.dot(&self.z);
         let vb_u = self.scratch_vb.dot(&self.scratch_u);
         Some(-(vb_z / den) + cost * (1.0 - vb_u / den))
-    }
-
-    /// Mirrors the rank-1 operator update on the dense shadow `T` and,
-    /// every [`VERIFY_EVERY`]-th successful update, asserts the three
-    /// runtime invariants: the DOK dual-adjacency structure of `Δ`, the
-    /// inverse contract `‖B·T − I‖∞ < ε`, and agreement between the
-    /// cached minimum-`θ` entry and a full scan of `θ`'s support.
-    #[cfg(feature = "check-invariants")]
-    fn verify_update(&mut self, a_prev: usize, a_next: usize) {
-        if let Some(t) = self.shadow_t.as_mut() {
-            // T ← T + u·vᵀ with u = e_{a_prev}, v = e_{a_prev} − γ·e_{a_next}.
-            // When a_prev == a_next the two writes chain, giving 1 − γ.
-            t.set(a_prev, a_prev, t.get(a_prev, a_prev) + 1.0);
-            t.set(a_prev, a_next, t.get(a_prev, a_next) - self.gamma);
-        }
-        if !self.updates.is_multiple_of(VERIFY_EVERY) {
-            return;
-        }
-        let structure = self.delta_b.check_consistency();
-        assert!(
-            structure.is_ok(),
-            "DokMatrix invariant violated after update {}: {structure:?}",
-            self.updates
-        );
-        if let Some(t) = self.shadow_t.as_ref() {
-            // Densify B = (1/δ)·I + Δ and check it still inverts T.
-            let mut b = self.delta_b.to_dense();
-            for i in 0..self.dim {
-                b.set(i, i, b.get(i, i) + self.inv_delta);
-            }
-            let residual = megh_linalg::identity_residual(&b, t);
-            assert!(
-                residual < VERIFY_TOL,
-                "inverse drifted: ‖B·T − I‖∞ = {residual:e} after update {}",
-                self.updates
-            );
-        }
-        let mut scanned: Option<f64> = None;
-        for (_, v) in self.theta.iter() {
-            if scanned.is_none_or(|best| v < best) {
-                scanned = Some(v);
-            }
-        }
-        assert_eq!(
-            self.min_entry.map(|(_, v)| v),
-            scanned,
-            "cached min-θ disagrees with a full scan after update {}",
-            self.updates
-        );
     }
 
     /// Maintains the cached minimum after `θ` changed on the support of
@@ -503,8 +414,6 @@ impl<'de> Deserialize<'de> for SparseLspi {
             scratch_v: SparseVec::zeros(repr.dim),
             scratch_bu: SparseVec::zeros(repr.dim),
             scratch_vb: SparseVec::zeros(repr.dim),
-            #[cfg(feature = "check-invariants")]
-            shadow_t: None,
         };
         lspi.rescan_theta_min();
         Ok(lspi)
@@ -514,6 +423,8 @@ impl<'de> Deserialize<'de> for SparseLspi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megh_linalg::{identity_residual, sherman_morrison_update, DenseMatrix};
+    use proptest::prelude::*;
 
     fn assert_theta_consistent(lspi: &SparseLspi) {
         let want = lspi.recompute_theta();
@@ -535,6 +446,86 @@ mod tests {
             }
         }
         best
+    }
+
+    proptest! {
+        /// The maintained inverse, checked on the path Megh runs. After
+        /// every `update` of a random sequence: Δ keeps its row/column
+        /// mirror; `B = Δ + (1/δ)·I` inverts a dense shadow of
+        /// `T = δ·I + Σ u·vᵀ`; the reference `sherman_morrison_update`,
+        /// run on a full `B`, applies or skips the same step and agrees
+        /// entry for entry; the cached min-θ matches a scan and θ matches
+        /// `B·z`. d = 12 makes repeated actions and `a_prev == a_next`
+        /// common; costs run at ±5 and at the per-step-USD scale real
+        /// runs produce (10⁻⁶ … 10⁻⁴), θ's tolerance scaled to match.
+        #[test]
+        fn update_tracks_a_dense_shadow_and_the_reference_sherman_morrison(
+            steps in prop::collection::vec((0..12usize, 0..12usize, -1.0..1.0f64), 1..48),
+            gamma in 0.0..0.9f64,
+            usd in 0..2usize,
+        ) {
+            let d = 12;
+            let delta = d as f64;
+            let usd = usd == 1;
+            let theta_tol = if usd { 1e-4 * 1e-9 } else { 5.0 * 1e-9 };
+            let mut lspi = SparseLspi::new(d, delta, gamma);
+            let mut reference = DokMatrix::scaled_identity(d, 1.0 / delta);
+            let mut t = DenseMatrix::zeros(d, d);
+            for i in 0..d {
+                t.set(i, i, delta);
+            }
+            for (step, &(a, a_next, x)) in steps.iter().enumerate() {
+                let cost = if usd { 10f64.powf(x - 5.0) } else { 5.0 * x };
+                let u = SparseVec::basis(d, a);
+                let v = SparseVec::basis(d, a).add_scaled(&SparseVec::basis(d, a_next), -gamma);
+                let applied = lspi.update(a, a_next, cost);
+                prop_assert_eq!(
+                    applied,
+                    sherman_morrison_update(&mut reference, &u, &v).is_ok(),
+                    "step {step}: update and the reference disagree on skipping"
+                );
+                if applied {
+                    for (i, ui) in u.iter() {
+                        for (j, vj) in v.iter() {
+                            t.set(i, j, t.get(i, j) + ui * vj);
+                        }
+                    }
+                }
+
+                prop_assert_eq!(
+                    lspi.delta_b.check_consistency(),
+                    Ok(()),
+                    "step {step}: Δ's row/column mirror broke"
+                );
+                let mut b = lspi.delta_b.to_dense();
+                for i in 0..d {
+                    b.set(i, i, b.get(i, i) + lspi.inv_delta);
+                }
+                let residual = identity_residual(&b, &t);
+                prop_assert!(residual < 1e-6, "step {step}: ‖B·T − I‖∞ = {residual:e}");
+                let drift = b.max_abs_diff(&reference.to_dense());
+                prop_assert!(
+                    drift < 1e-12,
+                    "step {step}: B differs from the reference Sherman–Morrison by {drift:e}"
+                );
+
+                let cached = lspi.min_theta_entry();
+                prop_assert_eq!(
+                    cached.map(|(_, q)| q),
+                    naive_min_entry(&lspi).map(|(_, q)| q),
+                    "step {step}: cached min-θ disagrees with a full scan"
+                );
+                prop_assert!(cached.is_none_or(|(a, q)| lspi.q(a) == q));
+                let want = lspi.recompute_theta();
+                for a in 0..d {
+                    let (got, want) = (lspi.q(a), want.get(a));
+                    prop_assert!(
+                        (got - want).abs() <= theta_tol,
+                        "step {step}: θ[{a}] = {got:e} but B·z gives {want:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! and the harness's own bookkeeping allocate on parallel threads
 //! inside a check's counted section.
 
-use megh_core::diagnostics::CountingAllocator;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use megh_core::{BoltzmannPolicy, HierMegh, MeghAgent, MeghConfig, SparseLspi};
 use megh_sim::{
     run_streamed, DataCenterConfig, DataCenterView, MigrationRequest, Scheduler, SimOptions,
@@ -22,8 +24,42 @@ use megh_trace::{DiurnalConfig, GoogleConfig, PlanetLabConfig, TraceSource, STEP
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The system allocator, counting heap acquisitions (`alloc`,
+/// `alloc_zeroed` and `realloc` each count one) — the one number these
+/// checks read.
+struct CountingAllocator(AtomicU64);
+
+impl CountingAllocator {
+    fn allocations(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter
+// only observes and never touches the memory it hands out.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator::system();
+static ALLOC: CountingAllocator = CountingAllocator(AtomicU64::new(0));
 
 /// A learned state representative of a warmed-up run: 50 VMs × 66
 /// hosts (the paper's small PlanetLab shape), with a spread of

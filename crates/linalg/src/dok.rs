@@ -110,8 +110,8 @@ impl DokMatrix {
             Ok(pos) if value == 0.0 => {
                 row_list.remove(pos);
                 // The mirror entry exists whenever the dual-adjacency
-                // invariant holds (the `check-invariants` feature
-                // verifies it after every Sherman–Morrison update).
+                // invariant holds (the `DokMatrix` and `SparseLspi`
+                // proptests check it after every operation and update).
                 if let Ok(m) = col_list.binary_search_by_key(&row, |&(r, _)| r) {
                     col_list.remove(m);
                 }
@@ -139,8 +139,7 @@ impl DokMatrix {
     /// sorted and strictly increasing, mirror each other entry for entry,
     /// and together store exactly [`DokMatrix::nnz`] values.
     ///
-    /// Intended for the `check-invariants` feature and tests; cost is
-    /// `O(nnz · log nnz)`.
+    /// Intended for tests; cost is `O(nnz · log nnz)`.
     ///
     /// # Errors
     ///

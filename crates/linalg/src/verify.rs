@@ -1,13 +1,13 @@
-//! Cross-representation verification for the `check-invariants` mode.
+//! Cross-representation verification: dense materialisation and the
+//! inverse-drift residual.
 //!
 //! The Sherman–Morrison fast path maintains `B = T⁻¹` incrementally and
 //! never materialises `T`. This helper quantifies how far a maintained
 //! inverse has drifted from that contract: `‖B·T − I‖∞` is exactly zero
 //! for a true inverse and grows with accumulated floating-point error,
-//! so the runtime checks (and the property tests) assert it stays below
-//! a small tolerance. The function is compiled unconditionally — only
-//! the call sites inside the hot paths are feature-gated — so tests can
-//! use the same predicate the runtime checks use.
+//! so the property tests — on `SparseLspi::update` in `megh-core` and on
+//! [`crate::sherman_morrison_update`] here — assert it stays below a
+//! small tolerance against a dense shadow of `T`.
 
 use crate::{DenseMatrix, DokMatrix};
 

@@ -73,8 +73,10 @@ proptest! {
         }
     }
 
-    /// The heart of Megh's §5.2: chained Sherman–Morrison updates on the
-    /// sparse DOK matrix must track the dense Gauss–Jordan inverse.
+    /// The reference form of Megh's §5.2 step: chained Sherman–Morrison
+    /// updates on the sparse DOK matrix must track the dense Gauss–Jordan
+    /// inverse. (`SparseLspi::update`, the form Megh runs, is held to
+    /// this function by a proptest in `megh-core`.)
     #[test]
     fn sherman_morrison_tracks_dense_inverse(
         steps in prop::collection::vec((0..6usize, 0..6usize), 1..10),
@@ -145,8 +147,8 @@ proptest! {
     /// Randomized Megh-style rank-1 update sequences: the sparse
     /// Sherman–Morrison inverse must keep inverting an independently
     /// maintained dense operator `T` (checked with the same
-    /// `identity_residual` predicate the `check-invariants` runtime
-    /// checks use) and must match the Gauss–Jordan inverse entrywise.
+    /// `identity_residual` predicate `SparseLspi`'s update proptest
+    /// uses) and must match the Gauss–Jordan inverse entrywise.
     #[test]
     fn chained_rank1_updates_track_dense_inverse(
         steps in prop::collection::vec((0..6usize, 0..6usize), 1..40),
