@@ -25,11 +25,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (explicit panics, determinism types, docs, hot-path indexing/division)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rustdoc -D warnings (the ten megh crates: dangling or private intra-doc links)"
+echo "==> rustdoc -D warnings (the nine megh crates: dangling or private intra-doc links)"
 # Not --workspace: that also documents the vendored proptest, whose `[vec]`
 # links are ambiguous.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p megh -p megh-linalg -p megh-trace \
-  -p megh-sim -p megh-core -p megh-serve -p megh-baselines -p megh-flags -p megh-cli \
+  -p megh-sim -p megh-core -p megh-serve -p megh-baselines -p megh-cli \
   -p megh-bench
 
 echo "==> cargo build --workspace --release"
@@ -53,6 +53,9 @@ cargo test --workspace -q
 
 echo "==> sweep determinism (thread count never changes --out)"
 filtered_test -q -p megh-cli sweep_determinism
+
+echo "==> experiment determinism (thread count never changes results/<row>.json)"
+filtered_test -q -p megh-bench experiment_determinism
 
 echo "==> streamed runs equal in-memory runs (engine chunk sizes; CLI vs library; file errors)"
 filtered_test -q -p megh-sim streaming_

@@ -5,13 +5,16 @@
 //!
 //! Usage: `cargo run -p megh-bench --release --bin fig1_workloads [--full]`
 
-use megh_bench::{ensure_results_dir, scale_from_args, write_csv};
+use megh_bench::{ensure_results_dir, scale_from_args, write_csv, Scale};
 use megh_trace::{CullenFrey, DurationStats, GoogleConfig, PlanetLabConfig, TraceStats};
 
 fn main() {
-    let scale = scale_from_args();
-    let (_, n_pl, days) = scale.planetlab();
-    let (_, n_g, _) = scale.google();
+    // VM counts of the Tables 2–3 rows (`experiment table2|table3`, or
+    // the `-full` rows).
+    let (n_pl, n_g, days) = match scale_from_args() {
+        Scale::Reduced => (210, 400, 7),
+        Scale::Full => (1052, 2000, 7),
+    };
     let dir = ensure_results_dir().expect("results dir");
 
     // (a) PlanetLab dynamics.

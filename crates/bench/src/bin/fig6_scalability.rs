@@ -9,8 +9,9 @@
 //! Usage: `cargo run -p megh-bench --release --bin fig6_scalability [--full]`
 
 use megh_baselines::{MmtFlavor, MmtScheduler};
-use megh_bench::{ensure_results_dir, run_megh, run_scheduler, scale_from_args, write_csv, Scale};
-use megh_sim::{DataCenterConfig, InitialPlacement};
+use megh_bench::{ensure_results_dir, scale_from_args, write_csv, Scale};
+use megh_core::{MeghAgent, MeghConfig};
+use megh_sim::{DataCenterConfig, InitialPlacement, Simulation};
 use megh_trace::PlanetLabConfig;
 
 /// Steps simulated per cell (decision-time measurement window).
@@ -36,10 +37,13 @@ fn main() {
                 let mut config = DataCenterConfig::paper_planetlab(m, n);
                 config.initial_placement = InitialPlacement::DemandPacked;
                 let trace = PlanetLabConfig::new(n, seed).generate_steps(STEPS);
-                let thr = run_scheduler(&config, &trace, MmtScheduler::new(MmtFlavor::Thr))
-                    .expect("valid setup");
+                let sim = Simulation::new(config, trace).expect("valid setup");
+                let thr = sim.run(MmtScheduler::new(MmtFlavor::Thr));
                 thr_ms += thr.report().mean_decision_ms;
-                let megh = run_megh(&config, &trace, seed).expect("valid setup");
+                let megh = sim.run(MeghAgent::new(MeghConfig {
+                    seed,
+                    ..MeghConfig::paper_defaults(n, m)
+                }));
                 megh_ms += megh.report().mean_decision_ms;
             }
             thr_ms /= repeats as f64;

@@ -10,6 +10,7 @@
 
 use megh_bench::{ensure_results_dir, scale_from_args, write_csv, Scale};
 use megh_core::{MeghAgent, MeghConfig};
+use megh_linalg::quantile;
 use megh_sim::{DataCenterConfig, InitialPlacement, Simulation};
 use megh_trace::PlanetLabConfig;
 
@@ -26,10 +27,9 @@ fn per_step_cost(m: usize, n: usize, steps: usize, temp0: f64, epsilon: f64, see
     report.total_cost_usd / report.steps.max(1) as f64
 }
 
-fn quantiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
-    xs.sort_by(f64::total_cmp);
-    let q = |p: f64| xs[((xs.len() - 1) as f64 * p) as usize];
-    (q(0.1), q(0.5), q(0.9))
+/// The 10th, 50th and 90th percentiles (R type-7, interpolated).
+fn quantiles(xs: &[f64]) -> (f64, f64, f64) {
+    (quantile(xs, 0.1), quantile(xs, 0.5), quantile(xs, 0.9))
 }
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
         let costs: Vec<f64> = (0..repeats)
             .map(|rep| per_step_cost(m, n, steps, temp0, 0.001, seed_of(0, i, rep)))
             .collect();
-        let (q10, q50, q90) = quantiles(costs);
+        let (q10, q50, q90) = quantiles(&costs);
         println!("  Temp0 = {temp0:4.1}: median {q50:.4} USD/step  [{q10:.4}, {q90:.4}]");
         rows_a.push(vec![temp0, q10, q50, q90]);
     }
@@ -91,7 +91,7 @@ fn main() {
         let costs: Vec<f64> = (0..repeats)
             .map(|rep| per_step_cost(m, n, steps, 1.0, eps, seed_of(1, i, rep)))
             .collect();
-        let (q10, q50, q90) = quantiles(costs);
+        let (q10, q50, q90) = quantiles(&costs);
         println!("  ε = {eps:8.4}: median {q50:.4} USD/step  [{q10:.4}, {q90:.4}]");
         rows_b.push(vec![eps, q10, q50, q90]);
     }
@@ -111,7 +111,7 @@ fn main() {
         let costs: Vec<f64> = (0..repeats)
             .map(|rep| per_step_cost(8, 12, 576, temp0, 0.001, seed_of(2, i, rep)))
             .collect();
-        let (q10, q50, q90) = quantiles(costs);
+        let (q10, q50, q90) = quantiles(&costs);
         println!("  Temp0 = {temp0:4.1}: median {q50:.5} USD/step  [{q10:.5}, {q90:.5}]");
         rows_c.push(vec![temp0, q10, q50, q90]);
     }

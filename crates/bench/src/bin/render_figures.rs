@@ -1,5 +1,6 @@
-//! Renders SVG figures from the CSV series the experiment binaries
-//! drop into `results/`. Run the `fig*` binaries first, then this.
+//! Renders SVG figures from the CSV series in `results/`: Figures 2–5
+//! from `experiment fig2` … `fig5`, Figures 1, 7 and 8 from their probe
+//! binaries. Run those first, then this.
 //!
 //! Usage: `cargo run -p megh-bench --release --bin render_figures`
 

@@ -1,40 +1,34 @@
-//! The experiment harness: shared machinery behind the per-table and
-//! per-figure binaries (see DESIGN.md §4 for the experiment index).
+//! The experiment harness (see DESIGN.md §4 for the experiment index).
 //!
-//! Every binary follows the same pattern: build the §6 experimental
-//! setup at either *reduced* scale (default — minutes on a laptop,
-//! shapes preserved) or *full* paper scale (`--full`), run the relevant
-//! schedulers, print the paper-style table, and drop machine-readable
-//! CSV/JSON into `results/`.
+//! Every sweep-shaped table and figure is a row of
+//! [`experiments::table`], run over eight paired seeds by the
+//! `experiment` binary, which prints a markdown table and drops
+//! `results/<row>.json` (plus the figure CSVs). The probes that are not
+//! sweeps — `fig1_workloads`, `fig6_scalability`, `fig7_qtable_growth`,
+//! `fig8_sensitivity` — are their own binaries and take `--full` for the
+//! paper's grids; `render_figures` turns the CSVs into SVGs.
 //!
 //! # Examples
 //!
 //! ```
-//! use megh_bench::{planetlab_experiment, Scale};
+//! use megh_bench::experiments::{row, Placement};
 //!
-//! let (config, trace) = planetlab_experiment(Scale::Reduced, 1);
-//! assert!(config.pms.len() >= 100);
-//! assert_eq!(trace.n_vms(), config.vms.len());
+//! let fig4 = row("fig4").unwrap();
+//! assert_eq!(fig4.setups[0].placement, Placement::RandomUniform);
+//! let config = fig4.setups[0].config(1);
+//! assert_eq!((config.pms.len(), config.vms.len()), (100, 150));
 //! ```
 
 // No unsafe code anywhere in this crate.
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 mod plot;
 mod probe;
 mod report;
-mod runner;
-mod setup;
+mod scale;
 
 pub use plot::LineChart;
 pub use probe::MeghProbe;
-pub use report::{
-    ensure_results_dir, format_sweep_table, format_table, write_csv, write_json, ResultsError,
-};
-pub use runner::{
-    replicate_sweep, run_all_mmt, run_madvm, run_megh, run_scheduler, sweep_megh, SeriesBundle,
-};
-pub use setup::{
-    google_experiment, madvm_subset_experiment, planetlab_experiment, scale_from_args,
-    usize_flag_from_args, Scale,
-};
+pub use report::{ensure_results_dir, write_csv, write_json, ResultsError};
+pub use scale::{scale_from_args, Scale};

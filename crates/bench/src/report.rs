@@ -1,11 +1,9 @@
-//! Result formatting and persistence.
+//! Result persistence: the `results/` directory, CSV and JSON writers.
 
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-use megh_sim::{SummaryReport, SweepReport};
 
 /// Error writing experiment results.
 #[derive(Debug)]
@@ -50,153 +48,6 @@ pub fn ensure_results_dir() -> Result<PathBuf, ResultsError> {
     Ok(dir)
 }
 
-/// Formats summary reports as the paper's table layout: one metric per
-/// row, one scheduler per column.
-pub fn format_table(title: &str, reports: &[SummaryReport]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let headers: Vec<String> = reports.iter().map(|r| r.scheduler.clone()).collect();
-    let rows: Vec<(&str, Vec<String>)> = vec![
-        (
-            "Total cost (USD)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.total_cost_usd))
-                .collect(),
-        ),
-        (
-            "  energy (USD)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.energy_cost_usd))
-                .collect(),
-        ),
-        (
-            "  SLA (USD)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.sla_cost_usd))
-                .collect(),
-        ),
-        (
-            "#VM migrations",
-            reports
-                .iter()
-                .map(|r| r.total_migrations.to_string())
-                .collect(),
-        ),
-        (
-            "#Active hosts (mean)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.mean_active_hosts))
-                .collect(),
-        ),
-        (
-            "Execution time (ms)",
-            reports
-                .iter()
-                .map(|r| format!("{:.3}", r.mean_decision_ms))
-                .collect(),
-        ),
-    ];
-    let metric_width = rows.iter().map(|(m, _)| m.len()).max().unwrap_or(0).max(8);
-    let col_widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|(_, cells)| cells[i].len())
-                .max()
-                .unwrap_or(0)
-                .max(h.len())
-        })
-        .collect();
-    out.push_str(&format!("{:width$}", "", width = metric_width));
-    for (h, w) in headers.iter().zip(&col_widths) {
-        out.push_str(&format!("  {h:>w$}"));
-    }
-    out.push('\n');
-    for (metric, cells) in rows {
-        out.push_str(&format!("{metric:metric_width$}"));
-        for (cell, w) in cells.iter().zip(&col_widths) {
-            out.push_str(&format!("  {cell:>w$}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats sweep reports as a "mean ± std over seeds" table: one metric
-/// per row, one scheduler per column. Seed-invariant baselines show a
-/// std of 0.0 by construction.
-pub fn format_sweep_table(title: &str, reports: &[SweepReport]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let headers: Vec<String> = reports.iter().map(|r| r.scheduler.clone()).collect();
-    let rows: Vec<(&str, Vec<String>)> = vec![
-        (
-            "Total cost (USD)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1} ± {:.1}", r.mean_total_cost_usd, r.std_total_cost_usd))
-                .collect(),
-        ),
-        (
-            "  min … max (USD)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1} … {:.1}", r.min_total_cost_usd, r.max_total_cost_usd))
-                .collect(),
-        ),
-        (
-            "#VM migrations (mean)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.mean_total_migrations))
-                .collect(),
-        ),
-        (
-            "#Active hosts (mean)",
-            reports
-                .iter()
-                .map(|r| format!("{:.1}", r.mean_active_hosts))
-                .collect(),
-        ),
-        (
-            "Seeds",
-            reports.iter().map(|r| r.seeds.to_string()).collect(),
-        ),
-    ];
-    let metric_width = rows.iter().map(|(m, _)| m.len()).max().unwrap_or(0).max(8);
-    let col_widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|(_, cells)| cells[i].len())
-                .max()
-                .unwrap_or(0)
-                .max(h.len())
-        })
-        .collect();
-    out.push_str(&format!("{:width$}", "", width = metric_width));
-    for (h, w) in headers.iter().zip(&col_widths) {
-        out.push_str(&format!("  {h:>w$}"));
-    }
-    out.push('\n');
-    for (metric, cells) in rows {
-        out.push_str(&format!("{metric:metric_width$}"));
-        for (cell, w) in cells.iter().zip(&col_widths) {
-            out.push_str(&format!("  {cell:>w$}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Writes a CSV file with a header row and numeric rows.
 ///
 /// # Errors
@@ -234,62 +85,6 @@ pub fn write_json<T: serde::Serialize>(
 mod tests {
     use super::*;
 
-    fn report(name: &str, cost: f64) -> SummaryReport {
-        SummaryReport {
-            scheduler: name.to_string(),
-            steps: 10,
-            total_cost_usd: cost,
-            energy_cost_usd: cost * 0.8,
-            sla_cost_usd: cost * 0.2,
-            total_migrations: 42,
-            mean_active_hosts: 3.5,
-            mean_decision_ms: 0.12,
-            max_decision_ms: 0.3,
-        }
-    }
-
-    #[test]
-    fn table_contains_all_schedulers_and_metrics() {
-        let t = format_table("Table X", &[report("THR-MMT", 100.0), report("Megh", 88.0)]);
-        assert!(t.contains("Table X"));
-        assert!(t.contains("THR-MMT"));
-        assert!(t.contains("Megh"));
-        assert!(t.contains("Total cost"));
-        assert!(t.contains("#VM migrations"));
-        assert!(t.contains("Execution time"));
-        assert!(t.contains("100.0"));
-        assert!(t.contains("88.0"));
-    }
-
-    #[test]
-    fn sweep_table_shows_mean_and_spread() {
-        let run = |seed: u64, cost: f64| megh_sim::SeedRun {
-            seed,
-            steps: 10,
-            total_cost_usd: cost,
-            energy_cost_usd: cost * 0.8,
-            sla_cost_usd: cost * 0.2,
-            total_migrations: 5,
-            mean_active_hosts: 3.0,
-        };
-        let sweep = SweepReport {
-            scheduler: "Megh".to_string(),
-            seeds: 2,
-            runs: vec![run(1, 90.0), run(2, 110.0)],
-            mean_total_cost_usd: 100.0,
-            std_total_cost_usd: 10.0,
-            min_total_cost_usd: 90.0,
-            max_total_cost_usd: 110.0,
-            mean_total_migrations: 5.0,
-            mean_active_hosts: 3.0,
-        };
-        let t = format_sweep_table("Table X (sweep)", &[sweep]);
-        assert!(t.contains("Table X (sweep)"));
-        assert!(t.contains("100.0 ± 10.0"), "{t}");
-        assert!(t.contains("90.0 … 110.0"), "{t}");
-        assert!(t.contains("Seeds"), "{t}");
-    }
-
     #[test]
     fn csv_roundtrip_layout() {
         let dir = std::env::temp_dir().join(format!("megh-bench-{}", std::process::id()));
@@ -307,10 +102,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("megh-bench-json-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r.json");
-        write_json(&path, &report("X", 1.0)).unwrap();
+        write_json(&path, &vec!["X".to_string()]).unwrap();
         let content = fs::read_to_string(&path).unwrap();
         let parsed: serde_json::Value = serde_json::from_str(&content).unwrap();
-        assert_eq!(parsed["scheduler"], "X");
+        assert_eq!(parsed[0], "X");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -66,36 +66,6 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-impl From<megh_flags::FlagError> for ArgsError {
-    fn from(err: megh_flags::FlagError) -> Self {
-        match err {
-            megh_flags::FlagError::Missing(key) => Self::Missing(key),
-            megh_flags::FlagError::Invalid {
-                key,
-                value,
-                expected,
-            } => Self::Invalid {
-                key,
-                value,
-                expected,
-            },
-        }
-    }
-}
-
-/// The parsed CLI arguments can back a [`megh_flags::FlagTable`], so the
-/// subcommands read their options through declared flag tables (which
-/// also generate the help text).
-impl megh_flags::FlagSource for Args {
-    fn value(&self, name: &str) -> Option<&str> {
-        self.get(name)
-    }
-
-    fn is_set(&self, name: &str) -> bool {
-        self.has_flag(name)
-    }
-}
-
 impl Args {
     /// Parses a token stream (not including the program name).
     ///
@@ -182,28 +152,6 @@ mod tests {
         let args = parse("run --verbose --hosts 4");
         assert!(args.has_flag("verbose"));
         assert_eq!(args.get("hosts"), Some("4"));
-    }
-
-    #[test]
-    fn args_back_a_flag_table() {
-        use megh_flags::{FlagSource as _, FlagSpec, FlagTable};
-        const T: FlagTable = FlagTable::new(
-            "t",
-            &[
-                FlagSpec::opt("n", "N", "5", "a number"),
-                FlagSpec::switch("v", "verbose"),
-            ],
-        );
-        let args = parse("x --n 12 --v");
-        assert_eq!(args.value("n"), Some("12"));
-        assert!(args.is_set("v"));
-        assert_eq!(T.parsed(&args, "n", 5usize, "integer").unwrap(), 12);
-        assert_eq!(T.parsed(&parse("x"), "n", 5usize, "integer").unwrap(), 5);
-        let err: ArgsError = T
-            .parsed(&parse("x --n abc"), "n", 5usize, "integer")
-            .unwrap_err()
-            .into();
-        assert!(matches!(err, ArgsError::Invalid { .. }));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
 use megh_core::{HierMegh, MeghAgent, MeghConfig, PeriodicMeghAgent};
-use megh_flags::{FlagSpec, FlagTable};
 use megh_serve::{Client as ServeClient, Listen, Request as ServeRequest, ServeOptions};
 use megh_sim::{
     run_streamed, run_sweep, DataCenterConfig, HostOutage, InitialPlacement, NoOpScheduler,
@@ -14,6 +13,7 @@ use megh_trace::{
 };
 
 use crate::args::{Args, ArgsError};
+use crate::flags::{FlagSpec, FlagTable};
 
 /// Workload families the CLI accepts.
 pub const WORKLOAD_NAMES: [&str; 3] = ["planetlab", "google", "diurnal"];
@@ -1250,24 +1250,31 @@ mod tests {
 
     #[test]
     fn stream_file_corrupt_planetlab_file_fails_naming_its_line() {
-        // One VM file of three has a non-number on its line 100.
-        let dir = std::env::temp_dir().join(format!("megh-cli-baddir-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let series: Vec<String> = (0..288).map(|s| (s % 50).to_string()).collect();
-        for vm in ["vm_a", "vm_b", "vm_c"] {
-            let mut lines = series.clone();
-            if vm == "vm_b" {
-                lines[99] = "xyz".into();
+        // One VM file of three has a bad value on its line 100: a
+        // non-number, then an out-of-range utilization. The error names
+        // the file and the line.
+        for bad in ["xyz", "150"] {
+            let dir =
+                std::env::temp_dir().join(format!("megh-cli-baddir-{}-{bad}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let series: Vec<String> = (0..288).map(|s| (s % 50).to_string()).collect();
+            for vm in ["vm_a", "vm_b", "vm_c"] {
+                let mut lines = series.clone();
+                if vm == "vm_b" {
+                    lines[99] = bad.into();
+                }
+                std::fs::write(dir.join(vm), lines.join("\n")).unwrap();
             }
-            std::fs::write(dir.join(vm), lines.join("\n")).unwrap();
+            let result = dispatch(&parse(&format!(
+                "simulate --hosts 2 --scheduler noop --file {}",
+                dir.display()
+            )));
+            std::fs::remove_dir_all(&dir).ok();
+            let err = result.unwrap_err().to_string();
+            assert!(err.contains("line 100"), "{bad}: {err}");
+            assert!(err.contains("vm_b"), "{bad}: {err}");
+            assert!(err.contains(bad), "{bad}: {err}");
         }
-        let result = dispatch(&parse(&format!(
-            "simulate --hosts 2 --scheduler noop --file {}",
-            dir.display()
-        )));
-        std::fs::remove_dir_all(&dir).ok();
-        let err = result.unwrap_err().to_string();
-        assert!(err.contains("line 100"), "{err}");
     }
 
     #[test]

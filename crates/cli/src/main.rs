@@ -8,6 +8,7 @@
 
 mod args;
 mod commands;
+mod flags;
 
 use std::process::ExitCode;
 

@@ -29,14 +29,62 @@ use serde::{Deserialize, Serialize};
 
 use megh_linalg::{mean, std_dev};
 
-use crate::{Scheduler, Simulation, SimulationOutcome};
+use crate::{Scheduler, Simulation, SimulationOutcome, SummaryReport};
 
-/// Runs `sim` once per seed, fanning the seeds across `threads` scoped
-/// workers, and returns the outcomes **in seed order**.
+/// Calls `f` once per seed, fanning the seeds across `threads` scoped
+/// workers, and returns the results **in seed order**.
 ///
-/// `make` builds a fresh scheduler for each seed; it must be `Sync`
+/// This is the one seed fan-out in the workspace: [`run_sweep`] and the
+/// bench crate's experiment runner are both callers. `f` must be `Sync`
 /// because workers call it concurrently. `threads` is clamped to
 /// `1..=seeds.len()`. Worker panics propagate when the scope joins.
+///
+/// # Examples
+///
+/// ```
+/// use megh_sim::sweep::map_seeds;
+///
+/// assert_eq!(map_seeds(&[3, 1, 2], 2, |seed| seed * 10), vec![30, 10, 20]);
+/// ```
+pub fn map_seeds<T, F>(seeds: &[u64], threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+{
+    if seeds.is_empty() {
+        return Vec::new();
+    }
+    let threads = threads.clamp(1, seeds.len());
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(seeds.len(), || None);
+    // Contiguous chunks keep each worker on a disjoint slice of the slot
+    // vector: no locks, and slot index == seed index by construction.
+    let chunk = seeds.len().div_ceil(threads);
+    if threads == 1 {
+        for (slot, &seed) in slots.iter_mut().zip(seeds) {
+            *slot = Some(f(seed));
+        }
+    } else {
+        let f = &f;
+        std::thread::scope(|scope| {
+            for (seed_chunk, slot_chunk) in seeds.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+                scope.spawn(move || {
+                    for (slot, &seed) in slot_chunk.iter_mut().zip(seed_chunk) {
+                        *slot = Some(f(seed));
+                    }
+                });
+            }
+        });
+    }
+    // Every slot was filled by exactly one worker (panics would have
+    // propagated out of the scope above), so flatten drops nothing.
+    slots.into_iter().flatten().collect()
+}
+
+/// Runs `sim` once per seed, fanning the seeds across `threads` scoped
+/// workers ([`map_seeds`]), and returns the outcomes **in seed order**.
+///
+/// `make` builds a fresh scheduler for each seed.
 ///
 /// # Examples
 ///
@@ -59,34 +107,7 @@ where
     S: Scheduler,
     F: Fn(u64) -> S + Sync,
 {
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, seeds.len());
-    let mut slots: Vec<Option<SimulationOutcome>> = Vec::new();
-    slots.resize_with(seeds.len(), || None);
-    // Contiguous chunks keep each worker on a disjoint slice of the slot
-    // vector: no locks, and slot index == seed index by construction.
-    let chunk = seeds.len().div_ceil(threads);
-    if threads == 1 {
-        for (slot, &seed) in slots.iter_mut().zip(seeds) {
-            *slot = Some(sim.run(make(seed)));
-        }
-    } else {
-        let make = &make;
-        std::thread::scope(|scope| {
-            for (seed_chunk, slot_chunk) in seeds.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, &seed) in slot_chunk.iter_mut().zip(seed_chunk) {
-                        *slot = Some(sim.run(make(seed)));
-                    }
-                });
-            }
-        });
-    }
-    // Every slot was filled by exactly one worker (panics would have
-    // propagated out of the scope above), so flatten drops nothing.
-    slots.into_iter().flatten().collect()
+    map_seeds(seeds, threads, |seed| sim.run(make(seed)))
 }
 
 /// One seed's deterministic summary — a [`crate::SummaryReport`] minus
@@ -121,7 +142,8 @@ pub struct SweepReport {
     pub runs: Vec<SeedRun>,
     /// Mean of `total_cost_usd` over the seeds.
     pub mean_total_cost_usd: f64,
-    /// Sample standard deviation of `total_cost_usd` (0 for one seed).
+    /// Population standard deviation of `total_cost_usd` (0 for one
+    /// seed).
     pub std_total_cost_usd: f64,
     /// Smallest per-seed total cost.
     pub min_total_cost_usd: f64,
@@ -133,6 +155,21 @@ pub struct SweepReport {
     pub mean_active_hosts: f64,
 }
 
+impl SeedRun {
+    /// The deterministic part of one run's summary.
+    pub fn new(seed: u64, summary: &SummaryReport) -> Self {
+        Self {
+            seed,
+            steps: summary.steps,
+            total_cost_usd: summary.total_cost_usd,
+            energy_cost_usd: summary.energy_cost_usd,
+            sla_cost_usd: summary.sla_cost_usd,
+            total_migrations: summary.total_migrations,
+            mean_active_hosts: summary.mean_active_hosts,
+        }
+    }
+}
+
 impl SweepReport {
     /// Aggregates seed-ordered outcomes (as returned by [`run_sweep`])
     /// into a report.
@@ -142,28 +179,26 @@ impl SweepReport {
     /// Panics if `seeds` and `outcomes` disagree in length.
     pub fn from_outcomes(seeds: &[u64], outcomes: &[SimulationOutcome]) -> Self {
         assert_eq!(seeds.len(), outcomes.len(), "one outcome per seed required");
-        let runs: Vec<SeedRun> = seeds
+        let runs = seeds
             .iter()
             .zip(outcomes)
-            .map(|(&seed, outcome)| {
-                let summary = outcome.report();
-                SeedRun {
-                    seed,
-                    steps: summary.steps,
-                    total_cost_usd: summary.total_cost_usd,
-                    energy_cost_usd: summary.energy_cost_usd,
-                    sla_cost_usd: summary.sla_cost_usd,
-                    total_migrations: summary.total_migrations,
-                    mean_active_hosts: summary.mean_active_hosts,
-                }
-            })
+            .map(|(&seed, outcome)| SeedRun::new(seed, &outcome.report()))
             .collect(); // report assembly is a cold path
+        let scheduler = outcomes
+            .first()
+            .map(|o| o.scheduler().to_string())
+            .unwrap_or_default();
+        Self::from_runs(scheduler, runs)
+    }
+
+    /// Aggregates seed-ordered runs of one scheduler into a report.
+    pub fn from_runs(scheduler: String, runs: Vec<SeedRun>) -> Self {
         let costs: Vec<f64> = runs.iter().map(|r| r.total_cost_usd).collect();
         if runs.is_empty() {
             // Keep every aggregate finite so the report always
             // serializes to plain JSON numbers.
             return Self {
-                scheduler: String::new(),
+                scheduler,
                 seeds: 0,
                 runs,
                 mean_total_cost_usd: 0.0,
@@ -175,10 +210,7 @@ impl SweepReport {
             };
         }
         Self {
-            scheduler: outcomes
-                .first()
-                .map(|o| o.scheduler().to_string())
-                .unwrap_or_default(),
+            scheduler,
             seeds: runs.len(),
             mean_total_cost_usd: mean(&costs),
             std_total_cost_usd: if costs.len() > 1 {
@@ -237,6 +269,19 @@ mod tests {
     fn mini_sim(steps: usize) -> Simulation {
         let trace = PlanetLabConfig::new(8, 7).generate_steps(steps);
         Simulation::new(DataCenterConfig::paper_planetlab(4, 8), trace).unwrap()
+    }
+
+    #[test]
+    fn map_seeds_returns_results_in_seed_order_for_any_thread_count() {
+        let seeds = [9u64, 1, 5, 7, 3];
+        let expected: Vec<u64> = seeds.iter().map(|s| s * 100 + 1).collect();
+        for threads in 1..=seeds.len() + 1 {
+            assert_eq!(
+                map_seeds(&seeds, threads, |seed| seed * 100 + 1),
+                expected,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -120,13 +120,16 @@ fn next_planetlab_value(
         if line.is_empty() {
             continue;
         }
-        let value: f64 = line.parse().map_err(|_| TraceCsvError::Parse {
-            line: *line_no,
-            cell: line.to_string(),
+        // One file per VM, so an error names both the file and the line.
+        let value: f64 = line.parse().map_err(|_| {
+            TraceCsvError::Format(format!(
+                "cannot parse {line:?} as a number on line {line_no} of {}",
+                path.display()
+            ))
         })?;
         if !(0.0..=100.0).contains(&value) || !value.is_finite() {
             return Err(TraceCsvError::Format(format!(
-                "utilization {value} outside [0, 100] in {}",
+                "utilization {value} outside [0, 100] on line {line_no} of {}",
                 path.display()
             )));
         }
@@ -225,6 +228,8 @@ mod tests {
         let err = read_all(&dir).unwrap_err();
         fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, TraceCsvError::Format(_)));
+        let msg = err.to_string();
+        assert!(msg.contains("line 2 of") && msg.contains("vm_a"), "{msg}");
     }
 
     #[test]
@@ -233,7 +238,9 @@ mod tests {
         fs::write(dir.join("vm_a"), "10\nxyz\n").unwrap();
         let err = read_all(&dir).unwrap_err();
         fs::remove_dir_all(&dir).ok();
-        assert!(matches!(err, TraceCsvError::Parse { line: 2, .. }));
+        let msg = err.to_string();
+        assert!(msg.contains("\"xyz\""), "{msg}");
+        assert!(msg.contains("line 2 of") && msg.contains("vm_a"), "{msg}");
     }
 
     #[test]
