@@ -1,5 +1,6 @@
 //! Runs rows of the experiment table (`megh_bench::experiments`): every
-//! arm of the row on every setup over seeds 1–8, paired by seed.
+//! arm of the row on every setup over seeds 1–8, paired by seed
+//! (`megh_sim::sweep::run_row`).
 //!
 //! Prints a markdown table per row (mean ± sd per metric, Δ ± SE against
 //! Megh, ms per decision) and writes `results/<row>.json`, which is
@@ -13,7 +14,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use megh_bench::ensure_results_dir;
-use megh_bench::experiments::{format_row, run_row, table, write_outputs, Row, SEEDS};
+use megh_bench::experiments::{format_convergence, table, write_outputs, SEEDS};
+use megh_sim::sweep::{format_row, run_row, Row};
 
 const USAGE: &str = "usage: experiment NAME|all|list [--threads T]";
 
@@ -90,10 +92,10 @@ fn main() -> ExitCode {
     };
     for row in &rows {
         let started = Instant::now();
-        let written = run_row(row, threads)
+        let written = run_row(row, &SEEDS, threads)
             .map_err(|e| e.to_string())
             .and_then(|run| {
-                print!("{}", format_row(&run));
+                print!("{}{}", format_row(&run), format_convergence(&run));
                 write_outputs(row, &run, &dir).map_err(|e| e.to_string())
             });
         if let Err(e) = written {

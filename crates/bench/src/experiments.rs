@@ -1,19 +1,13 @@
 //! The experiment table: every sweep-shaped table and figure of the
-//! reproduction as one [`Row`] of data, run by one paired-seed runner.
+//! reproduction as one [`Row`] of data, run on [`SEEDS`] by the
+//! paired-seed runner [`megh_sim::sweep::run_row`].
 //!
-//! A row names its setups (workload, fleet, days, initial placement,
-//! oversubscription ratio), its arms (a label plus a scheduler
-//! constructor) and its extra outputs. Every row runs on [`SEEDS`]: for
-//! each seed and setup, [`run_row`] builds one [`Simulation`] — the seed
-//! drives the trace, the initial placement and every arm's RNG — and
-//! runs every arm on it. Each arm's difference from the row's first
-//! (reference) arm is therefore paired by seed, and its standard error
-//! is the seed-to-seed spread of that difference, not of either arm.
-//!
-//! The seed fan-out is [`megh_sim::map_seeds`]. A [`RowReport`] holds
-//! deterministic fields only, so its JSON is byte-identical for any
-//! thread count; wall-clock decision times ride beside it in [`RowRun`]
-//! and are printed, never written.
+//! This module holds what is particular to the reproduction: the arms
+//! (a label plus a scheduler constructor each, Megh first as every
+//! row's reference), the rows built from them, the files a row writes
+//! and the convergence reading of the figure rows. The setups, the
+//! runner, the paired statistics and the markdown table are
+//! [`megh_sim::sweep`]'s.
 
 use std::path::Path;
 
@@ -23,23 +17,14 @@ use megh_baselines::{
 };
 use megh_core::diagnostics::detect_convergence;
 use megh_core::{MeghAgent, MeghConfig};
-use megh_linalg::mean;
-use megh_sim::{
-    map_seeds, DataCenterConfig, InitialPlacement, Scheduler, SeedRun, SimError, Simulation,
-    SlavMetrics, StepRecord, SweepReport,
-};
-use megh_trace::{GoogleConfig, PlanetLabConfig, WorkloadTrace};
-use serde::Serialize;
+use megh_sim::sweep::{Arm, Output, Placement, Row, RowRun, Setup, Workload};
+use megh_sim::{DataCenterConfig, Scheduler, Simulation, StepRecord};
+use megh_trace::PlanetLabConfig;
 
 use crate::{write_csv, write_json, ResultsError};
 
 /// The seeds every row runs on.
 pub const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-
-/// Two-sided 95 % quantile of Student's t with `SEEDS.len() − 1 = 7`
-/// degrees of freedom: a paired difference is *separated* when
-/// `|Δ| > T_CRIT · SE`.
-pub const T_CRIT: f64 = 2.365;
 
 /// Seed `s`'s trained Q-learner learns on the week generated from
 /// `s + QLEARN_TRAIN_OFFSET`, which no row evaluates on.
@@ -47,124 +32,6 @@ const QLEARN_TRAIN_OFFSET: u64 = 1_000;
 
 /// Offline training episodes of the trained Q-learner.
 const QLEARN_EPISODES: usize = 5;
-
-/// Workload family of a setup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// The PlanetLab-like trace on the PlanetLab fleet.
-    PlanetLab,
-    /// The Google-Cluster-like trace on the Google fleet.
-    Google,
-}
-
-/// Initial placement of a setup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// First-fit-decreasing by step-0 demand (CloudSim's power-aware
-    /// initial allocation).
-    DemandPacked,
-    /// Uniformly at random, seeded by the row seed — "no initial bias
-    /// for the learning" (§6.3).
-    RandomUniform,
-}
-
-/// What one simulation of a row is built from, given a seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Setup {
-    /// Workload family.
-    pub workload: Workload,
-    /// Number of hosts.
-    pub hosts: usize,
-    /// Number of VMs.
-    pub vms: usize,
-    /// Simulated days (288 steps each).
-    pub days: usize,
-    /// Initial placement.
-    pub placement: Placement,
-    /// CPU oversubscription ratio of the initial packing.
-    pub oversubscription: f64,
-}
-
-impl Setup {
-    /// A demand-packed setup at the default oversubscription ratio of 2.
-    pub const fn new(workload: Workload, hosts: usize, vms: usize, days: usize) -> Self {
-        Self {
-            workload,
-            hosts,
-            vms,
-            days,
-            placement: Placement::DemandPacked,
-            oversubscription: 2.0,
-        }
-    }
-
-    /// The data centre for `seed`.
-    pub fn config(&self, seed: u64) -> DataCenterConfig {
-        let mut config = match self.workload {
-            Workload::PlanetLab => DataCenterConfig::paper_planetlab(self.hosts, self.vms),
-            Workload::Google => DataCenterConfig::paper_google(self.hosts, self.vms),
-        };
-        config.initial_placement = match self.placement {
-            Placement::DemandPacked => InitialPlacement::DemandPacked,
-            Placement::RandomUniform => InitialPlacement::RandomUniform { seed },
-        };
-        config.oversubscription_ratio = self.oversubscription;
-        config
-    }
-
-    /// The workload trace for `seed`.
-    pub fn trace(&self, seed: u64) -> WorkloadTrace {
-        match self.workload {
-            Workload::PlanetLab => PlanetLabConfig::new(self.vms, seed).generate(self.days),
-            Workload::Google => GoogleConfig::new(self.vms, seed).generate(self.days),
-        }
-    }
-
-    /// One-line description for tables and the JSON.
-    pub fn describe(&self) -> String {
-        format!(
-            "{:?}, {} hosts x {} VMs, {} days, {:?} placement, oversubscription {}",
-            self.workload, self.hosts, self.vms, self.days, self.placement, self.oversubscription
-        )
-    }
-}
-
-/// Builds an arm's scheduler for one seed on one setup's data centre.
-pub type MakeScheduler = fn(&DataCenterConfig, u64) -> Box<dyn Scheduler + Send>;
-
-/// One compared policy: a label plus its scheduler constructor.
-#[derive(Clone, Copy)]
-pub struct Arm {
-    /// Column label (also the CSV header of series outputs).
-    pub label: &'static str,
-    /// The constructor.
-    pub make: MakeScheduler,
-}
-
-/// Outputs a row writes beside its JSON and table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Output {
-    /// Figures 2–5: seed 1's per-step series on the first setup as
-    /// `<row>{a,b,c,d}_*.csv`, plus a convergence reading.
-    Series,
-    /// The Beloglazov metric bundle (SLATAH, PDM, SLAV, ESV), mean over
-    /// the seeds.
-    Slav,
-}
-
-/// One experiment: its arms run on each of its setups over [`SEEDS`].
-pub struct Row {
-    /// Command-line name; the JSON is `results/<name>.json`.
-    pub name: &'static str,
-    /// Heading of the printed table.
-    pub title: &'static str,
-    /// Setups, one printed table and JSON block each.
-    pub setups: Vec<Setup>,
-    /// Arms; the first is the reference every other arm is paired with.
-    pub arms: Vec<Arm>,
-    /// Extra outputs.
-    pub outputs: Vec<Output>,
-}
 
 /// Megh with the paper defaults for the fleet, adjusted by `tweak`.
 fn megh_with(
@@ -181,55 +48,55 @@ fn megh_with(
 }
 
 /// Megh with the paper defaults.
-const MEGH: Arm = Arm {
+const MEGH: Arm<'static> = Arm {
     label: "Megh",
-    make: |c, s| megh_with(c, s, |_| {}),
+    make: &|c, s| megh_with(c, s, |_| {}),
 };
 
-const THR: Arm = Arm {
+const THR: Arm<'static> = Arm {
     label: "THR-MMT",
-    make: |_, _| Box::new(MmtScheduler::new(MmtFlavor::Thr)),
+    make: &|_, _| Box::new(MmtScheduler::new(MmtFlavor::Thr)),
 };
 
 /// The five MMT flavours, Tables 2–3's columns left to right.
-const MMT: [Arm; 5] = [
+const MMT: [Arm<'static>; 5] = [
     THR,
     Arm {
         label: "IQR-MMT",
-        make: |_, _| Box::new(MmtScheduler::new(MmtFlavor::Iqr)),
+        make: &|_, _| Box::new(MmtScheduler::new(MmtFlavor::Iqr)),
     },
     Arm {
         label: "MAD-MMT",
-        make: |_, _| Box::new(MmtScheduler::new(MmtFlavor::Mad)),
+        make: &|_, _| Box::new(MmtScheduler::new(MmtFlavor::Mad)),
     },
     Arm {
         label: "LR-MMT",
-        make: |_, _| Box::new(MmtScheduler::new(MmtFlavor::Lr)),
+        make: &|_, _| Box::new(MmtScheduler::new(MmtFlavor::Lr)),
     },
     Arm {
         label: "LRR-MMT",
-        make: |_, _| Box::new(MmtScheduler::new(MmtFlavor::Lrr)),
+        make: &|_, _| Box::new(MmtScheduler::new(MmtFlavor::Lrr)),
     },
 ];
 
-const MADVM: Arm = Arm {
+const MADVM: Arm<'static> = Arm {
     label: "MadVM",
-    make: |_, _| Box::new(MadVmScheduler::new(MadVmConfig::default())),
+    make: &|_, _| Box::new(MadVmScheduler::new(MadVmConfig::default())),
 };
 
 /// Megh's design choices, one at a time against the paper defaults.
-const MEGH_ABLATIONS: [Arm; 6] = [
+const MEGH_ABLATIONS: [Arm<'static>; 6] = [
     Arm {
         label: "gamma=0",
-        make: |c, s| megh_with(c, s, |m| m.gamma = 0.0),
+        make: &|c, s| megh_with(c, s, |m| m.gamma = 0.0),
     },
     Arm {
         label: "gamma=0.9",
-        make: |c, s| megh_with(c, s, |m| m.gamma = 0.9),
+        make: &|c, s| megh_with(c, s, |m| m.gamma = 0.9),
     },
     Arm {
         label: "2% actions",
-        make: |c, s| {
+        make: &|c, s| {
             megh_with(c, s, |m| {
                 m.actions_per_step = ((0.02 * m.n_vms as f64).ceil() as usize).max(1);
             })
@@ -237,15 +104,15 @@ const MEGH_ABLATIONS: [Arm; 6] = [
     },
     Arm {
         label: "masked",
-        make: |c, s| megh_with(c, s, |m| m.mask_sleeping_targets = true),
+        make: &|c, s| megh_with(c, s, |m| m.mask_sleeping_targets = true),
     },
     Arm {
         label: "no decay",
-        make: |c, s| megh_with(c, s, |m| m.epsilon = 0.0),
+        make: &|c, s| megh_with(c, s, |m| m.epsilon = 0.0),
     },
     Arm {
         label: "cold greedy",
-        make: |c, s| {
+        make: &|c, s| {
             megh_with(c, s, |m| {
                 m.temp0 = 0.01;
                 m.epsilon = 0.0;
@@ -262,26 +129,26 @@ fn thr_bound(bound: f64) -> Box<dyn Scheduler + Send> {
 
 /// THR-MMT's structural knobs: the utilization bound, underload
 /// consolidation, the detector's static threshold.
-const MMT_ABLATIONS: [Arm; 7] = [
+const MMT_ABLATIONS: [Arm<'static>; 7] = [
     Arm {
         label: "THR bound=0.8 (paper)",
-        make: |_, _| thr_bound(0.8),
+        make: &|_, _| thr_bound(0.8),
     },
     Arm {
         label: "THR bound=0.7",
-        make: |_, _| thr_bound(0.7),
+        make: &|_, _| thr_bound(0.7),
     },
     Arm {
         label: "THR bound=0.6",
-        make: |_, _| thr_bound(0.6),
+        make: &|_, _| thr_bound(0.6),
     },
     Arm {
         label: "THR bound=0.5",
-        make: |_, _| thr_bound(0.5),
+        make: &|_, _| thr_bound(0.5),
     },
     Arm {
         label: "THR no consolidation",
-        make: |_, _| {
+        make: &|_, _| {
             let mut thr = MmtScheduler::new(MmtFlavor::Thr);
             thr.consolidate_underloaded = false;
             Box::new(thr)
@@ -289,7 +156,7 @@ const MMT_ABLATIONS: [Arm; 7] = [
     },
     Arm {
         label: "THR detector=0.7",
-        make: |_, _| {
+        make: &|_, _| {
             Box::new(MmtScheduler::with_detector(
                 MmtFlavor::Thr,
                 OverloadDetector::thr(0.7),
@@ -298,7 +165,7 @@ const MMT_ABLATIONS: [Arm; 7] = [
     },
     Arm {
         label: "THR detector=0.9",
-        make: |_, _| {
+        make: &|_, _| {
             Box::new(MmtScheduler::with_detector(
                 MmtFlavor::Thr,
                 OverloadDetector::thr(0.9),
@@ -316,14 +183,14 @@ fn qlearner(seed: u64) -> QLearningScheduler {
 
 /// Tabular Q-learning, cold and trained offline on a disjoint
 /// PlanetLab week ("dependence on offline training", §2.2).
-const QLEARNING: [Arm; 2] = [
+const QLEARNING: [Arm<'static>; 2] = [
     Arm {
         label: "Q-learn (cold)",
-        make: |_, s| Box::new(qlearner(s)),
+        make: &|_, s| Box::new(qlearner(s)),
     },
     Arm {
         label: "Q-learn (train)",
-        make: |c, s| {
+        make: &|c, s| {
             let week = PlanetLabConfig::new(c.vms.len(), s + QLEARN_TRAIN_OFFSET).generate(7);
             let sim = Simulation::new(c.clone(), week)
                 .expect("the training week is generated for this fleet");
@@ -335,7 +202,7 @@ const QLEARNING: [Arm; 2] = [
 ];
 
 /// The experiment table, in the order `experiment all` runs it.
-pub fn table() -> Vec<Row> {
+pub fn table() -> Vec<Row<'static>> {
     use Workload::{Google, PlanetLab};
     let planetlab = Setup::new(PlanetLab, 160, 210, 7);
     let google = Setup::new(Google, 100, 400, 7);
@@ -344,7 +211,7 @@ pub fn table() -> Vec<Row> {
         ..Setup::new(workload, 100, 150, 3)
     };
     // Every row's reference arm is Megh.
-    let row = |name, title, setups, others: Vec<Arm>, outputs| Row {
+    let row = |name, title, setups, others: Vec<Arm<'static>>, outputs| Row {
         name,
         title,
         setups,
@@ -355,28 +222,28 @@ pub fn table() -> Vec<Row> {
         row(
             "table2",
             "Table 2 — PlanetLab",
-            vec![planetlab],
+            vec![planetlab.clone()],
             MMT.to_vec(),
             vec![],
         ),
         row(
             "table3",
             "Table 3 — Google Cluster",
-            vec![google],
+            vec![google.clone()],
             MMT.to_vec(),
             vec![],
         ),
         row(
             "fig2",
             "Figure 2 — Megh vs THR-MMT (PlanetLab)",
-            vec![planetlab],
+            vec![planetlab.clone()],
             vec![THR],
             vec![Output::Series],
         ),
         row(
             "fig3",
             "Figure 3 — Megh vs THR-MMT (Google Cluster)",
-            vec![google],
+            vec![google.clone()],
             vec![THR],
             vec![Output::Series],
         ),
@@ -397,14 +264,14 @@ pub fn table() -> Vec<Row> {
         row(
             "ablation-megh",
             "Ablation — Megh design choices",
-            vec![planetlab],
+            vec![planetlab.clone()],
             MEGH_ABLATIONS.to_vec(),
             vec![],
         ),
         row(
             "ablation-mmt",
             "Ablation — THR-MMT design choices",
-            vec![planetlab],
+            vec![planetlab.clone()],
             MMT_ABLATIONS.to_vec(),
             vec![],
         ),
@@ -423,14 +290,14 @@ pub fn table() -> Vec<Row> {
         row(
             "ext-slav",
             "Extension — Beloglazov SLA metrics (PlanetLab)",
-            vec![planetlab],
+            vec![planetlab.clone()],
             [&MMT[..], &[MADVM]].concat(),
             vec![Output::Slav],
         ),
         row(
             "ext-qlearning",
             "Extension — offline Q-learning vs online Megh (PlanetLab)",
-            vec![planetlab],
+            vec![planetlab.clone()],
             [&QLEARNING[..], &[THR]].concat(),
             vec![],
         ),
@@ -452,233 +319,8 @@ pub fn table() -> Vec<Row> {
 }
 
 /// The table row called `name`.
-pub fn row(name: &str) -> Option<Row> {
+pub fn row(name: &str) -> Option<Row<'static>> {
     table().into_iter().find(|row| row.name == name)
-}
-
-/// A paired difference `arm − reference` over the seeds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PairedDiff {
-    /// Mean difference.
-    pub mean: f64,
-    /// Sample standard deviation of the per-seed differences.
-    pub sd: f64,
-    /// Standard error of the mean difference, `sd / √n`.
-    pub se: f64,
-    /// Whether `|mean| > T_CRIT · se`.
-    pub separated: bool,
-}
-
-impl PairedDiff {
-    /// The paired difference of per-seed deltas.
-    pub fn of(deltas: &[f64]) -> Self {
-        let mean = mean(deltas);
-        let sd = sample_sd(deltas);
-        let se = sd / (deltas.len().max(1) as f64).sqrt();
-        Self {
-            mean,
-            sd,
-            se,
-            separated: mean.abs() > T_CRIT * se,
-        }
-    }
-}
-
-/// Sample standard deviation (`n − 1` denominator); 0 below two values.
-fn sample_sd(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let ss: f64 = values.iter().map(|v| (v - m).powi(2)).sum();
-    (ss / (values.len() - 1) as f64).sqrt()
-}
-
-/// An arm's paired differences from the reference arm, per metric.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Differences {
-    /// Total cost, USD.
-    pub total_cost_usd: PairedDiff,
-    /// Energy cost, USD.
-    pub energy_cost_usd: PairedDiff,
-    /// SLA cost, USD.
-    pub sla_cost_usd: PairedDiff,
-    /// VM migrations.
-    pub total_migrations: PairedDiff,
-    /// Mean active hosts.
-    pub mean_active_hosts: PairedDiff,
-}
-
-impl Differences {
-    fn paired(reference: &[SeedRun], arm: &[SeedRun]) -> Self {
-        let diff = |metric: fn(&SeedRun) -> f64| {
-            let deltas: Vec<f64> = arm
-                .iter()
-                .zip(reference)
-                .map(|(a, r)| metric(a) - metric(r))
-                .collect();
-            PairedDiff::of(&deltas)
-        };
-        Self {
-            total_cost_usd: diff(|r| r.total_cost_usd),
-            energy_cost_usd: diff(|r| r.energy_cost_usd),
-            sla_cost_usd: diff(|r| r.sla_cost_usd),
-            total_migrations: diff(|r| r.total_migrations as f64),
-            mean_active_hosts: diff(|r| r.mean_active_hosts),
-        }
-    }
-}
-
-/// One arm's deterministic result on one setup.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ArmReport {
-    /// The arm's label.
-    pub label: String,
-    /// Per-seed runs and their aggregate.
-    pub sweep: SweepReport,
-    /// Paired differences from the reference arm (`None` for the
-    /// reference itself).
-    pub vs_reference: Option<Differences>,
-    /// Mean Beloglazov metrics over the seeds ([`Output::Slav`] rows).
-    pub slav: Option<SlavMetrics>,
-}
-
-/// All arms on one setup.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BlockReport {
-    /// [`Setup::describe`].
-    pub setup: String,
-    /// Arms in row order; the first is the reference.
-    pub arms: Vec<ArmReport>,
-}
-
-/// A row's deterministic result: what `results/<row>.json` holds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RowReport {
-    /// Row name.
-    pub row: String,
-    /// Row title.
-    pub title: String,
-    /// The seeds, in run order.
-    pub seeds: Vec<u64>,
-    /// One block per setup.
-    pub blocks: Vec<BlockReport>,
-}
-
-/// A row's result: the deterministic report plus the wall-clock and
-/// series data that are printed or written as CSV, never as JSON.
-#[derive(Debug)]
-pub struct RowRun {
-    /// The deterministic report.
-    pub report: RowReport,
-    /// Mean milliseconds per decision over the seeds, `[block][arm]`.
-    pub decision_ms: Vec<Vec<f64>>,
-    /// Seed 1's per-step records of each arm on the first setup
-    /// ([`Output::Series`] rows only; empty otherwise).
-    pub series: Vec<Vec<StepRecord>>,
-}
-
-/// One arm on one seed: the run plus what the table and outputs read.
-struct SeedArm {
-    scheduler: String,
-    run: SeedRun,
-    decision_ms: f64,
-    slav: Option<SlavMetrics>,
-    records: Vec<StepRecord>,
-}
-
-/// Runs every arm of `row` on every setup over [`SEEDS`], fanning the
-/// seeds across `threads` workers.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when a setup builds an inconsistent simulation.
-pub fn run_row(row: &Row, threads: usize) -> Result<RowRun, SimError> {
-    let wants_series = row.outputs.contains(&Output::Series);
-    let wants_slav = row.outputs.contains(&Output::Slav);
-    let mut run = RowRun {
-        report: RowReport {
-            row: row.name.to_string(),
-            title: row.title.to_string(),
-            seeds: SEEDS.to_vec(),
-            blocks: Vec::new(),
-        },
-        decision_ms: Vec::new(),
-        series: Vec::new(),
-    };
-    for (block, setup) in row.setups.iter().enumerate() {
-        let keep_series = |seed| wants_series && block == 0 && seed == SEEDS[0];
-        let per_seed = map_seeds(&SEEDS, threads, |seed| {
-            let sim = Simulation::new(setup.config(seed), setup.trace(seed))?;
-            let arms = row.arms.iter().map(|arm| {
-                let outcome = sim.run((arm.make)(sim.config(), seed));
-                let summary = outcome.report();
-                SeedArm {
-                    run: SeedRun::new(seed, &summary),
-                    decision_ms: summary.mean_decision_ms,
-                    scheduler: summary.scheduler,
-                    slav: wants_slav.then(|| SlavMetrics::from_run(&outcome)),
-                    records: if keep_series(seed) {
-                        outcome.records().to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                }
-            });
-            Ok::<_, SimError>(arms.collect::<Vec<_>>())
-        });
-        // Transpose [seed][arm] into [arm][seed], seed order kept.
-        let mut by_arm: Vec<Vec<SeedArm>> = row.arms.iter().map(|_| Vec::new()).collect();
-        for seed_arms in per_seed {
-            for (arm_runs, seed_arm) in by_arm.iter_mut().zip(seed_arms?) {
-                arm_runs.push(seed_arm);
-            }
-        }
-        let runs_of = |seed_arms: &[SeedArm]| -> Vec<SeedRun> {
-            seed_arms.iter().map(|s| s.run.clone()).collect()
-        };
-        let reference = by_arm.first().map(|r| runs_of(r)).unwrap_or_default();
-        let mut arms = Vec::new();
-        let mut decision_ms = Vec::new();
-        for (i, (arm, seed_arms)) in row.arms.iter().zip(&mut by_arm).enumerate() {
-            let runs = runs_of(seed_arms);
-            let ms: Vec<f64> = seed_arms.iter().map(|s| s.decision_ms).collect();
-            decision_ms.push(mean(&ms));
-            let slavs: Vec<SlavMetrics> = seed_arms.iter().filter_map(|s| s.slav.clone()).collect();
-            if let Some(first) = seed_arms.first_mut().filter(|s| !s.records.is_empty()) {
-                run.series.push(std::mem::take(&mut first.records));
-            }
-            arms.push(ArmReport {
-                label: arm.label.to_string(),
-                vs_reference: (i > 0).then(|| Differences::paired(&reference, &runs)),
-                slav: wants_slav.then(|| mean_slav(&slavs)),
-                sweep: SweepReport::from_runs(
-                    seed_arms
-                        .first()
-                        .map(|s| s.scheduler.clone())
-                        .unwrap_or_default(),
-                    runs,
-                ),
-            });
-        }
-        run.report.blocks.push(BlockReport {
-            setup: setup.describe(),
-            arms,
-        });
-        run.decision_ms.push(decision_ms);
-    }
-    Ok(run)
-}
-
-fn mean_slav(runs: &[SlavMetrics]) -> SlavMetrics {
-    let of = |metric: fn(&SlavMetrics) -> f64| mean(&runs.iter().map(metric).collect::<Vec<_>>());
-    SlavMetrics {
-        slatah: of(|m| m.slatah),
-        pdm: of(|m| m.pdm),
-        slav: of(|m| m.slav),
-        energy_kwh: of(|m| m.energy_kwh),
-        esv: of(|m| m.esv),
-    }
 }
 
 /// A figure panel: CSV suffix and per-step value.
@@ -720,73 +362,19 @@ pub fn write_outputs(row: &Row, run: &RowRun, dir: &Path) -> Result<(), ResultsE
     Ok(())
 }
 
-/// The row as markdown: per setup, mean ± sd over the seeds per metric,
-/// Δ ± SE against the reference arm, and mean ms per decision; then the
-/// SLA-metric means and the series rows' convergence reading.
-pub fn format_row(run: &RowRun) -> String {
-    let report = &run.report;
-    let (first, last) = (SEEDS[0], SEEDS[SEEDS.len() - 1]);
+/// §6.3's convergence reading of panel (a) of a series row: when does
+/// each arm's per-step cost settle on the first seed, and how noisy is
+/// it afterwards? Empty for rows without [`Output::Series`].
+pub fn format_convergence(run: &RowRun) -> String {
+    let first = run.report.seeds.first().copied().unwrap_or_default();
+    let arms = run
+        .report
+        .blocks
+        .first()
+        .map(|b| &b.arms[..])
+        .unwrap_or(&[]);
     let mut out = String::new();
-    for (block, ms) in report.blocks.iter().zip(&run.decision_ms) {
-        let reference = block.arms.first().map_or("", |a| a.label.as_str());
-        out.push_str(&format!(
-            "### {} — {}\n\n{}; seeds {first}–{last}\n\n",
-            report.row, report.title, block.setup
-        ));
-        out.push_str(
-            "| arm | total USD | Δ total USD | energy USD | SLA USD | migrations | Δ migrations \
-             | active hosts | Δ active hosts | ms/decision |\n\
-             |---|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for (arm, ms) in block.arms.iter().zip(ms) {
-            let cell = |metric: fn(&SeedRun) -> f64, prec: usize| {
-                let xs: Vec<f64> = arm.sweep.runs.iter().map(metric).collect();
-                format!("{:.prec$} ± {:.prec$}", mean(&xs), sample_sd(&xs))
-            };
-            let delta = |pick: fn(&Differences) -> &PairedDiff, prec: usize| {
-                arm.vs_reference.as_ref().map_or("—".to_string(), |d| {
-                    let d = pick(d);
-                    let mark = if d.separated { " *" } else { "" };
-                    format!("{:+.prec$} ± {:.prec$}{mark}", d.mean, d.se)
-                })
-            };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {ms:.4} |\n",
-                arm.label,
-                cell(|r| r.total_cost_usd, 1),
-                delta(|d| &d.total_cost_usd, 1),
-                cell(|r| r.energy_cost_usd, 1),
-                cell(|r| r.sla_cost_usd, 1),
-                cell(|r| r.total_migrations as f64, 0),
-                delta(|d| &d.total_migrations, 0),
-                cell(|r| r.mean_active_hosts, 1),
-                delta(|d| &d.mean_active_hosts, 1),
-            ));
-        }
-        out.push_str(&format!(
-            "\nΔ = arm − {reference}, paired by seed, ± its standard error; \
-             * marks |Δ| > {T_CRIT} · SE (Student t, {} df, two-sided 95 %).\n\n",
-            SEEDS.len() - 1
-        ));
-        if block.arms.iter().any(|a| a.slav.is_some()) {
-            out.push_str(
-                "| arm | SLATAH | PDM | SLAV | energy kWh | ESV |\n|---|---|---|---|---|---|\n",
-            );
-            for arm in &block.arms {
-                if let Some(m) = &arm.slav {
-                    out.push_str(&format!(
-                        "| {} | {:.4} | {:.6} | {:.8} | {:.2} | {:.6} |\n",
-                        arm.label, m.slatah, m.pdm, m.slav, m.energy_kwh, m.esv
-                    ));
-                }
-            }
-            out.push('\n');
-        }
-    }
-    // §6.3's convergence reading of panel (a): when does the per-step
-    // cost settle, and how noisy is it afterwards?
-    let labels = report.blocks.first().map(|b| &b.arms[..]).unwrap_or(&[]);
-    for (arm, records) in labels.iter().zip(&run.series) {
+    for (arm, records) in arms.iter().zip(&run.series) {
         let costs: Vec<f64> = records.iter().map(|r| r.total_cost_usd).collect();
         let c = detect_convergence(&costs, 50, 0.10);
         out.push_str(&match c.converged_at {
@@ -806,11 +394,15 @@ pub fn format_row(run: &RowRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megh_sim::InitialPlacement;
 
     fn fleet(name: &str) -> (Setup, Vec<&'static str>) {
         let row = row(name).unwrap();
         assert_eq!(row.setups.len(), 1, "{name}");
-        (row.setups[0], row.arms.iter().map(|a| a.label).collect())
+        (
+            row.setups[0].clone(),
+            row.arms.iter().map(|a| a.label).collect(),
+        )
     }
 
     #[test]
@@ -909,17 +501,5 @@ mod tests {
                 assert_eq!(name, expected, "{} / {}", row.name, arm.label);
             }
         }
-    }
-
-    #[test]
-    fn paired_difference_uses_the_sample_sd_and_the_t_rule() {
-        let d = PairedDiff::of(&[1.0, 3.0]);
-        assert_eq!(d.mean, 2.0);
-        assert!((d.sd - 2f64.sqrt()).abs() < 1e-12);
-        assert!((d.se - 1.0).abs() < 1e-12);
-        assert!(!d.separated, "2 < 2.365 · 1");
-        assert!(PairedDiff::of(&[10.0, 10.5, 9.5]).separated);
-        assert!(!PairedDiff::of(&[0.0; 8]).separated);
-        assert_eq!(sample_sd(&[4.0]), 0.0);
     }
 }

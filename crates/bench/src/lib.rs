@@ -2,8 +2,9 @@
 //!
 //! Every sweep-shaped table and figure is a row of
 //! [`experiments::table`], run over eight paired seeds by the
-//! `experiment` binary, which prints a markdown table and drops
-//! `results/<row>.json` (plus the figure CSVs). The probes that are not
+//! `experiment` binary through [`megh_sim::sweep::run_row`], which
+//! prints a markdown table and drops `results/<row>.json` (plus the
+//! figure CSVs). The probes that are not
 //! sweeps — `fig1_workloads`, `fig6_scalability`, `fig7_qtable_growth`,
 //! `fig8_sensitivity` — are their own binaries and take `--full` for the
 //! paper's grids; `render_figures` turns the CSVs into SVGs.
@@ -11,7 +12,8 @@
 //! # Examples
 //!
 //! ```
-//! use megh_bench::experiments::{row, Placement};
+//! use megh_bench::experiments::row;
+//! use megh_sim::sweep::Placement;
 //!
 //! let fig4 = row("fig4").unwrap();
 //! assert_eq!(fig4.setups[0].placement, Placement::RandomUniform);

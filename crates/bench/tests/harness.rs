@@ -7,17 +7,16 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use megh_bench::experiments::{
-    format_row, row, run_row, write_outputs, Output, Placement, Row, Setup, Workload, SEEDS,
-};
+use megh_bench::experiments::{format_convergence, row, write_outputs, SEEDS};
 use megh_bench::{LineChart, MeghProbe};
 use megh_core::{MeghAgent, MeghConfig};
+use megh_sim::sweep::{format_row, run_row, Output, Placement, Row, Setup, Workload};
 use megh_sim::{DataCenterConfig, InitialPlacement, Simulation};
 use megh_trace::PlanetLabConfig;
 
 /// A test-local row: the arms of table row `arms_of` on a 5-host,
 /// 8-VM, one-day PlanetLab setup.
-fn mini_row(arms_of: &str, outputs: Vec<Output>) -> Row {
+fn mini_row(arms_of: &str, outputs: Vec<Output>) -> Row<'static> {
     Row {
         name: "mini",
         title: "mini experiment",
@@ -36,7 +35,7 @@ fn temp_dir(name: &str) -> PathBuf {
 #[test]
 fn mini_row_run_writes_json_csv_and_table() {
     let mini = mini_row("table2", vec![Output::Series]);
-    let run = run_row(&mini, 2).unwrap();
+    let run = run_row(&mini, &SEEDS, 2).unwrap();
     let dir = temp_dir("artifacts");
     write_outputs(&mini, &run, &dir).unwrap();
 
@@ -60,7 +59,7 @@ fn mini_row_run_writes_json_csv_and_table() {
 
     // The reference arm is Megh run directly on the seed's setup, and a
     // paired difference is the mean of the per-seed differences.
-    let setup = mini.setups[0];
+    let setup = &mini.setups[0];
     let block = &run.report.blocks[0];
     for (i, &seed) in SEEDS.iter().enumerate() {
         let sim = Simulation::new(setup.config(seed), setup.trace(seed)).unwrap();
@@ -84,7 +83,7 @@ fn mini_row_run_writes_json_csv_and_table() {
     assert!((diff.mean - deltas.iter().sum::<f64>() / 8.0).abs() < 1e-9);
 
     // The table: every arm, mean ± sd, Δ ± SE, the separation rule.
-    let table = format_row(&run);
+    let table = format_row(&run) + &format_convergence(&run);
     for label in labels {
         assert!(
             table.contains(&format!("| {label} |")),
@@ -131,7 +130,7 @@ fn experiment_determinism_thread_count_never_changes_json() {
     mini.arms.retain(|a| a.label != "Q-learn (train)");
     let json_with = |threads: usize| {
         let dir = temp_dir(&format!("threads{threads}"));
-        write_outputs(&mini, &run_row(&mini, threads).unwrap(), &dir).unwrap();
+        write_outputs(&mini, &run_row(&mini, &SEEDS, threads).unwrap(), &dir).unwrap();
         let bytes = std::fs::read(dir.join("mini.json")).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         bytes

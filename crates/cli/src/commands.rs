@@ -1,27 +1,27 @@
 //! CLI subcommand implementations.
 
 use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
-use megh_core::{HierMegh, MeghAgent, MeghConfig, PeriodicMeghAgent};
+use megh_core::{HierMegh, MeghAgent, MeghConfig};
 use megh_serve::{Client as ServeClient, Listen, Request as ServeRequest, ServeOptions};
+use megh_sim::sweep::{format_row, run_row, Arm, Row, Setup, Workload};
 use megh_sim::{
-    run_streamed, run_sweep, DataCenterConfig, HostOutage, InitialPlacement, NoOpScheduler,
-    Scheduler, SimOptions, Simulation, SimulationOutcome, SlavMetrics, SummaryReport, SweepReport,
+    run_streamed, DataCenterConfig, HostOutage, NoOpScheduler, Scheduler, SimOptions,
+    SimulationOutcome, SlavMetrics, SummaryReport,
 };
 use megh_trace::{
-    CsvSource, DiurnalConfig, GoogleConfig, PlanetLabConfig, PlanetLabDirSource, TraceCsvError,
-    TraceSource, TraceStats, WorkloadTrace,
+    CsvSource, PlanetLabDirSource, TraceCsvError, TraceSource, TraceStats, WorkloadTrace,
 };
 
 use crate::args::{Args, ArgsError};
 use crate::flags::{FlagSpec, FlagTable};
 
-/// Workload families the CLI accepts.
-pub const WORKLOAD_NAMES: [&str; 3] = ["planetlab", "google", "diurnal"];
+/// The workload families `--workload` accepts, as help and errors
+/// spell them.
+const WORKLOADS: &str = "planetlab|google";
 
-/// Scheduler names accepted by `--scheduler` (plus `megh-p<N>` and
-/// `hier<N>`).
-const SCHEDULER_HELP: &str =
-    "megh|megh-p<N>|hier|hier<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop";
+/// The scheduler names [`build_named_scheduler`] accepts, as help and
+/// errors spell them. `simulate --scheduler` also takes `all`.
+const SCHEDULERS: &str = "megh|hier|hier<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop";
 
 /// Options shared by every simulation-running subcommand. Each table
 /// below is the single declaration of its flags: the typed getters and
@@ -29,16 +29,16 @@ const SCHEDULER_HELP: &str =
 const COMMON_FLAGS: FlagTable = FlagTable::new(
     "COMMON OPTIONS",
     &[
-        FlagSpec::opt(
-            "workload",
-            "planetlab|google|diurnal",
-            "planetlab",
-            "workload family",
-        ),
+        FlagSpec::opt("workload", WORKLOADS, "planetlab", "workload family"),
         FlagSpec::opt("hosts", "N", "20", "number of hosts"),
         FlagSpec::opt("vms", "N", "40", "number of VMs"),
         FlagSpec::opt("days", "N", "1", "simulated days (288 steps each)"),
-        FlagSpec::opt("seed", "N", "42", "RNG seed"),
+        FlagSpec::opt(
+            "seed",
+            "N",
+            "42",
+            "seed of the trace and of every scheduler's RNG (sweep: the first seed)",
+        ),
         FlagSpec::opt(
             "outage",
             "H:FROM:UNTIL[,..]",
@@ -48,21 +48,10 @@ const COMMON_FLAGS: FlagTable = FlagTable::new(
     ],
 );
 
-/// Step-loop knobs honoured by `simulate` and `sweep`.
-const ENGINE_FLAGS: FlagTable = FlagTable::new(
-    "ENGINE OPTIONS (simulate, sweep)",
-    &[FlagSpec::opt(
-        "progress-every",
-        "N",
-        "0",
-        "print progress/ETA to stderr every N steps (0 = off)",
-    )],
-);
-
 const SIMULATE_FLAGS: FlagTable = FlagTable::new(
     "simulate",
     &[
-        FlagSpec::opt("scheduler", "NAME|all", "megh", SCHEDULER_HELP),
+        FlagSpec::opt("scheduler", "NAME|all", "megh", SCHEDULERS),
         FlagSpec::switch("slav", "also print SLATAH/PDM/SLAV/ESV"),
         FlagSpec::opt(
             "file",
@@ -72,32 +61,37 @@ const SIMULATE_FLAGS: FlagTable = FlagTable::new(
         ),
         FlagSpec::switch("mem-stats", "print the process peak RSS after the run"),
         FlagSpec::opt("out", "FILE", "", "write the summary as JSON"),
+        FlagSpec::opt(
+            "progress-every",
+            "N",
+            "0",
+            "print progress/ETA to stderr every N steps (0 = off)",
+        ),
     ],
 );
 
 const SWEEP_FLAGS: FlagTable = FlagTable::new(
     "sweep",
     &[
-        FlagSpec::opt("scheduler", "NAME", "megh", SCHEDULER_HELP),
         FlagSpec::opt(
             "schedulers",
-            "a,b,c",
-            "",
-            "sweep several schedulers over the same seeds and rank by mean total cost",
+            "NAME[,NAME..]",
+            "megh",
+            "names as for simulate; every other is paired by seed with the first",
         ),
-        FlagSpec::opt("seeds", "N", "8", "seeds --seed..--seed+N-1"),
+        FlagSpec::opt(
+            "seeds",
+            "N",
+            "8",
+            "seeds --seed..--seed+N-1, each driving the trace and every RNG",
+        ),
         FlagSpec::opt(
             "threads",
             "T",
             "cores, at most --seeds",
             "sweep worker threads (byte-identical --out for any T)",
         ),
-        FlagSpec::opt(
-            "out",
-            "FILE",
-            "",
-            "write the aggregated sweep report as JSON (object for one scheduler, array for several)",
-        ),
+        FlagSpec::opt("out", "FILE", "", "write the paired row report as JSON"),
     ],
 );
 
@@ -169,18 +163,11 @@ const CLIENT_FLAGS: FlagTable = FlagTable::new(
 /// Common simulation parameters parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpec {
-    /// Workload family ("planetlab", "google" or "diurnal").
-    pub workload: String,
-    /// Number of hosts.
-    pub hosts: usize,
-    /// Number of VMs.
-    pub vms: usize,
-    /// Simulated days (288 steps each).
-    pub days: usize,
-    /// RNG seed.
+    /// Workload, fleet, days and outages; demand-packed at the default
+    /// oversubscription ratio.
+    pub setup: Setup,
+    /// Seed of the trace and of every scheduler's RNG.
     pub seed: u64,
-    /// Scheduled host outages.
-    pub outages: Vec<HostOutage>,
 }
 
 impl SimSpec {
@@ -190,17 +177,17 @@ impl SimSpec {
     ///
     /// Returns [`ArgsError`] for unparsable or unknown values.
     pub fn from_args(args: &Args) -> Result<Self, ArgsError> {
-        let workload = COMMON_FLAGS
-            .get(args, "workload")
-            .unwrap_or("planetlab")
-            .to_string();
-        if !WORKLOAD_NAMES.contains(&workload.as_str()) {
-            return Err(ArgsError::Invalid {
-                key: "workload".into(),
-                value: workload,
-                expected: "one of planetlab|google|diurnal",
-            });
-        }
+        let workload = match COMMON_FLAGS.get(args, "workload").unwrap_or("planetlab") {
+            "planetlab" => Workload::PlanetLab,
+            "google" => Workload::Google,
+            other => {
+                return Err(ArgsError::Invalid {
+                    key: "workload".into(),
+                    value: other.to_string(),
+                    expected: WORKLOADS,
+                })
+            }
+        };
         // --outage HOST:FROM:UNTIL (repeatable via comma separation).
         let mut outages = Vec::new();
         if let Some(spec) = COMMON_FLAGS.get(args, "outage") {
@@ -227,59 +214,48 @@ impl SimSpec {
                 });
             }
         }
-        Ok(Self {
-            workload,
-            hosts: COMMON_FLAGS.parsed(args, "hosts", 20, "integer")?,
-            vms: COMMON_FLAGS.parsed(args, "vms", 40, "integer")?,
-            days: COMMON_FLAGS.parsed(args, "days", 1, "integer")?,
-            seed: COMMON_FLAGS.parsed(args, "seed", 42, "integer")?,
+        let setup = Setup {
             outages,
+            ..Setup::new(
+                workload,
+                COMMON_FLAGS.parsed(args, "hosts", 20, "integer")?,
+                COMMON_FLAGS.parsed(args, "vms", 40, "integer")?,
+                COMMON_FLAGS.parsed(args, "days", 1, "integer")?,
+            )
+        };
+        Ok(Self {
+            setup,
+            seed: COMMON_FLAGS.parsed(args, "seed", 42, "integer")?,
         })
     }
 
-    /// Total steps implied by `--days`.
-    pub fn n_steps(&self) -> usize {
-        self.days * megh_trace::STEPS_PER_DAY
-    }
-
-    /// The data-center configuration for `n_vms` VMs: `--hosts`, the
-    /// workload family and `--outage` come from the command line, the VM
-    /// count from `--vms` or from the trace file's header.
+    /// The data-center configuration for `n_vms` VMs: [`Setup::config`]
+    /// with the VM count from `--vms` or from the trace file's header.
     pub fn config(&self, n_vms: usize) -> DataCenterConfig {
-        let mut config = if self.workload == "google" {
-            DataCenterConfig::paper_google(self.hosts, n_vms)
-        } else {
-            DataCenterConfig::paper_planetlab(self.hosts, n_vms)
+        let setup = Setup {
+            vms: n_vms,
+            ..self.setup.clone()
         };
-        config.initial_placement = InitialPlacement::DemandPacked;
-        config.outages = self.outages.clone();
-        config
+        setup.config(self.seed)
     }
 
-    /// The generated workload, materialized (`sweep` and `trace-gen`).
+    /// The generated workload, materialized ([`Setup::trace`]).
     pub fn trace(&self) -> WorkloadTrace {
-        match self.workload.as_str() {
-            "google" => GoogleConfig::new(self.vms, self.seed).generate(self.days),
-            "diurnal" => DiurnalConfig::new(self.vms, self.seed).generate(self.days),
-            _ => PlanetLabConfig::new(self.vms, self.seed).generate(self.days),
-        }
+        self.setup.trace(self.seed)
     }
 }
 
-/// Instantiates a scheduler by CLI name.
+/// Instantiates a scheduler by CLI name, or `None` for a name not in
+/// [`SCHEDULERS`].
 ///
-/// The boxed return type is what lets the seed sweep fan one `name`
-/// across worker threads: each worker calls this factory with its own
-/// seed and gets an owned, `Send` scheduler.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for unknown scheduler names.
+/// The boxed return type is what lets `sweep` fan one `name` across
+/// worker threads: each worker calls this factory with its own seed and
+/// gets an owned, `Send` scheduler.
 pub fn build_named_scheduler(
     name: &str,
     config: &DataCenterConfig,
     seed: u64,
-) -> Result<Box<dyn Scheduler + Send>, ArgsError> {
+) -> Option<Box<dyn Scheduler + Send>> {
     let megh_cfg = || {
         let mut cfg = MeghConfig::paper_defaults(config.vms.len(), config.pms.len());
         cfg.seed = seed;
@@ -301,31 +277,24 @@ pub fn build_named_scheduler(
             Box::new(HierMegh::sharded(megh_cfg(), shards))
         }
         other => {
-            // megh-p<N>: the periodicity-aware variant.
-            if let Some(phases) = other
-                .strip_prefix("megh-p")
-                .and_then(|p| p.parse::<usize>().ok())
-                .filter(|&p| p > 0)
-            {
-                Box::new(PeriodicMeghAgent::new(megh_cfg(), phases))
-            } else if let Some(shards) = other
+            // hier<N>: explicit shard count.
+            let shards = other
                 .strip_prefix("hier")
                 .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&s| s > 0 && s <= config.pms.len().max(1))
-            {
-                // hier<N>: explicit shard count.
-                Box::new(HierMegh::sharded(megh_cfg(), shards))
-            } else {
-                return Err(ArgsError::Invalid {
-                    key: "scheduler".into(),
-                    value: other.to_string(),
-                    expected:
-                        "one of megh|megh-p<N>|hier|hier<N>|thr-mmt|iqr-mmt|mad-mmt|lr-mmt|lrr-mmt|madvm|noop|all",
-                });
-            }
+                .filter(|&s| s > 0 && s <= config.pms.len().max(1))?;
+            Box::new(HierMegh::sharded(megh_cfg(), shards))
         }
     };
-    Ok(scheduler)
+    Some(scheduler)
+}
+
+/// The error for a scheduler name `--key` does not accept.
+fn unknown_scheduler(key: &str, name: &str) -> ArgsError {
+    ArgsError::Invalid {
+        key: key.to_string(),
+        value: name.to_string(),
+        expected: SCHEDULERS,
+    }
 }
 
 /// Runs one named scheduler over `simulate`'s workload, streamed: the
@@ -344,28 +313,8 @@ pub fn run_streamed_named(
     file: Option<&str>,
     options: &SimOptions,
 ) -> Result<SimulationOutcome, ArgsError> {
-    let (vms, seed, steps) = (spec.vms, spec.seed, spec.n_steps());
     let Some(path) = file else {
-        return match spec.workload.as_str() {
-            "google" => run_source(
-                name,
-                spec,
-                GoogleConfig::new(vms, seed).source(steps),
-                options,
-            ),
-            "diurnal" => run_source(
-                name,
-                spec,
-                DiurnalConfig::new(vms, seed).source(steps),
-                options,
-            ),
-            _ => run_source(
-                name,
-                spec,
-                PlanetLabConfig::new(vms, seed).source(steps),
-                options,
-            ),
-        };
+        return run_source(name, spec, spec.setup.source(spec.seed), options);
     };
     // A file reader ends its stream at a malformed line, which the engine
     // cannot tell from the end of the file: report what stopped it.
@@ -394,7 +343,8 @@ fn run_source<T: TraceSource>(
     options: &SimOptions,
 ) -> Result<SimulationOutcome, ArgsError> {
     let config = spec.config(source.header().n_vms);
-    let scheduler = build_named_scheduler(name, &config, spec.seed)?;
+    let scheduler = build_named_scheduler(name, &config, spec.seed)
+        .ok_or_else(|| unknown_scheduler("scheduler", name))?;
     run_streamed(&config, source, scheduler, *options).map_err(setup_error)
 }
 
@@ -414,17 +364,6 @@ fn trace_file_error(path: &str, e: TraceCsvError) -> ArgsError {
     }
 }
 
-/// Parses the shared `--progress-every` engine knob.
-///
-/// # Errors
-///
-/// Returns [`ArgsError`] for an unparsable value.
-pub fn engine_options(args: &Args) -> Result<SimOptions, ArgsError> {
-    Ok(SimOptions {
-        progress_every: ENGINE_FLAGS.parsed(args, "progress-every", 0, "integer")?,
-    })
-}
-
 /// Peak resident-set size of this process in kB (`VmHWM` from
 /// `/proc/self/status`), or `None` off Linux.
 pub fn peak_rss_kb() -> Option<u64> {
@@ -441,7 +380,9 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// Returns [`ArgsError`] for bad arguments.
 pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     let spec = SimSpec::from_args(args)?;
-    let options = engine_options(args)?;
+    let options = SimOptions {
+        progress_every: SIMULATE_FLAGS.parsed(args, "progress-every", 0, "integer")?,
+    };
     let scheduler = SIMULATE_FLAGS.get(args, "scheduler").unwrap_or("megh");
     let file = SIMULATE_FLAGS.get(args, "file").filter(|p| !p.is_empty());
     let mut out = String::new();
@@ -485,40 +426,32 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgsError> {
     Ok(out)
 }
 
-/// `megh sweep`: one scheduler over many seeds, fanned across threads.
+/// `megh sweep`: the `--schedulers` compared on one setup over paired
+/// seeds, fanned across threads — a one-setup row of
+/// [`megh_sim::sweep::run_row`].
 ///
-/// Seeds are `--seed, --seed+1, …, --seed+N-1`. The stdout summary
-/// includes the wall-clock time; the `--out` file contains only the
-/// deterministic [`SweepReport`], so its bytes are identical for any
-/// `--threads` value (the determinism contract `megh-sim::sweep`
-/// documents and CI enforces).
+/// Seeds are `--seed, --seed+1, …, --seed+N-1`; each drives the trace
+/// and every scheduler's RNG, and the first scheduler is the reference
+/// every other is paired with. The stdout table includes the wall-clock
+/// time; the `--out` file contains only the deterministic row report, so
+/// its bytes are identical for any `--threads` value (the determinism
+/// contract `megh-sim::sweep` documents and CI enforces).
 ///
 /// # Errors
 ///
 /// Returns [`ArgsError`] for bad arguments or an unwritable output.
 pub fn cmd_sweep(args: &Args) -> Result<String, ArgsError> {
     let spec = SimSpec::from_args(args)?;
-    let options = engine_options(args)?;
-    // `--schedulers a,b,c` sweeps several schedulers over the same seed
-    // set; `--scheduler x` remains the single-scheduler spelling.
-    let schedulers: Vec<String> = match SWEEP_FLAGS.get(args, "schedulers") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        None => vec![SWEEP_FLAGS
-            .get(args, "scheduler")
-            .unwrap_or("megh")
-            .to_string()],
-    };
-    if schedulers.is_empty() {
+    let list = SWEEP_FLAGS.get(args, "schedulers").unwrap_or("megh");
+    let names: Vec<&str> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    if names.is_empty() {
         return Err(ArgsError::Invalid {
             key: "schedulers".into(),
-            value: SWEEP_FLAGS
-                .get(args, "schedulers")
-                .unwrap_or("")
-                .to_string(),
+            value: list.to_string(),
             expected: "comma-separated scheduler names",
         });
     }
@@ -527,100 +460,53 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgsError> {
     // the machine has; more workers than seeds would sit idle.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let threads: usize = SWEEP_FLAGS.positive_usize(args, "threads", cores.min(n_seeds))?;
-    let config = spec.config(spec.vms);
-    // Validate every scheduler name once, up front: the factory closure
-    // handed to the workers has no error channel.
-    for name in &schedulers {
-        build_named_scheduler(name, &config, spec.seed)?;
+    // Validate every scheduler name once, up front: an arm's constructor
+    // has no error channel. The fleet, hence the valid names, is the
+    // same for every seed.
+    let config = spec.config(spec.setup.vms);
+    for name in &names {
+        build_named_scheduler(name, &config, spec.seed)
+            .ok_or_else(|| unknown_scheduler("schedulers", name))?;
     }
-    let sim = Simulation::new(config.clone(), spec.trace())
-        .map_err(setup_error)?
-        .with_options(options);
+    let makers: Vec<_> = names
+        .iter()
+        .map(|name| {
+            move |config: &DataCenterConfig, seed| {
+                build_named_scheduler(name, config, seed).expect("scheduler name validated above")
+            }
+        })
+        .collect();
+    let title = names.join(" vs ");
+    let row = Row {
+        name: "sweep",
+        title: &title,
+        setups: vec![spec.setup.clone()],
+        arms: names
+            .iter()
+            .zip(&makers)
+            .map(|(label, make)| Arm { label, make })
+            .collect(),
+        outputs: Vec::new(),
+    };
     let seeds: Vec<u64> = (0..n_seeds as u64)
         .map(|i| spec.seed.wrapping_add(i))
         .collect();
-
-    let mut out = String::new();
-    let mut reports = Vec::new();
-    for name in &schedulers {
-        let started = std::time::Instant::now();
-        let outcomes = run_sweep(&sim, &seeds, threads, |seed| {
-            build_named_scheduler(name, &config, seed).expect("scheduler name validated above")
-        });
-        let wall = started.elapsed().as_secs_f64();
-        let report = SweepReport::from_outcomes(&seeds, &outcomes);
-        out.push_str(&format!(
-            "{}: {} seeds on {} thread(s) in {:.2} s\n",
-            report.scheduler, report.seeds, threads, wall
-        ));
-        out.push_str(&format!(
-            "{:<8} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
-            "seed", "total USD", "energy USD", "SLA USD", "#migrations", "active"
-        ));
-        for run in &report.runs {
-            out.push_str(&format!(
-                "{:<8} {:>12.2} {:>12.2} {:>12.2} {:>12} {:>10.1}\n",
-                run.seed,
-                run.total_cost_usd,
-                run.energy_cost_usd,
-                run.sla_cost_usd,
-                run.total_migrations,
-                run.mean_active_hosts
-            ));
-        }
-        out.push_str(&format!(
-            "total cost {:.2} ± {:.2} USD (min {:.2}, max {:.2}), mean migrations {:.1}\n",
-            report.mean_total_cost_usd,
-            report.std_total_cost_usd,
-            report.min_total_cost_usd,
-            report.max_total_cost_usd,
-            report.mean_total_migrations
-        ));
-        if schedulers.len() > 1 {
-            out.push('\n');
-        }
-        reports.push(report);
-    }
-
-    if reports.len() > 1 {
-        // Comparative footer, cheapest mean first. total_cmp: means are
-        // finite sums of finite per-stage costs.
-        let mut ranked: Vec<&SweepReport> = reports.iter().collect();
-        ranked.sort_by(|a, b| {
-            a.mean_total_cost_usd
-                .total_cmp(&b.mean_total_cost_usd)
-                .then(a.scheduler.cmp(&b.scheduler))
-        });
-        out.push_str("ranking by mean total cost:\n");
-        for (place, report) in ranked.iter().enumerate() {
-            out.push_str(&format!(
-                "  {}. {:<10} {:>12.2} ± {:.2} USD\n",
-                place + 1,
-                report.scheduler,
-                report.mean_total_cost_usd,
-                report.std_total_cost_usd
-            ));
-        }
-    }
-
+    let started = std::time::Instant::now();
+    let run = run_row(&row, &seeds, threads).map_err(setup_error)?;
+    let mut out = format_row(&run);
+    out.push_str(&format!(
+        "{} scheduler(s) x {n_seeds} seed(s) on {threads} thread(s) in {:.2} s\n",
+        names.len(),
+        started.elapsed().as_secs_f64()
+    ));
     if let Some(path) = SWEEP_FLAGS.get(args, "out") {
-        // Single scheduler keeps the historical top-level-object shape;
-        // multi-scheduler sweeps write an array in --schedulers order.
-        let json = if reports.len() == 1 {
-            serde_json::to_string_pretty(&reports[0])
-        } else {
-            serde_json::to_string_pretty(&reports)
+        let unwritable = || ArgsError::Invalid {
+            key: "out".into(),
+            value: path.to_string(),
+            expected: "writable path",
         };
-        let json = json.map_err(|_| ArgsError::Invalid {
-            key: "out".into(),
-            value: path.to_string(),
-            expected: "writable path",
-        })?;
-        std::fs::write(path, json).map_err(|_| ArgsError::Invalid {
-            key: "out".into(),
-            value: path.to_string(),
-            expected: "writable path",
-        })?;
+        let json = serde_json::to_string_pretty(&run.report).map_err(|_| unwritable())?;
+        std::fs::write(path, json).map_err(|_| unwritable())?;
     }
     Ok(out)
 }
@@ -640,11 +526,11 @@ pub fn cmd_trace_gen(args: &Args) -> Result<String, ArgsError> {
         expected: "writable path",
     })?;
     Ok(format!(
-        "wrote {} ({} VMs × {} steps, {} workload)\n",
+        "wrote {} ({} VMs × {} steps, {:?} workload)\n",
         out,
         trace.n_vms(),
         trace.n_steps(),
-        spec.workload
+        spec.setup.workload
     ))
 }
 
@@ -798,7 +684,7 @@ USAGE:
 
 COMMANDS:
   simulate     run scheduler(s) over a streamed workload or trace file
-  sweep        run scheduler(s) over many seeds in parallel
+  sweep        compare schedulers over paired seeds in parallel
   trace-gen    write a synthetic workload trace to CSV
   trace-stats  summarize a trace CSV
   serve        run the long-lived decision daemon
@@ -809,7 +695,6 @@ COMMANDS:
     );
     for table in [
         &COMMON_FLAGS,
-        &ENGINE_FLAGS,
         &SIMULATE_FLAGS,
         &SWEEP_FLAGS,
         &TRACE_GEN_FLAGS,
@@ -829,11 +714,8 @@ type Command = fn(&Args) -> Result<String, ArgsError>;
 /// The flag tables a subcommand reads, and its implementation.
 fn command(name: &str) -> Option<(&'static [&'static FlagTable], Command)> {
     Some(match name {
-        "simulate" => (
-            &[&COMMON_FLAGS, &ENGINE_FLAGS, &SIMULATE_FLAGS],
-            cmd_simulate,
-        ),
-        "sweep" => (&[&COMMON_FLAGS, &ENGINE_FLAGS, &SWEEP_FLAGS], cmd_sweep),
+        "simulate" => (&[&COMMON_FLAGS, &SIMULATE_FLAGS], cmd_simulate),
+        "sweep" => (&[&COMMON_FLAGS, &SWEEP_FLAGS], cmd_sweep),
         "trace-gen" => (&[&COMMON_FLAGS, &TRACE_GEN_FLAGS], cmd_trace_gen),
         "trace-stats" => (&[&TRACE_STATS_FLAGS], cmd_trace_stats),
         "serve" => (&[&SERVE_FLAGS], cmd_serve),
@@ -878,6 +760,7 @@ pub fn dispatch(args: &Args) -> Result<String, ArgsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megh_sim::Simulation;
 
     fn parse(line: &str) -> Args {
         Args::parse(line.split_whitespace().map(str::to_string))
@@ -997,76 +880,83 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reports_every_seed_and_aggregates() {
+    fn sweep_reports_a_paired_row() {
         let out = dispatch(&parse(
-            "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --threads 2 --scheduler noop",
+            "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --threads 2 --schedulers noop,thr-mmt",
         ))
         .unwrap();
-        assert!(out.contains("NoOp: 3 seeds"), "{out}");
-        for seed in [42, 43, 44] {
-            assert!(
-                out.contains(&format!("\n{seed}")),
-                "missing seed {seed}:\n{out}"
-            );
-        }
-        assert!(out.contains("total cost"), "{out}");
+        assert!(out.contains("### sweep — noop vs thr-mmt"), "{out}");
+        assert!(out.contains("; seeds 42–44"), "{out}");
+        assert!(out.contains("\n| noop | "), "{out}");
+        assert!(out.contains("\n| thr-mmt | "), "{out}");
+        assert!(out.contains("Δ = arm − noop"), "{out}");
+        assert!(out.contains("> 4.303 · SE (Student t, 2 df"), "{out}");
+        // One name is a one-arm row; the default is megh.
+        let out = dispatch(&parse("sweep --hosts 3 --vms 4 --days 1 --seeds 2")).unwrap();
+        assert!(out.contains("\n| megh | "), "{out}");
+    }
+
+    /// A `--out` report's arms: `(label, scheduler, runs, has Δ)`.
+    fn out_arms(bytes: &[u8]) -> Vec<(String, String, usize, bool)> {
+        let report: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(bytes).unwrap()).unwrap();
+        assert_eq!(report["row"], "sweep");
+        let blocks = report["blocks"].as_array().expect("blocks");
+        assert_eq!(blocks.len(), 1, "a sweep is one setup");
+        blocks[0]["arms"]
+            .as_array()
+            .expect("arms")
+            .iter()
+            .map(|arm| {
+                (
+                    arm["label"].as_str().unwrap().to_string(),
+                    arm["sweep"]["scheduler"].as_str().unwrap().to_string(),
+                    arm["sweep"]["runs"].as_array().map_or(0, Vec::len),
+                    !arm["vs_reference"].is_null(),
+                )
+            })
+            .collect()
+    }
+
+    /// `sweep <line> --threads T --out FILE` for each `T`: the `--out`
+    /// bytes and the stdout of each.
+    fn sweep_out_per_thread_count(
+        tag: &str,
+        line: &str,
+        threads: &[usize],
+    ) -> Vec<(Vec<u8>, String)> {
+        let dir = std::env::temp_dir().join(format!("megh-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let runs = threads
+            .iter()
+            .map(|threads| {
+                let path = dir.join(format!("t{threads}.json"));
+                let line = format!("{line} --threads {threads} --out {}", path.display());
+                let text = dispatch(&parse(&line)).unwrap();
+                (std::fs::read(&path).unwrap(), text)
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        runs
     }
 
     #[test]
     fn sweep_determinism_thread_count_never_changes_out_file() {
         // CI runs this by name (ci.sh filters on `sweep_determinism`):
         // the --out report must be byte-identical for any --threads.
-        let dir = std::env::temp_dir().join(format!("megh-cli-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        for threads in [1usize, 8] {
-            let path = dir.join(format!("sweep-t{threads}.json"));
-            let line = format!(
-                "sweep --hosts 3 --vms 4 --days 1 --seeds 4 --scheduler megh \
-                 --threads {threads} --out {}",
-                path.display()
-            );
-            dispatch(&parse(&line)).unwrap();
-            bytes.push(std::fs::read(&path).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        let runs = sweep_out_per_thread_count(
+            "sweep",
+            "sweep --hosts 3 --vms 4 --days 1 --seeds 4 --schedulers megh",
+            &[1, 8],
+        );
         assert_eq!(
-            bytes[0], bytes[1],
+            runs[0].0, runs[1].0,
             "sweep report bytes must not depend on the thread count"
         );
-        let report: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&bytes[0]).unwrap()).unwrap();
-        assert_eq!(report["scheduler"], "Megh");
-        assert_eq!(report["runs"].as_array().map(Vec::len), Some(4));
-    }
-
-    #[test]
-    fn sweep_determinism_sharded_hier_out_is_thread_invariant() {
-        // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // a sweep of the hierarchical scheduler must produce the same
-        // --out bytes for any worker thread count.
-        let dir = std::env::temp_dir().join(format!("megh-cli-hsweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        for threads in [1usize, 8] {
-            let path = dir.join(format!("hsweep-t{threads}.json"));
-            let line = format!(
-                "sweep --hosts 4 --vms 6 --days 1 --seeds 4 --scheduler hier2 \
-                 --threads {threads} --out {}",
-                path.display()
-            );
-            dispatch(&parse(&line)).unwrap();
-            bytes.push(std::fs::read(&path).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
-            bytes[0], bytes[1],
-            "sharded sweep report bytes must not depend on the thread count"
+            out_arms(&runs[0].0),
+            [("megh".to_string(), "Megh".to_string(), 4, false)]
         );
-        let report: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&bytes[0]).unwrap()).unwrap();
-        assert_eq!(report["scheduler"], "Megh-H2");
-        assert_eq!(report["runs"].as_array().map(Vec::len), Some(4));
     }
 
     #[test]
@@ -1091,60 +981,114 @@ mod tests {
             "simulate --hosts 4 --vms 6 --days 1 --scheduler hier0"
         ))
         .is_err());
+        // `sweep` validates every name before any arm runs.
+        assert!(dispatch(&parse(
+            "sweep --hosts 4 --vms 6 --days 1 --seeds 2 --schedulers megh,hier9"
+        ))
+        .is_err());
     }
 
     #[test]
-    fn sweep_determinism_multi_scheduler_out_is_stable_and_ranked() {
+    fn sweep_determinism_sharded_hier_out_is_thread_invariant() {
         // CI runs this by name (ci.sh filters on `sweep_determinism`):
-        // the multi-scheduler --out array must be byte-identical for any
-        // --threads, ordered by --schedulers, with a ranking footer.
-        let dir = std::env::temp_dir().join(format!("megh-cli-msweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        let mut text = Vec::new();
-        for threads in [1usize, 4] {
-            let path = dir.join(format!("msweep-t{threads}.json"));
-            let line = format!(
-                "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --schedulers noop,megh,thr-mmt \
-                 --threads {threads} --out {}",
-                path.display()
-            );
-            text.push(dispatch(&parse(&line)).unwrap());
-            bytes.push(std::fs::read(&path).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        // a sweep of the hierarchical scheduler must produce the same
+        // --out bytes for any worker thread count.
+        let runs = sweep_out_per_thread_count(
+            "hsweep",
+            "sweep --hosts 4 --vms 6 --days 1 --seeds 4 --schedulers hier2",
+            &[1, 8],
+        );
         assert_eq!(
-            bytes[0], bytes[1],
+            runs[0].0, runs[1].0,
+            "sharded sweep report bytes must not depend on the thread count"
+        );
+        assert_eq!(
+            out_arms(&runs[0].0),
+            [("hier2".to_string(), "Megh-H2".to_string(), 4, false)]
+        );
+    }
+
+    #[test]
+    fn sweep_determinism_multi_scheduler_out_is_stable_and_paired() {
+        // CI runs this by name (ci.sh filters on `sweep_determinism`):
+        // the multi-scheduler --out report must be byte-identical for
+        // any --threads, with the arms in --schedulers order and every
+        // arm after the first paired with it.
+        let runs = sweep_out_per_thread_count(
+            "msweep",
+            "sweep --hosts 3 --vms 4 --days 1 --seeds 3 --schedulers noop,megh,thr-mmt",
+            &[1, 4],
+        );
+        assert_eq!(
+            runs[0].0, runs[1].0,
             "multi-scheduler sweep report bytes must not depend on the thread count"
         );
-        let reports: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&bytes[0]).unwrap()).unwrap();
-        let reports = reports.as_array().expect("array of per-scheduler reports");
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0]["scheduler"], "NoOp");
-        assert_eq!(reports[1]["scheduler"], "Megh");
-        assert_eq!(reports[2]["scheduler"], "THR-MMT");
-        for report in reports {
-            assert_eq!(report["runs"].as_array().map(Vec::len), Some(3));
+        let arms = out_arms(&runs[0].0);
+        let expected = [
+            ("noop", "NoOp", false),
+            ("megh", "Megh", true),
+            ("thr-mmt", "THR-MMT", true),
+        ];
+        assert_eq!(arms.len(), expected.len());
+        for (arm, (label, scheduler, paired)) in arms.iter().zip(expected) {
+            assert_eq!(
+                (arm.0.as_str(), arm.1.as_str(), arm.2, arm.3),
+                (label, scheduler, 3, paired)
+            );
         }
+        assert!(runs[0].1.contains("Δ = arm − noop"), "{}", runs[0].1);
+        assert!(!runs[0].1.contains("ranking"), "{}", runs[0].1);
+    }
+
+    #[test]
+    fn sweep_with_one_seed_marks_no_difference_separated() {
+        // One seed: SD = SE = 0, so any non-zero Δ would pass a t rule.
+        // A paired difference needs two seeds to be judged at all.
+        let out = dispatch(&parse(
+            "sweep --hosts 3 --vms 4 --days 1 --seeds 1 --schedulers noop,thr-mmt",
+        ))
+        .unwrap();
+        let thr = out
+            .lines()
+            .find(|l| l.starts_with("| thr-mmt |"))
+            .expect("thr-mmt row");
+        let cells: Vec<&str> = thr.split('|').map(str::trim).collect();
         assert!(
-            text[0].contains("ranking by mean total cost:"),
-            "{}",
-            text[0]
+            cells[3].starts_with('+') || cells[3].starts_with('-'),
+            "{thr}"
         );
-        assert!(text[0].contains("1. "), "{}", text[0]);
+        assert_ne!(cells[3], "+0.0 ± 0.0", "the Δ must be non-zero: {thr}");
+        assert!(!thr.contains('*'), "{thr}");
+        assert!(out.contains("one seed judges no Δ"), "{out}");
     }
 
     #[test]
     fn sweep_rejects_bad_scheduler_and_zero_counts() {
-        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --scheduler bogus")).is_err());
+        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --schedulers bogus")).is_err());
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --seeds 0")).is_err());
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --threads 0")).is_err());
-        // `all` is a simulate-only pseudo-name: a sweep is one scheduler.
-        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --scheduler all")).is_err());
         // A list with no names, or any bad name in the list, is rejected.
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --schedulers ,,")).is_err());
         assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --schedulers megh,bogus")).is_err());
+    }
+
+    #[test]
+    fn sweep_rejects_all_without_offering_it() {
+        // `all` is a simulate-only pseudo-name: the error names the value
+        // and lists the names sweep takes, which do not include `all`.
+        let err = dispatch(&parse("sweep --hosts 2 --vms 2 --schedulers all")).unwrap_err();
+        let ArgsError::Invalid {
+            key,
+            value,
+            expected,
+        } = &err
+        else {
+            panic!("expected an invalid value: {err:?}");
+        };
+        assert_eq!((key.as_str(), value.as_str()), ("schedulers", "all"));
+        assert!(expected.split('|').all(|name| name != "all"), "{err}");
+        assert!(expected.contains("megh"), "{err}");
+        assert!(help().contains("--scheduler NAME|all"));
     }
 
     /// A summary line minus its wall-clock `ms/decision` figure.
@@ -1162,7 +1106,6 @@ mod tests {
         for (workload, scheduler, extra) in [
             ("planetlab", "thr-mmt", ""),
             ("google", "thr-mmt", ""),
-            ("diurnal", "thr-mmt", ""),
             ("planetlab", "megh", " --outage 0:10:40"),
         ] {
             let line = format!(
@@ -1172,7 +1115,7 @@ mod tests {
             let args = parse(&line);
             let streamed = dispatch(&args).unwrap();
             let spec = SimSpec::from_args(&args).unwrap();
-            let config = spec.config(spec.vms);
+            let config = spec.config(spec.setup.vms);
             let run = build_named_scheduler(scheduler, &config, spec.seed).unwrap();
             let want = Simulation::new(config, spec.trace()).unwrap().run(run);
             assert_eq!(
@@ -1280,7 +1223,6 @@ mod tests {
     #[test]
     fn engine_progress_flag_rejects_garbage() {
         assert!(dispatch(&parse("simulate --hosts 2 --vms 2 --progress-every x")).is_err());
-        assert!(dispatch(&parse("sweep --hosts 2 --vms 2 --progress-every x")).is_err());
     }
 
     #[test]
@@ -1296,6 +1238,10 @@ mod tests {
             ("simulate", "chunk-steps"),
             ("sweep", "stream"),
             ("sweep", "chunk-steps"),
+            // One flag per choice: a single name is a one-element
+            // --schedulers, and parallel workers print no progress.
+            ("sweep", "scheduler"),
+            ("sweep", "progress-every"),
             ("simulate", "chunk-step"),
             ("trace-gen", "scheduler"),
         ] {
@@ -1336,7 +1282,6 @@ mod tests {
             } else if let Some(title) = line.strip_suffix(':') {
                 commands = match title {
                     "COMMON OPTIONS" => vec!["simulate", "sweep", "trace-gen"],
-                    "ENGINE OPTIONS (simulate, sweep)" => vec!["simulate", "sweep"],
                     command_name => vec![command_name],
                 };
             }
@@ -1359,15 +1304,6 @@ mod tests {
         for flag in ["--progress-every", "--mem-stats", "--file"] {
             assert!(h.contains(flag), "missing {flag} in help:\n{h}");
         }
-    }
-
-    #[test]
-    fn periodic_scheduler_and_diurnal_workload() {
-        let out = dispatch(&parse(
-            "simulate --workload diurnal --hosts 4 --vms 6 --days 1 --scheduler megh-p4",
-        ))
-        .unwrap();
-        assert!(out.contains("Megh-P4:"), "{out}");
     }
 
     #[test]

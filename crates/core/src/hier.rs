@@ -22,9 +22,9 @@
 //!   basis — its own `SparseLspi`, Boltzmann policy, exploration RNG and
 //!   learning-paused (frozen) state — acting through the shard's VM and
 //!   host offsets.
-//! * [`PeriodicMeghAgent`](crate::PeriodicMeghAgent)-style phase
-//!   windows drive **auto-freeze**: a shard whose Q-table stopped
-//!   growing over a phase window freezes — learning and annealing
+//! * Phase windows — `n_phases` equal slices of each 24-hour period —
+//!   drive **auto-freeze**: a shard whose Q-table stopped growing over
+//!   a phase window freezes — learning and annealing
 //!   pause, the critic only previews — and a frozen shard whose preview
 //!   residual drifts past its baseline thaws back to learning.
 //!
@@ -76,8 +76,7 @@ pub struct HierConfig {
     pub n_shards: usize,
     /// Phase windows per period for the auto-freeze detector.
     pub n_phases: usize,
-    /// Steps per period (288 five-minute steps = 24 h, as in
-    /// `PeriodicMeghAgent`).
+    /// Steps per period (288 five-minute steps = 24 h).
     pub steps_per_period: usize,
     /// A shard freezes when its Q-table grew by at most this fraction
     /// over a completed phase window.
@@ -158,8 +157,8 @@ fn shard_of(index: usize, total: usize, n: NonZeroUsize) -> usize {
     NonZeroUsize::new(total).map_or(0, |total| ((index + 1) * n.get()).saturating_sub(1) / total)
 }
 
-/// SplitMix64 finalizer: derives independent exploration seeds from
-/// `(base seed, shard or phase index)`.
+/// SplitMix64 finalizer: derives each shard's independent exploration
+/// seed from `(base seed, shard index)`.
 pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
     let mut z = seed
         .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
@@ -264,7 +263,8 @@ impl Shard {
     }
 }
 
-/// The phase index for a step (identical to `PeriodicMeghAgent`).
+/// The phase window a step falls in: `n_phases` equal slices of each
+/// `period`-step period.
 fn phase_of(step: usize, n_phases: usize, period: NonZeroUsize) -> usize {
     (step % period) * n_phases / period
 }

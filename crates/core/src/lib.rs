@@ -63,7 +63,6 @@ mod config;
 pub mod diagnostics;
 mod hier;
 mod lspi;
-mod periodic;
 mod policy;
 
 pub use action::{Action, ActionSpace};
@@ -75,5 +74,4 @@ pub use checkpoint::{
 pub use config::MeghConfig;
 pub use hier::{HierConfig, HierMegh};
 pub use lspi::SparseLspi;
-pub use periodic::PeriodicMeghAgent;
 pub use policy::BoltzmannPolicy;

@@ -20,7 +20,7 @@ use megh_sim::{
     run_streamed, DataCenterConfig, DataCenterView, MigrationRequest, Scheduler, SimOptions,
     StepFeedback,
 };
-use megh_trace::{DiurnalConfig, GoogleConfig, PlanetLabConfig, TraceSource, STEPS_PER_DAY};
+use megh_trace::{GoogleConfig, PlanetLabConfig, TraceSource, STEPS_PER_DAY};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -310,5 +310,4 @@ fn main() {
         PlanetLabConfig::new(VMS, 7).source(steps),
     );
     fill_chunk_is_allocation_free("GoogleSource", GoogleConfig::new(VMS, 7).source(steps));
-    fill_chunk_is_allocation_free("DiurnalSource", DiurnalConfig::new(VMS, 7).source(steps));
 }

@@ -36,7 +36,7 @@
 //! A step runs on one thread: the phase-5 accounting is a few
 //! microseconds of arithmetic, less than one hand-off to a worker
 //! (DESIGN.md §15). Runs parallelize across seeds instead, in
-//! [`crate::sweep::run_sweep`].
+//! [`crate::sweep::run_row`].
 
 use std::fmt::Write as _;
 use std::time::Instant;

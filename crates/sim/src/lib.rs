@@ -75,5 +75,4 @@ pub use power::PowerModel;
 pub use scheduler::{MigrationRequest, NoOpScheduler, Scheduler, StepFeedback};
 pub use slav::SlavMetrics;
 pub use spec::{migration_seconds, PmSpec, VmSpec};
-pub use sweep::{map_seeds, run_sweep, SeedRun, SweepReport};
 pub use view::{DataCenterView, PmId, VmId};

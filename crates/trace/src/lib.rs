@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 mod csv;
-mod diurnal;
 mod files;
 mod google;
 mod planetlab;
@@ -39,13 +38,10 @@ mod stats;
 mod trace;
 
 pub use csv::{load_csv, save_csv, CsvSource, TraceCsvError};
-pub use diurnal::DiurnalConfig;
 pub use files::PlanetLabDirSource;
 pub use google::GoogleConfig;
 pub use planetlab::PlanetLabConfig;
-pub use source::{
-    DiurnalSource, GoogleSource, PlanetLabSource, TraceCursor, TraceHeader, TraceSource,
-};
+pub use source::{GoogleSource, PlanetLabSource, TraceCursor, TraceHeader, TraceSource};
 pub use stats::{log10_histogram, CullenFrey, DurationStats, TraceStats};
 pub use trace::WorkloadTrace;
 

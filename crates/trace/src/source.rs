@@ -7,9 +7,9 @@
 //! step — so a consumer (the simulation engine) can hold a bounded chunk
 //! of the trace instead of the whole `n_vms × n_steps` matrix:
 //!
-//! * the synthetic generators ([`PlanetLabSource`], [`GoogleSource`],
-//!   [`DiurnalSource`]) synthesize columns on demand from per-VM RNG
-//!   state, so a year-long trace costs per-VM state, not per-sample RAM;
+//! * the synthetic generators ([`PlanetLabSource`], [`GoogleSource`])
+//!   synthesize columns on demand from per-VM RNG state, so a year-long
+//!   trace costs per-VM state, not per-sample RAM;
 //! * [`TraceCursor`] replays an in-memory [`WorkloadTrace`] (the
 //!   materialized case);
 //! * the file readers (`CsvSource`, `PlanetLabDirSource`) parse one step
@@ -19,8 +19,8 @@
 
 // This module is on the simulation hot path: a generator source sizes
 // its per-VM state at construction, and `fill_chunk` allocates nothing
-// after the first call — held at 0 for `PlanetLabSource`, `GoogleSource`
-// and `DiurnalSource` by `crates/core/tests/no_alloc.rs`.
+// after the first call — held at 0 for `PlanetLabSource` and
+// `GoogleSource` by `crates/core/tests/no_alloc.rs`.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -32,9 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal, Normal};
 
-use crate::{
-    DiurnalConfig, GoogleConfig, PlanetLabConfig, WorkloadTrace, STEPS_PER_DAY, STEP_SECONDS,
-};
+use crate::{GoogleConfig, PlanetLabConfig, WorkloadTrace, STEPS_PER_DAY, STEP_SECONDS};
 
 /// The declared shape of a [`TraceSource`] stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -535,114 +533,6 @@ impl TraceSource for GoogleSource {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Diurnal generator source
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct DiVm {
-    rng: StdRng,
-    amplitude: f64,
-    offset: isize,
-    prev: f64,
-}
-
-impl DiVm {
-    fn init(cfg: &DiurnalConfig, scale_dist: &LogNormal, vm: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(vm_seed(cfg.seed, vm));
-        // Per-VM amplitude and a phase offset of up to ±1 hour.
-        let amplitude = scale_dist.sample(&mut rng).clamp(0.4, 2.0);
-        let offset = rng.gen_range(0..=24usize) as isize - 12;
-        Self {
-            rng,
-            amplitude,
-            offset,
-            prev: 0.0,
-        }
-    }
-
-    fn advance(&mut self, step: usize, cfg: &DiurnalConfig, noise: &Normal) -> f64 {
-        let shifted = (step as isize + self.offset).max(0) as usize;
-        let target = (cfg.profile(shifted) * self.amplitude).clamp(0.0, 100.0);
-        let value = self.prev + 0.7 * (target - self.prev) + noise.sample(&mut self.rng);
-        self.prev = value.clamp(0.0, 100.0);
-        self.prev
-    }
-}
-
-/// Lazy [`TraceSource`] of the diurnal enterprise generator.
-#[derive(Debug, Clone)]
-pub struct DiurnalSource {
-    cfg: DiurnalConfig,
-    n_steps: usize,
-    next_step: usize,
-    vms: Vec<DiVm>,
-    scale_dist: LogNormal,
-    noise: Normal,
-}
-
-impl DiurnalSource {
-    pub(crate) fn new(cfg: DiurnalConfig, n_steps: usize) -> Self {
-        let scale_dist = LogNormal::new(0.0, 0.3).expect("valid lognormal");
-        let noise = Normal::new(0.0, cfg.noise_sigma.max(0.0)).expect("valid normal");
-        let vms = (0..cfg.n_vms)
-            .map(|vm| DiVm::init(&cfg, &scale_dist, vm))
-            .collect();
-        Self {
-            cfg,
-            n_steps,
-            next_step: 0,
-            vms,
-            scale_dist,
-            noise,
-        }
-    }
-}
-
-impl TraceSource for DiurnalSource {
-    fn header(&self) -> TraceHeader {
-        TraceHeader {
-            n_vms: self.cfg.n_vms,
-            n_steps: self.n_steps,
-            step_seconds: STEP_SECONDS,
-        }
-    }
-
-    fn fill_chunk(&mut self, buf: &mut [f64]) -> usize {
-        let left = self.n_steps.saturating_sub(self.next_step);
-        let cols = columns(buf, self.vms.len(), left);
-        let want = cols.len();
-        let Self {
-            cfg,
-            vms,
-            noise,
-            next_step,
-            ..
-        } = self;
-        for (s, col) in cols.enumerate() {
-            let step = *next_step + s;
-            for (vm, slot) in vms.iter_mut().zip(col.iter_mut()) {
-                *slot = vm.advance(step, cfg, noise);
-            }
-        }
-        self.next_step += want;
-        want
-    }
-
-    fn reset(&mut self) {
-        self.next_step = 0;
-        let Self {
-            cfg,
-            vms,
-            scale_dist,
-            ..
-        } = self;
-        for (i, vm) in vms.iter_mut().enumerate() {
-            *vm = DiVm::init(cfg, scale_dist, i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,8 +597,6 @@ mod tests {
         assert_eq!(pl.source(50).take_steps(50), pl.generate_steps(50));
         let g = GoogleConfig::new(6, 3);
         assert_eq!(g.source(50).take_steps(50), g.generate_steps(50));
-        let d = DiurnalConfig::new(6, 3);
-        assert_eq!(d.source(50).take_steps(50), d.generate_steps(50));
     }
 
     #[test]

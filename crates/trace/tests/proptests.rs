@@ -128,21 +128,6 @@ proptest! {
         }
     }
 
-    /// The diurnal generator stays in range and keeps its period.
-    #[test]
-    fn diurnal_generator_is_valid(n_vms in 1..10usize, seed in 0..50u64) {
-        let trace = megh_trace::DiurnalConfig::new(n_vms, seed).generate_steps(400);
-        prop_assert_eq!(trace.n_vms(), n_vms);
-        for vm in 0..n_vms {
-            for &u in trace.vm_row(vm) {
-                prop_assert!((0.0..=100.0).contains(&u));
-            }
-        }
-        prop_assert_eq!(
-            &megh_trace::DiurnalConfig::new(n_vms, seed).generate_steps(400),
-            &trace
-        );
-    }
 }
 
 /// `WorkloadTrace::from_rows` is the single validation gate: fuzz it.

@@ -58,10 +58,10 @@ pub use megh_trace as trace;
 /// ```
 pub mod prelude {
     pub use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
-    pub use megh_core::{MeghAgent, MeghConfig, PeriodicMeghAgent};
+    pub use megh_core::{MeghAgent, MeghConfig};
     pub use megh_sim::{
         DataCenterConfig, DataCenterView, HostOutage, InitialPlacement, MigrationRequest,
         NoOpScheduler, PmId, Scheduler, SimError, Simulation, SlavMetrics, SummaryReport, VmId,
     };
-    pub use megh_trace::{DiurnalConfig, GoogleConfig, PlanetLabConfig, TraceStats, WorkloadTrace};
+    pub use megh_trace::{GoogleConfig, PlanetLabConfig, TraceStats, WorkloadTrace};
 }
