@@ -62,29 +62,37 @@ echo "==> streamed runs equal in-memory runs (engine chunk sizes; CLI vs library
 filtered_test -q -p megh-sim streaming_
 filtered_test -q -p megh-cli stream_
 
+# Runs a `--mem-stats` command and fails unless the `peak RSS <N> kB` line
+# it ends with is under the budget (kB, first argument).
+rss_budget() {
+  local budget=$1 line kb
+  shift
+  line=$("$@" | tail -n 1)
+  echo "$line"
+  kb=$(echo "$line" | awk '/^peak RSS/ {print $3}')
+  if ! [ "${kb:-99999999}" -lt "$budget" ] 2>/dev/null; then
+    echo "RSS budget exceeded: ${kb:-unparsable} kB (budget: <$budget kB): $*" >&2
+    return 1
+  fi
+}
+
 echo "==> simulate peak-RSS budget (500 VMs x 30 days, noop, budget <32768 kB)"
-RSS_LINE=$(target/release/megh simulate --workload planetlab --hosts 250 --vms 500 \
-  --days 30 --scheduler noop --mem-stats | tail -n 1)
-echo "$RSS_LINE"
-RSS_KB=$(echo "$RSS_LINE" | awk '/^peak RSS/ {print $3}')
-if ! [ "${RSS_KB:-99999999}" -lt 32768 ] 2>/dev/null; then
-  echo "simulate RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
-  exit 1
-fi
+rss_budget 32768 target/release/megh simulate --workload planetlab --hosts 250 --vms 500 \
+  --days 30 --scheduler noop --mem-stats
 
 echo "==> simulate --file peak-RSS budget (500 VMs x 30 days CSV, noop, budget <32768 kB)"
 TRACE_DIR="$(mktemp -d)"
 target/release/megh trace-gen --workload planetlab --vms 500 --days 30 --seed 11 \
   --out "$TRACE_DIR/trace.csv" >/dev/null
-RSS_LINE=$(target/release/megh simulate --file "$TRACE_DIR/trace.csv" --hosts 250 \
-  --scheduler noop --mem-stats | tail -n 1)
+rss_budget 32768 target/release/megh simulate --file "$TRACE_DIR/trace.csv" --hosts 250 \
+  --scheduler noop --mem-stats
 rm -rf "$TRACE_DIR"
-echo "$RSS_LINE"
-RSS_KB=$(echo "$RSS_LINE" | awk '/^peak RSS/ {print $3}')
-if ! [ "${RSS_KB:-99999999}" -lt 32768 ] 2>/dev/null; then
-  echo "simulate --file RSS budget exceeded: ${RSS_KB:-unparsable} kB (budget: <32768 kB)" >&2
-  exit 1
-fi
+
+echo "==> flat Megh peak-RSS budget (5000 hosts x 6600 VMs x 1 day, megh, budget <65536 kB)"
+# d = 33 M actions: the agent's state must grow with what it learns, not
+# with d (an empty list per action held 1.5 GB here).
+rss_budget 65536 target/release/megh simulate --scheduler megh --hosts 5000 --vms 6600 \
+  --days 1 --mem-stats
 
 echo "==> serve smoke: checkpoint, kill -9, restart, byte-identical decides"
 SMOKE_DIR="$(mktemp -d)"

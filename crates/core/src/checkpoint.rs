@@ -492,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn state_naming_an_action_outside_its_space_is_rejected() {
+        // A θ entry past `dim` used to load and then panic the first
+        // decide that sampled it.
+        let legacy = serde_json::to_string(&sample_checkpoint()).unwrap();
+        let hostile = legacy.replace(
+            "\"theta\":{\"dim\":18,\"entries\":[]}",
+            "\"theta\":{\"dim\":18,\"entries\":[[999,-0.5]]}",
+        );
+        assert_ne!(legacy, hostile, "fixture must contain an empty θ");
+        match from_versioned_json(&hostile) {
+            Err(CheckpointError::Parse(msg)) => assert!(msg.contains("outside dim"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn legacy_object_missing_fields_fails_in_the_migration_hop() {
         assert!(matches!(
             from_versioned_json(r#"{"config":{},"lspi":{}}"#),

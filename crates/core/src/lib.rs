@@ -15,7 +15,8 @@
 //! The implementation realises §5.2's complexity management literally:
 //! `B` is stored as `(1/δ)·I` plus a sparse dictionary-of-keys delta, so
 //! memory starts at `O(d)` *implicit* entries with zero explicit storage
-//! and grows only with the actions actually explored, and every per-step
+//! (a new agent allocates nothing per action, whatever `d` is) and grows
+//! only with the actions actually explored, and every per-step
 //! update costs time proportional to the number of migrations, not to
 //! `d`. The explicit non-zero count is exactly the "Q-table size" metric
 //! of Figure 7.

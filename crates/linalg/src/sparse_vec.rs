@@ -29,10 +29,38 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(phi.get(2), 1.0);
 /// assert_eq!(phi.get(3), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SparseVec {
     dim: usize,
     entries: Vec<(usize, f64)>,
+}
+
+/// Serialized form. Restoring checks the invariants every kernel relies
+/// on — indices strictly increasing and `< dim`, no stored zero — since
+/// the bytes may come from a file.
+#[derive(Deserialize)]
+struct SparseVecRepr {
+    dim: usize,
+    entries: Vec<(usize, f64)>,
+}
+
+impl<'de> Deserialize<'de> for SparseVec {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let SparseVecRepr { dim, entries } = SparseVecRepr::deserialize(deserializer)?;
+        let fail = <D::Error as serde::de::Error>::custom;
+        if !entries.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err(fail(
+                "sparse vector indices must be strictly increasing".to_string(),
+            ));
+        }
+        if let Some(&(i, _)) = entries.last().filter(|&&(i, _)| i >= dim) {
+            return Err(fail(format!("sparse vector index {i} outside dim {dim}")));
+        }
+        if entries.iter().any(|&(_, v)| v == 0.0) {
+            return Err(fail("sparse vector stores an explicit zero".to_string()));
+        }
+        Ok(Self { dim, entries })
+    }
 }
 
 impl SparseVec {
@@ -293,6 +321,26 @@ pub(crate) fn stored(list: &[(usize, f64)], index: usize) -> Option<&(usize, f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serde_round_trips_and_rejects_broken_entry_lists() {
+        let v = SparseVec::from_pairs(4, [(1, 2.0), (3, -1.0)]);
+        let json = serde_json::to_string(&v).unwrap();
+        assert_eq!(serde_json::from_str::<SparseVec>(&json).unwrap(), v);
+        for bad in [
+            "[[3,-1.0],[1,2.0]]",
+            "[[1,2.0],[1,2.0]]",
+            "[[1,2.0],[4,1.0]]",
+            "[[1,0.0]]",
+        ] {
+            let corrupted = json.replace("[[1,2.0],[3,-1.0]]", bad);
+            assert_ne!(json, corrupted, "fixture must contain the entry list");
+            assert!(
+                serde_json::from_str::<SparseVec>(&corrupted).is_err(),
+                "{bad}"
+            );
+        }
+    }
 
     #[test]
     fn basis_has_single_nonzero() {
