@@ -128,22 +128,27 @@ echo "serve smoke: decisions identical across SIGKILL + restart"
 
 echo "==> benchmark builds and smoke-runs against this tree ($(nproc) cores; exit status only)"
 # PR acceptance runs BENCHMARK.json's command against the committed tree;
-# this is the same build and one short workload, so an API the benchmark
-# links to cannot be broken unnoticed. Timings printed here mean nothing.
+# this is the same build and the two daemon workloads, briefly, so an API
+# the benchmark links to cannot be broken unnoticed. Timings printed here
+# mean nothing; each run fails on its own correctness checks.
 # benchmark/ is a separate package (own lockfile, path deps on crates/) and
-# links to: MeghAgent::{new,checkpoint,theta_nnz,qtable_nnz}, MeghConfig,
-# MeghCheckpoint {config, lspi, temperature, steps}, save_checkpoint /
-# load_checkpoint, fnv1a64, BoltzmannPolicy::{with_temperature,sample,greedy},
+# links to: MeghAgent::{new,checkpoint,decide,observe,name,theta_nnz,
+# qtable_nnz}, MeghConfig, MeghCheckpoint {config, lspi, temperature,
+# steps}, save_checkpoint / load_checkpoint, fnv1a64,
+# BoltzmannPolicy::{with_temperature,sample,greedy},
 # SparseLspi::{dim,update,clone}, DokMatrix::{zeros,add_outer_product,
 # mul_sparse_vec_into,mul_sparse_vec_left_into,nnz}, SparseVec::{from_pairs,
 # zeros}, run_streamed, SimOptions::default, DataCenterConfig, DataCenterView,
-# Scheduler, StepFeedback, SimulationOutcome::{records,report,fingerprint},
-# PlanetLabConfig / PlanetLabSource / TraceHeader / TraceSource /
-# STEPS_PER_DAY, and Server / Client / Listen / ServeOptions::new /
-# ServeError / Request / Response. serve_cycle trains through run_streamed +
-# MeghAgent, saves and loads a checkpoint, binds a Server and drives every
-# wire op.
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-  run --workload serve_cycle --seconds 1
+# MigrationRequest, Scheduler, StepFeedback,
+# SimulationOutcome::{records,report,fingerprint}, PlanetLabConfig /
+# PlanetLabSource / TraceHeader / TraceSource / STEPS_PER_DAY, and Server /
+# Client / Listen / ServeOptions::new / ServeError / Request / Response.
+# Each trains through run_streamed + MeghAgent, saves and loads a checkpoint
+# and binds a Server; serve_cycle drives every wire op, and serve_decide
+# checks that a repeated seed decides identically on one snapshot.
+for workload in serve_cycle serve_decide; do
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seconds 1
+done
 
 echo "CI OK"

@@ -2,7 +2,9 @@
 
 use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
 use megh_core::{HierMegh, MeghAgent, MeghConfig};
-use megh_serve::{Client as ServeClient, Listen, Request as ServeRequest, ServeOptions};
+use megh_serve::{
+    Client as ServeClient, Listen, Request as ServeRequest, ServeError, ServeOptions,
+};
 use megh_sim::sweep::{format_row, run_row, Arm, Row, Setup, Workload};
 use megh_sim::{
     run_streamed, DataCenterConfig, HostOutage, NoOpScheduler, Scheduler, SimOptions,
@@ -360,7 +362,7 @@ fn trace_file_error(path: &str, e: TraceCsvError) -> ArgsError {
     ArgsError::Invalid {
         key: "file".into(),
         value: format!("{path}: {e}"),
-        expected: "a readable trace CSV or PlanetLab directory",
+        expected: "readable trace CSV or PlanetLab directory",
     }
 }
 
@@ -568,7 +570,8 @@ pub fn cmd_trace_stats(args: &Args) -> Result<String, ArgsError> {
 /// Returns [`ArgsError`] for bad arguments or daemon failures (bind
 /// errors, corrupt checkpoints).
 pub fn cmd_serve(args: &Args) -> Result<String, ArgsError> {
-    let listen = Listen::parse(SERVE_FLAGS.get(args, "listen").unwrap_or("127.0.0.1:7787"));
+    let listen_spec = SERVE_FLAGS.get(args, "listen").unwrap_or("127.0.0.1:7787");
+    let listen = Listen::parse(listen_spec);
     let checkpoint = SERVE_FLAGS.required(args, "checkpoint")?;
     let mut opts = ServeOptions::new(listen, std::path::PathBuf::from(checkpoint));
     opts.checkpoint_every = SERVE_FLAGS.parsed(args, "checkpoint-every", 0, "integer")?;
@@ -576,10 +579,19 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgsError> {
     let vms: usize = SERVE_FLAGS.parsed(args, "vms", 40, "integer")?;
     let hosts: usize = SERVE_FLAGS.parsed(args, "hosts", 20, "integer")?;
     let config = MeghConfig::paper_defaults(vms, hosts);
-    megh_serve::run(config, &opts).map_err(|e| ArgsError::Invalid {
-        key: "serve".into(),
-        value: e.to_string(),
-        expected: "a runnable daemon (valid listen address and checkpoint)",
+    megh_serve::run(config, &opts).map_err(|e| match e {
+        // The daemon fails on what it loads or on where it listens;
+        // the error names the flag that supplied it.
+        ServeError::Checkpoint(e) => ArgsError::Invalid {
+            key: "checkpoint".into(),
+            value: format!("{checkpoint}: {e}"),
+            expected: "megh checkpoint",
+        },
+        other => ArgsError::Invalid {
+            key: "listen".into(),
+            value: format!("{listen_spec}: {other}"),
+            expected: "listen address",
+        },
     })?;
     Ok(format!(
         "serve: shutdown complete, checkpoint at {checkpoint}\n"
@@ -646,14 +658,14 @@ pub fn cmd_client(args: &Args) -> Result<String, ArgsError> {
     .map_err(|e| ArgsError::Invalid {
         key: "connect".into(),
         value: format!("{connect}: {e}"),
-        expected: "a reachable megh serve daemon",
+        expected: "reachable megh serve daemon",
     })?;
     let line = client
         .request_raw(&request)
         .map_err(|e| ArgsError::Invalid {
             key: "op".into(),
             value: e.to_string(),
-            expected: "a completed request",
+            expected: "completed request",
         })?;
     Ok(format!("{line}\n"))
 }
@@ -799,6 +811,53 @@ mod tests {
     fn serve_requires_checkpoint_path() {
         let err = dispatch(&parse("serve --listen 127.0.0.1:0")).unwrap_err();
         assert!(matches!(err, ArgsError::Missing("checkpoint")), "{err:?}");
+    }
+
+    #[test]
+    fn serve_start_up_failures_name_the_flag_that_caused_them() {
+        let dir = std::env::temp_dir().join(format!("megh-cli-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A checkpoint whose θ names action 999 of an 18-action space.
+        let state = MeghAgent::new(MeghConfig::paper_defaults(6, 3)).checkpoint();
+        let legacy = serde_json::to_string(&state).unwrap();
+        let hostile = legacy.replace(
+            "\"theta\":{\"dim\":18,\"entries\":[]}",
+            "\"theta\":{\"dim\":18,\"entries\":[[999,-0.5]]}",
+        );
+        assert_ne!(
+            legacy, hostile,
+            "the checkpoint must carry an empty θ to replace"
+        );
+        let checkpoint = dir.join("cp.json");
+        std::fs::write(&checkpoint, hostile).unwrap();
+
+        let line = format!(
+            "serve --listen 127.0.0.1:0 --checkpoint {} --vms 6 --hosts 3",
+            checkpoint.display()
+        );
+        let err = dispatch(&parse(&line)).unwrap_err().to_string();
+        assert!(err.starts_with("option --checkpoint="), "{err}");
+        assert!(
+            err.contains("sparse vector index 999 outside dim 18"),
+            "{err}"
+        );
+        assert!(err.ends_with("is not a valid megh checkpoint"), "{err}");
+
+        // An address that cannot be bound (a local port already taken)
+        // is the listen flag's fault.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap();
+        let line = format!(
+            "serve --listen {addr} --checkpoint {}",
+            dir.join("fresh.json").display()
+        );
+        let err = dispatch(&parse(&line)).unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!("option --listen=\"{addr}: ")),
+            "{err}"
+        );
+        assert!(err.ends_with("is not a valid listen address"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

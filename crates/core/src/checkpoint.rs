@@ -234,22 +234,15 @@ impl std::error::Error for CheckpointError {}
 /// assert_eq!(back.steps, 0);
 /// ```
 pub fn to_versioned_json(checkpoint: &MeghCheckpoint) -> Result<String, CheckpointError> {
-    let data = value::to_value(checkpoint).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+    // The payload is serialized once and the envelope is formatted
+    // around it: the same compact bytes as serializing an envelope
+    // tree, without building one (`tests/migration.rs` pins them).
     let payload =
-        serde_json::to_string(&data).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        serde_json::to_string(checkpoint).map_err(|e| CheckpointError::Parse(e.to_string()))?;
     let checksum = fnv1a64(payload.as_bytes());
-    let envelope = Value::Object(vec![
-        (
-            "version".to_string(),
-            Value::String(CHECKPOINT_VERSION.to_string()),
-        ),
-        (
-            "checksum".to_string(),
-            Value::String(format!("{checksum:016x}")),
-        ),
-        ("data".to_string(), data),
-    ]);
-    serde_json::to_string(&envelope).map_err(|e| CheckpointError::Parse(e.to_string()))
+    Ok(format!(
+        "{{\"version\":\"{CHECKPOINT_VERSION}\",\"checksum\":\"{checksum:016x}\",\"data\":{payload}}}"
+    ))
 }
 
 /// Loads a checkpoint from any format version ever written.

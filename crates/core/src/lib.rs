@@ -75,4 +75,4 @@ pub use checkpoint::{
 pub use config::MeghConfig;
 pub use hier::{HierConfig, HierMegh};
 pub use lspi::SparseLspi;
-pub use policy::BoltzmannPolicy;
+pub use policy::{BoltzmannPolicy, BoltzmannTable};

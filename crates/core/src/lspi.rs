@@ -149,6 +149,11 @@ impl SparseLspi {
         self.theta.iter()
     }
 
+    /// `θ` itself, for the policy's zero-class test `q(a) == 0.0`.
+    pub(crate) fn theta(&self) -> &SparseVec {
+        &self.theta
+    }
+
     /// The smallest explicit `θ` entry as `(action, value)`, if any.
     ///
     /// Served from the incrementally maintained cache — `O(1)`.

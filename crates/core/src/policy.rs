@@ -8,6 +8,7 @@
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
 )]
 
+use megh_linalg::SparseVec;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -132,62 +133,31 @@ impl BoltzmannPolicy {
     ///
     /// Streams over `θ`'s entries in two passes (mass, then lookup)
     /// instead of materialising the weight table — the steady-state call
-    /// performs zero heap allocations.
+    /// performs zero heap allocations. A caller that draws many times
+    /// from one unchanging state builds a [`BoltzmannTable`] once
+    /// instead; its draws are this method's, draw for draw.
     pub fn sample<R: Rng>(&self, lspi: &SparseLspi, rng: &mut R) -> Option<usize> {
-        let d = lspi.dim();
-        if d == 0 {
+        if lspi.dim() == 0 {
             return None;
         }
         let min_q = lspi.min_q();
         let inv_t = 1.0 / self.temp;
 
         // Pass 1: total mass.
-        let mut explicit_total = 0.0;
-        let mut explicit_count = 0usize;
-        let mut last_explicit = None;
-        for (a, q) in lspi.theta_entries() {
-            explicit_total += ((-q + min_q) * inv_t).exp();
-            explicit_count += 1;
-            last_explicit = Some(a);
-        }
-        let zero_count = d - explicit_count;
-        let zero_weight = (min_q * inv_t).exp();
-        let total = explicit_total + zero_weight * zero_count as f64;
+        let (total, last_explicit) = mass(lspi, min_q, inv_t, |_, _| {});
         if !total.is_finite() || total <= 0.0 {
-            // Degenerate weights (extreme Q spread at tiny temperature):
-            // fall back to the greedy minimum.
             return Some(self.greedy(lspi, rng));
         }
 
         // Pass 2: locate the drawn action. The weights are recomputed
         // with the same expression, so the passes agree bit-for-bit.
-        let mut r = rng.gen_range(0.0..total);
-        for (a, q) in lspi.theta_entries() {
-            let w = ((-q + min_q) * inv_t).exp();
-            if r < w {
-                return Some(a);
-            }
-            r -= w;
-        }
-        // Zero class: uniform over zero-Q actions, found by rejection
-        // sampling (nnz ≪ d in every real configuration).
-        if zero_count > 0 {
-            // When most actions carry explicit entries, rejection could
-            // stall; bound the attempts and then scan.
-            for _ in 0..64 {
-                let a = rng.gen_range(0..d);
-                if lspi.q(a) == 0.0 {
-                    return Some(a);
-                }
-            }
-            for a in 0..d {
-                if lspi.q(a) == 0.0 {
-                    return Some(a);
-                }
-            }
-        }
-        // All actions explicit and rounding pushed us past the end.
-        last_explicit
+        let r = rng.gen_range(0.0..total);
+        let weights = lspi
+            .theta_entries()
+            .map(|(a, q)| (a, weight(q, min_q, inv_t)));
+        locate(r, weights)
+            .or_else(|| zero_class(lspi.theta(), rng))
+            .or(last_explicit)
     }
 
     /// The greedy minimum-Q action (ties broken toward the zero class,
@@ -200,28 +170,169 @@ impl BoltzmannPolicy {
     ///
     /// Panics if the action space is empty.
     pub fn greedy<R: Rng>(&self, lspi: &SparseLspi, rng: &mut R) -> usize {
-        let d = lspi.dim();
-        assert!(d > 0, "empty action space");
-        let explicit_min = lspi.min_theta_entry();
-        let zero_count = d - lspi.theta_nnz();
-        match explicit_min {
-            Some((a, q)) if q < 0.0 || zero_count == 0 => a,
-            _ => {
-                // Zero is the minimum: pick a zero-Q action.
-                for _ in 0..64 {
-                    let a = rng.gen_range(0..d);
-                    if lspi.q(a) == 0.0 {
-                        return a;
-                    }
-                }
-                // Totality: `zero_count > 0` in this arm guarantees the
-                // scan finds a zero-Q action; 0 is in range since d > 0.
-                (0..d)
-                    .find(|&a| lspi.q(a) == 0.0)
-                    .or(explicit_min.map(|(a, _)| a))
-                    .unwrap_or(0)
+        assert!(lspi.dim() > 0, "empty action space");
+        greedy_action(lspi.theta(), lspi.min_theta_entry(), rng)
+    }
+}
+
+/// The frozen Boltzmann distribution of one learned state at one
+/// temperature: the weight table [`BoltzmannPolicy::sample`] streams
+/// through twice per call, built once.
+///
+/// Holds `θ` (for the zero-class test `q(a) == 0.0`) with its cached
+/// minimum, the total mass summed in the order `sample`'s first pass
+/// sums it, and the `(action, weight)` pairs whose weight is not `0.0`,
+/// in `θ` order. Dropping zero weights is exact: the draw `r` starts
+/// at `≥ 0` and stays there, and against a weight of `0.0` the test
+/// `r < w` fails and `r -= w` leaves `r` unchanged. So
+/// [`BoltzmannTable::sample`] returns the action
+/// [`BoltzmannPolicy::sample`] returns on the same state, consuming the
+/// same random numbers, while reading only the weights that can win —
+/// at a low temperature, a handful.
+///
+/// # Examples
+///
+/// ```
+/// use megh_core::{BoltzmannPolicy, BoltzmannTable, SparseLspi};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let mut lspi = SparseLspi::new(10, 10.0, 0.5);
+/// lspi.update(3, 4, 2.0);
+/// let policy = BoltzmannPolicy::new(0.5, 0.01);
+/// let table = BoltzmannTable::new(&lspi, &policy);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+/// assert_eq!(table.sample(&mut a), policy.sample(&lspi, &mut b));
+/// ```
+#[derive(Debug, Clone)]
+pub struct BoltzmannTable {
+    theta: SparseVec,
+    min_entry: Option<(usize, f64)>,
+    total: f64,
+    last_explicit: Option<usize>,
+    weights: Vec<(usize, f64)>,
+}
+
+impl BoltzmannTable {
+    /// Builds `policy`'s distribution over `lspi` at its current
+    /// temperature, in one pass over `θ`.
+    pub fn new(lspi: &SparseLspi, policy: &BoltzmannPolicy) -> Self {
+        let mut weights = Vec::new();
+        let (total, last_explicit) = mass(lspi, lspi.min_q(), 1.0 / policy.temp, |a, w| {
+            if w != 0.0 {
+                weights.push((a, w));
             }
+        });
+        Self {
+            theta: lspi.theta().clone(),
+            min_entry: lspi.min_theta_entry(),
+            total,
+            last_explicit,
+            weights,
         }
+    }
+
+    /// Draws an action — the one [`BoltzmannPolicy::sample`] draws from
+    /// the state this table was built from, with the same `rng` calls.
+    /// Returns `None` when the action space is empty. Allocates nothing.
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<usize> {
+        if self.theta.dim() == 0 {
+            return None;
+        }
+        if !self.total.is_finite() || self.total <= 0.0 {
+            return Some(greedy_action(&self.theta, self.min_entry, rng));
+        }
+        let r = rng.gen_range(0.0..self.total);
+        locate(r, self.weights.iter().copied())
+            .or_else(|| zero_class(&self.theta, rng))
+            .or(self.last_explicit)
+    }
+}
+
+/// The Boltzmann weight `exp[(−q + minQ)/Temp]` of an explicit entry.
+#[inline]
+fn weight(q: f64, min_q: f64, inv_t: f64) -> f64 {
+    ((-q + min_q) * inv_t).exp()
+}
+
+/// Pass 1 of a draw: the total mass over all `d` actions and the last
+/// explicit action, handing each explicit entry's weight to `visit` in
+/// `θ` order. The zero class's mass is added last, after every
+/// explicit weight.
+#[inline]
+fn mass(
+    lspi: &SparseLspi,
+    min_q: f64,
+    inv_t: f64,
+    mut visit: impl FnMut(usize, f64),
+) -> (f64, Option<usize>) {
+    let mut explicit_total = 0.0;
+    let mut explicit_count = 0usize;
+    let mut last_explicit = None;
+    for (a, q) in lspi.theta_entries() {
+        let w = weight(q, min_q, inv_t);
+        explicit_total += w;
+        explicit_count += 1;
+        last_explicit = Some(a);
+        visit(a, w);
+    }
+    let zero_count = lspi.dim() - explicit_count;
+    let zero_weight = (min_q * inv_t).exp();
+    (
+        explicit_total + zero_weight * zero_count as f64,
+        last_explicit,
+    )
+}
+
+/// Pass 2 of a draw: the explicit action whose cumulative weight first
+/// exceeds `r`, or `None` when `r` falls past the explicit mass.
+#[inline]
+fn locate(mut r: f64, weights: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
+    for (a, w) in weights {
+        if r < w {
+            return Some(a);
+        }
+        r -= w;
+    }
+    None
+}
+
+/// A uniform draw from the zero class — the actions whose `Q` reads
+/// exactly 0 — by rejection sampling (nnz ≪ d in every real
+/// configuration), with a bounded number of attempts and then a scan
+/// so a nearly saturated `θ` cannot stall it. `None` when the class is
+/// empty; no random number is consumed then.
+#[inline]
+fn zero_class<R: Rng>(theta: &SparseVec, rng: &mut R) -> Option<usize> {
+    let d = theta.dim();
+    if theta.nnz() >= d {
+        return None;
+    }
+    for _ in 0..64 {
+        let a = rng.gen_range(0..d);
+        if theta.get(a) == 0.0 {
+            return Some(a);
+        }
+    }
+    (0..d).find(|&a| theta.get(a) == 0.0)
+}
+
+/// The greedy minimum-Q action over a non-empty space, from `θ` and its
+/// cached minimum entry: the explicit minimum when it is negative or no
+/// zero-Q action exists, otherwise a uniform zero-class draw. It is
+/// also the fallback when the Boltzmann weights degenerate (extreme Q
+/// spread at a tiny temperature makes the total non-finite or 0).
+fn greedy_action<R: Rng>(
+    theta: &SparseVec,
+    explicit_min: Option<(usize, f64)>,
+    rng: &mut R,
+) -> usize {
+    match explicit_min {
+        Some((a, q)) if q < 0.0 || theta.nnz() == theta.dim() => a,
+        // Totality: this arm has a zero-Q action whenever d > 0.
+        _ => zero_class(theta, rng)
+            .or(explicit_min.map(|(a, _)| a))
+            .unwrap_or(0),
     }
 }
 
@@ -384,6 +495,40 @@ mod tests {
         }
         // Uniform over 4 zero-Q actions → ~100 expected hits.
         assert!((50..200).contains(&hit2), "action 2 drawn {hit2}/400 times");
+    }
+
+    #[test]
+    fn table_keeps_exactly_the_nonzero_weights_and_pass_one_total() {
+        // At this temperature some weights underflow to 0.0 and some are
+        // tiny but positive: the table must drop exactly the former, and
+        // its total must be pass 1's, bit for bit.
+        let mut lspi = SparseLspi::new(40, 40.0, 0.5);
+        for t in 0..30 {
+            lspi.update((t * 7) % 40, (t * 11 + 3) % 40, (t % 9) as f64 * 0.4 - 1.0);
+        }
+        let policy = BoltzmannPolicy::new(1e-4, 0.0);
+        let table = BoltzmannTable::new(&lspi, &policy);
+        let min_q = lspi.min_q();
+        let inv_t = 1.0 / policy.temperature();
+        let all: Vec<(usize, f64)> = lspi
+            .theta_entries()
+            .map(|(a, q)| (a, ((-q + min_q) * inv_t).exp()))
+            .collect();
+        assert!(
+            all.iter().any(|&(_, w)| w == 0.0),
+            "some weight must underflow"
+        );
+        assert!(
+            all.iter().any(|&(_, w)| w > 0.0 && w < 1e-3),
+            "some weight must be tiny"
+        );
+        let kept: Vec<(usize, f64)> = all.iter().copied().filter(|&(_, w)| w != 0.0).collect();
+        assert_eq!(table.weights, kept);
+        let explicit: f64 = all.iter().fold(0.0, |sum, &(_, w)| sum + w);
+        let zeros = (lspi.dim() - all.len()) as f64;
+        let total = explicit + (min_q * inv_t).exp() * zeros;
+        assert_eq!(table.total.to_bits(), total.to_bits());
+        assert_eq!(table.last_explicit, all.last().map(|&(a, _)| a));
     }
 
     #[test]

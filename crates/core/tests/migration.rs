@@ -6,6 +6,9 @@
 //! the `#[ignore]`d `regenerate_v0_fixture` test below from the same
 //! deterministic warm-up this file replays, so the loaded state can be
 //! compared field-for-field against a freshly built expectation.
+//! `tests/fixtures/checkpoint_v1.json` holds the same warm-up in the
+//! current `{version, checksum, data}` envelope and pins the bytes
+//! today's writer emits.
 
 use megh_core::{
     from_versioned_json, load_checkpoint, to_versioned_json, Config, MeghCheckpoint, MeghConfig,
@@ -15,6 +18,11 @@ use megh_core::{
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/checkpoint_v0.json"
+);
+
+const FIXTURE_V1: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/checkpoint_v1.json"
 );
 
 /// Deterministically warmed state matching the committed fixture.
@@ -63,6 +71,28 @@ fn v0_fixture_is_bare_legacy_json() {
 fn warmup_serializes_to_the_fixture_bytes() {
     let raw = std::fs::read_to_string(FIXTURE).unwrap();
     assert_eq!(serde_json::to_string(&warmed_checkpoint()).unwrap(), raw);
+}
+
+/// Rewrites the v1 envelope fixture. Run explicitly (`cargo test -p
+/// megh-core --test migration -- --ignored`) only when the warm-up
+/// recipe or the envelope format deliberately changes.
+#[test]
+#[ignore = "fixture generator, not a check"]
+fn regenerate_v1_fixture() {
+    let json = to_versioned_json(&warmed_checkpoint()).unwrap();
+    std::fs::write(FIXTURE_V1, json).unwrap();
+}
+
+/// The envelope writer reproduces the committed v1 file byte for byte,
+/// so a rewrite of how the envelope is assembled cannot change what
+/// lands on disk.
+#[test]
+fn warmup_envelope_serializes_to_the_v1_fixture_bytes() {
+    let raw = std::fs::read_to_string(FIXTURE_V1).unwrap();
+    assert!(raw.starts_with(&format!("{{\"version\":\"{CHECKPOINT_VERSION}\"")));
+    assert_eq!(to_versioned_json(&warmed_checkpoint()).unwrap(), raw);
+    let loaded = from_versioned_json(&raw).unwrap();
+    assert_eq!(loaded.steps, warmed_checkpoint().steps);
 }
 
 #[test]

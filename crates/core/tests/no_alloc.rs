@@ -1,7 +1,7 @@
 //! What the decision hot path allocates in the steady state, counted
-//! by a counting global allocator: sampling, greedy reads, learning on
-//! seen actions, `observe` and the generator sources' `fill_chunk` are
-//! held at 0; `decide` returns a `Vec` and grows the Q-table while it
+//! by a counting global allocator: sampling (streamed, and from a built
+//! `BoltzmannTable`), greedy reads, learning on seen actions, `observe`
+//! and the generator sources' `fill_chunk` are held at 0; `decide` returns a `Vec` and grows the Q-table while it
 //! learns, and is held under a pinned ceiling.
 //!
 //! This lives in its own integration-test binary because the
@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use megh_core::{BoltzmannPolicy, HierMegh, MeghAgent, MeghConfig, SparseLspi};
+use megh_core::{BoltzmannPolicy, BoltzmannTable, HierMegh, MeghAgent, MeghConfig, SparseLspi};
 use megh_sim::{
     run_streamed, DataCenterConfig, DataCenterView, MigrationRequest, Scheduler, SimOptions,
     StepFeedback,
@@ -97,6 +97,26 @@ fn steady_state_sample_is_allocation_free() {
         after - before,
         0,
         "BoltzmannPolicy::sample allocated {} times over 1000 calls",
+        after - before
+    );
+}
+
+/// The daemon's decide: a draw from the table a publish built.
+fn table_sample_is_allocation_free() {
+    let lspi = warmed_lspi();
+    let table = BoltzmannTable::new(&lspi, &BoltzmannPolicy::new(1.5, 0.0));
+    let mut rng = StdRng::seed_from_u64(7);
+    let before = ALLOC.allocations();
+    let mut acc = 0usize;
+    for _ in 0..1_000 {
+        acc += table.sample(&mut rng).expect("non-empty space");
+    }
+    let after = ALLOC.allocations();
+    assert!(acc > 0, "keep the sampled actions observable");
+    assert_eq!(
+        after - before,
+        0,
+        "BoltzmannTable::sample allocated {} times over 1000 calls",
         after - before
     );
 }
@@ -296,6 +316,7 @@ fn fill_chunk_is_allocation_free<T: TraceSource>(label: &str, mut source: T) {
 
 fn main() {
     steady_state_sample_is_allocation_free();
+    table_sample_is_allocation_free();
     steady_state_greedy_is_allocation_free();
     steady_state_update_on_seen_actions_is_allocation_free();
 

@@ -1,9 +1,11 @@
 //! Property-based tests of Megh's learning machinery: the incremental
-//! sparse-LSPI state must track its dense oracle, and the Boltzmann
-//! policy must be a valid distribution over the action space.
+//! sparse-LSPI state must track its dense oracle, the Boltzmann
+//! policy must be a valid distribution over the action space, and its
+//! frozen table must draw exactly what it draws.
 
 use megh_core::{
-    ActionSpace, BoltzmannPolicy, HierConfig, HierMegh, MeghAgent, MeghConfig, SparseLspi,
+    ActionSpace, BoltzmannPolicy, BoltzmannTable, HierConfig, HierMegh, MeghAgent, MeghConfig,
+    SparseLspi,
 };
 use megh_sim::{DataCenterConfig, InitialPlacement, PmId, Simulation, VmId};
 use megh_trace::WorkloadTrace;
@@ -214,6 +216,125 @@ proptest! {
         let b = sim.run(mk());
         prop_assert_eq!(a.final_placement(), b.final_placement());
         prop_assert_eq!(a.report().total_migrations, b.report().total_migrations);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A `BoltzmannTable` built once draws what `BoltzmannPolicy::sample`
+    /// draws on the same state, draw for draw, and leaves the RNG in the
+    /// same state after each draw. The temperature runs from `temp0` to
+    /// the floor (40 decays at ε = 0.5 pass it); θ is empty, partial or
+    /// saturated, with negative costs; `d` includes 0 and 1; a saturated
+    /// θ whose entries are all positive has a non-finite total at a low
+    /// temperature (`exp(minQ/Temp)` overflows and meets a zero class of
+    /// size 0), so the greedy fallback is drawn through too.
+    #[test]
+    fn boltzmann_table_draws_like_sample(
+        dim in 0..7usize,
+        steps in prop::collection::vec((0..7usize, 0..7usize, -3.0..4.0f64), 0..12),
+        saturate in 0..2usize,
+        decays in 0..45usize,
+        seed in 0..1000u64,
+    ) {
+        let mut lspi = SparseLspi::new(dim, 8.0, 0.5);
+        if dim > 0 {
+            for (a, a_next, cost) in steps {
+                lspi.update(a % dim, a_next % dim, cost);
+            }
+            if saturate == 1 {
+                for a in 0..dim {
+                    lspi.update(a, (a + 1) % dim, 0.5 + a as f64);
+                }
+            }
+        }
+        let mut policy = BoltzmannPolicy::new(3.0, 0.5);
+        for _ in 0..decays {
+            policy.decay();
+        }
+        let table = BoltzmannTable::new(&lspi, &policy);
+        let mut by_table = StdRng::seed_from_u64(seed);
+        let mut by_policy = StdRng::seed_from_u64(seed);
+        for draw in 0..64 {
+            let got = table.sample(&mut by_table);
+            let want = policy.sample(&lspi, &mut by_policy);
+            prop_assert_eq!(got, want, "draw {draw}: table {got:?}, sample {want:?}");
+            prop_assert!(by_table == by_policy, "draw {draw}: the RNG states diverged");
+        }
+    }
+}
+
+/// The edge states the property above reaches by chance, each built
+/// on purpose and checked to be what it claims: an empty space, one
+/// action, an annealed state whose explicit weights all underflow to
+/// 0.0, a saturated θ, and a saturated all-positive θ at the floor
+/// temperature, whose total mass is not finite.
+#[test]
+fn boltzmann_table_draws_like_sample_on_edge_states() {
+    let annealed = |p: &mut BoltzmannPolicy| {
+        for _ in 0..60 {
+            p.decay();
+        }
+    };
+    let mut cases = Vec::new();
+
+    cases.push((
+        "empty space",
+        SparseLspi::new(0, 1.0, 0.5),
+        BoltzmannPolicy::new(3.0, 0.0),
+    ));
+    let mut one = SparseLspi::new(1, 1.0, 0.5);
+    one.update(0, 0, 0.7);
+    cases.push(("d = 1", one, BoltzmannPolicy::new(3.0, 0.0)));
+
+    let mut cold = SparseLspi::new(12, 12.0, 0.5);
+    for a in [1, 4, 9] {
+        cold.update(a, a, 0.3);
+    }
+    let mut policy = BoltzmannPolicy::new(3.0, 0.5);
+    annealed(&mut policy);
+    let inv_t = 1.0 / policy.temperature();
+    assert_eq!(cold.min_q(), 0.0);
+    assert!(cold.theta_entries().all(|(_, q)| (-q * inv_t).exp() == 0.0));
+    cases.push(("annealed, every explicit weight 0.0", cold, policy));
+
+    let mut full = SparseLspi::new(4, 4.0, 0.5);
+    for (a, cost) in [(0, -1.0), (1, 0.5), (2, 2.0), (3, 0.25)] {
+        full.update(a, (a + 1) % 4, cost);
+    }
+    assert_eq!(full.theta_nnz(), 4, "θ must be saturated");
+    cases.push(("saturated", full.clone(), BoltzmannPolicy::new(1.0, 0.0)));
+
+    let mut positive = SparseLspi::new(3, 3.0, 0.5);
+    for a in 0..3 {
+        positive.update(a, (a + 1) % 3, 1.0 + a as f64);
+    }
+    assert_eq!(positive.theta_nnz(), 3, "θ must be saturated");
+    let mut policy = BoltzmannPolicy::new(3.0, 0.5);
+    annealed(&mut policy);
+    assert!(positive.min_q() > 0.0);
+    assert!((positive.min_q() / policy.temperature())
+        .exp()
+        .is_infinite());
+    cases.push(("saturated, non-finite total", positive, policy));
+
+    for (name, lspi, policy) in cases {
+        let table = BoltzmannTable::new(&lspi, &policy);
+        let mut by_table = StdRng::seed_from_u64(17);
+        let mut by_policy = StdRng::seed_from_u64(17);
+        for draw in 0..200 {
+            let got = table.sample(&mut by_table);
+            assert_eq!(
+                got,
+                policy.sample(&lspi, &mut by_policy),
+                "{name}, draw {draw}"
+            );
+            assert!(
+                by_table == by_policy,
+                "{name}, draw {draw}: the RNG states diverged"
+            );
+        }
     }
 }
 

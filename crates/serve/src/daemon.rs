@@ -5,21 +5,24 @@
 //! # Architecture
 //!
 //! ```text
-//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (immutable θ, read-only)
+//!   clients ──decide──▶ handler threads ──▶ Arc<Snapshot> (immutable Boltzmann table)
 //!   clients ──observe─▶ handler threads ──▶ mpsc ──▶ writer thread
 //!                                                     │ drains a batch
 //!                                                     │ applies Sherman–Morrison updates
-//!                                                     │ clones → publishes new Arc
+//!                                                     │ builds the table → publishes new Arc
 //!                                                     └ checkpoints (atomic rename)
 //! ```
 //!
 //! Decide requests never take the writer's path: each handler clones
-//! the current `Arc<Snapshot>` under a briefly held read lock and
-//! samples from its `θ` with a request-seeded RNG, so any number
+//! the current `Arc<Snapshot>` under a briefly held read lock and draws
+//! from its [`BoltzmannTable`] with a request-seeded RNG, so any number
 //! of decides run concurrently against immutable state and the same
-//! `(snapshot, seed)` pair always returns the same action. The writer
-//! owns the only mutable copy; after applying a batch it publishes a
-//! fresh clone, so readers never observe a half-applied update.
+//! `(snapshot, seed)` pair always returns the same action — the one
+//! [`BoltzmannPolicy::sample`] returns on the writer's state at the
+//! publish. The writer owns the only learned state; after applying a
+//! batch it builds the table in one pass over `θ` and publishes it, so
+//! readers never observe a half-applied update and no decide recomputes
+//! a weight.
 //!
 //! # Crash safety
 //!
@@ -55,8 +58,8 @@ use std::thread;
 use std::time::Duration;
 
 use megh_core::{
-    load_checkpoint, save_checkpoint, ActionSpace, BoltzmannPolicy, CheckpointError, Config,
-    MeghCheckpoint, MeghConfig, SparseLspi,
+    load_checkpoint, save_checkpoint, ActionSpace, BoltzmannPolicy, BoltzmannTable,
+    CheckpointError, Config, MeghCheckpoint, MeghConfig, SparseLspi,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,18 +166,30 @@ impl ServeOptions {
     }
 }
 
-/// What the read path serves from: an immutable view of the learned
-/// state at some publish instant.
+/// What the read path serves from: the policy the learned state
+/// defined at some publish instant.
 struct Snapshot {
-    lspi: SparseLspi,
+    table: BoltzmannTable,
     steps: usize,
     temperature: f64,
+    /// `explicit_nnz()` of the state, for `stats`.
+    nnz: usize,
+}
+
+impl Snapshot {
+    fn of(state: &MeghCheckpoint, policy: &BoltzmannPolicy) -> Self {
+        Self {
+            table: BoltzmannTable::new(&state.lspi, policy),
+            steps: state.steps,
+            temperature: policy.temperature(),
+            nnz: state.lspi.explicit_nnz(),
+        }
+    }
 }
 
 /// State shared between handler threads and the writer.
 struct Shared {
     snapshot: RwLock<Arc<Snapshot>>,
-    epsilon: f64,
     space: ActionSpace,
     queued: AtomicUsize,
     published: AtomicU64,
@@ -190,10 +205,10 @@ enum WriterMsg {
 
 /// The single owner of the mutable learned state.
 struct Writer {
-    config: MeghConfig,
-    lspi: SparseLspi,
+    /// The learned state in the form a checkpoint saves; its
+    /// `temperature` is refreshed from `policy` when one is written.
+    state: MeghCheckpoint,
     policy: BoltzmannPolicy,
-    steps: usize,
     rng: StdRng,
     shared: Arc<Shared>,
     checkpoint_path: PathBuf,
@@ -202,13 +217,9 @@ struct Writer {
 }
 
 impl Writer {
-    /// Publishes a clone of the current state for the read path.
+    /// Publishes the current policy for the read path.
     fn publish(&self) {
-        let snapshot = Arc::new(Snapshot {
-            lspi: self.lspi.clone(),
-            steps: self.steps,
-            temperature: self.policy.temperature(),
-        });
+        let snapshot = Arc::new(Snapshot::of(&self.state, &self.policy));
         match self.shared.snapshot.write() {
             Ok(mut slot) => *slot = snapshot,
             Err(poisoned) => *poisoned.into_inner() = snapshot,
@@ -219,24 +230,19 @@ impl Writer {
     /// One learning step: greedy successor, Sherman–Morrison update,
     /// temperature decay.
     fn apply(&mut self, action: usize, cost: f64) {
-        let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
-        self.lspi.update(action, a_next, cost);
+        let a_next = self.policy.greedy(&self.state.lspi, &mut self.rng);
+        self.state.lspi.update(action, a_next, cost);
         self.policy.decay();
-        self.steps += 1;
+        self.state.steps += 1;
         self.since_checkpoint += 1;
         self.shared.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn checkpoint(&mut self) -> Result<usize, CheckpointError> {
-        let cp = MeghCheckpoint {
-            config: self.config.clone(),
-            lspi: self.lspi.clone(),
-            temperature: self.policy.temperature(),
-            steps: self.steps,
-        };
-        save_checkpoint(&self.checkpoint_path, &cp)?;
+        self.state.temperature = self.policy.temperature();
+        save_checkpoint(&self.checkpoint_path, &self.state)?;
         self.since_checkpoint = 0;
-        Ok(self.steps)
+        Ok(self.state.steps)
     }
 
     fn run(mut self, rx: Receiver<WriterMsg>) {
@@ -260,7 +266,7 @@ impl Writer {
                             self.publish();
                             dirty = false;
                         }
-                        let _ = ack.send(self.steps);
+                        let _ = ack.send(self.state.steps);
                     }
                     WriterMsg::Checkpoint(ack) => {
                         if dirty {
@@ -280,10 +286,10 @@ impl Writer {
                             match msg {
                                 WriterMsg::Update { action, cost } => self.apply(action, cost),
                                 WriterMsg::Sync(a) => {
-                                    let _ = a.send(self.steps);
+                                    let _ = a.send(self.state.steps);
                                 }
                                 WriterMsg::Checkpoint(a) | WriterMsg::Shutdown(a) => {
-                                    let _ = a.send(Ok(self.steps));
+                                    let _ = a.send(Ok(self.state.steps));
                                 }
                             }
                         }
@@ -361,13 +367,9 @@ impl Server {
         };
 
         let space = ActionSpace::new(state.config.n_vms, state.config.n_hosts);
+        let policy = BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon);
         let shared = Arc::new(Shared {
-            snapshot: RwLock::new(Arc::new(Snapshot {
-                lspi: state.lspi.clone(),
-                steps: state.steps,
-                temperature: state.temperature,
-            })),
-            epsilon: state.config.epsilon,
+            snapshot: RwLock::new(Arc::new(Snapshot::of(&state, &policy))),
             space,
             queued: AtomicUsize::new(0),
             published: AtomicU64::new(1),
@@ -375,10 +377,8 @@ impl Server {
         });
 
         let writer_state = Writer {
-            policy: BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon),
-            config: state.config,
-            lspi: state.lspi,
-            steps: state.steps,
+            state,
+            policy,
             rng: StdRng::seed_from_u64(opts.writer_seed),
             shared: Arc::clone(&shared),
             checkpoint_path: opts.checkpoint.clone(),
@@ -554,9 +554,8 @@ fn respond(line: &str, shared: &Shared, tx: &Sender<WriterMsg>) -> Response {
                 Ok(slot) => Arc::clone(&*slot),
                 Err(poisoned) => Arc::clone(&*poisoned.into_inner()),
             };
-            let policy = BoltzmannPolicy::with_temperature(snapshot.temperature, shared.epsilon);
             let mut rng = StdRng::seed_from_u64(seed);
-            match policy.sample(&snapshot.lspi, &mut rng) {
+            match snapshot.table.sample(&mut rng) {
                 Some(action) => {
                     let decoded = shared.space.decode(action);
                     Response::Decision {
@@ -616,7 +615,7 @@ fn respond(line: &str, shared: &Shared, tx: &Sender<WriterMsg>) -> Response {
             Response::Stats {
                 steps: snapshot.steps,
                 temperature: snapshot.temperature,
-                nnz: snapshot.lspi.explicit_nnz(),
+                nnz: snapshot.nnz,
                 queued: shared.queued.load(Ordering::Relaxed),
                 published: shared.published.load(Ordering::Relaxed),
             }

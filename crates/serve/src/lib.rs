@@ -5,13 +5,13 @@
 //! and must survive restarts without forgetting. This crate packages
 //! the Megh agent as exactly that daemon:
 //!
-//! - **Read path** — concurrent `decide` requests read `θ` from an
-//!   immutable snapshot of the learned state behind an `Arc`, with
-//!   per-request seeded RNGs so every decision is reproducible against
-//!   its snapshot.
+//! - **Read path** — concurrent `decide` requests draw from an
+//!   immutable snapshot of the Boltzmann policy behind an `Arc` (a
+//!   [`megh_core::BoltzmannTable`]), with per-request seeded RNGs so
+//!   every decision is reproducible against its snapshot.
 //! - **Write path** — a single writer thread drains a batched queue of
 //!   `observe` updates, applies the Sherman–Morrison learning steps,
-//!   and publishes a fresh snapshot (a plain clone) per batch.
+//!   and publishes the policy's table, built once, per batch.
 //! - **Persistence** — versioned, checksummed checkpoints
 //!   ([`megh_core::save_checkpoint`]) written atomically, loaded
 //!   through a migration chain, so a daemon killed at any instant

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use megh_core::{
     load_checkpoint, save_checkpoint, ActionSpace, BoltzmannPolicy, CheckpointError, Config,
-    MeghAgent, MeghConfig, SparseLspi,
+    MeghAgent, MeghCheckpoint, MeghConfig, SparseLspi,
 };
 use megh_serve::{Client, Listen, Request, Response, ServeError, ServeOptions, Server};
 use rand::rngs::StdRng;
@@ -244,6 +244,74 @@ fn published_snapshot_decides_like_an_in_process_agent() {
     assert!(matches!(client.shutdown().unwrap(), Response::Bye));
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn published_snapshot_decides_like_an_in_process_agent_on_edge_states() {
+    // The same gate on the two states a frozen table treats specially:
+    // an annealed one, where every explicit weight underflows to 0.0 and
+    // the zero class takes every draw, and a saturated one, where every
+    // action carries a θ entry and the zero class is empty.
+    let annealed = {
+        let config = MeghConfig::paper_defaults(8, 4);
+        let mut lspi = SparseLspi::new(32, config.delta, config.gamma);
+        for a in [2, 5, 11, 30] {
+            lspi.update(a, a, 0.2 + a as f64 * 0.01);
+        }
+        let temperature = 1e-8;
+        assert!(lspi
+            .theta_entries()
+            .all(|(_, q)| ((-q + lspi.min_q()) / temperature).exp() == 0.0));
+        MeghCheckpoint {
+            config,
+            lspi,
+            temperature,
+            steps: 4,
+        }
+    };
+    let saturated = {
+        let config = MeghConfig::paper_defaults(2, 2);
+        let mut lspi = SparseLspi::new(4, config.delta, config.gamma);
+        for (a, cost) in [(0, 1.5), (1, -0.5), (2, 0.25), (3, 2.0)] {
+            lspi.update(a, (a + 1) % 4, cost);
+        }
+        assert_eq!(lspi.theta_nnz(), 4, "θ must be saturated");
+        MeghCheckpoint {
+            config,
+            lspi,
+            temperature: 0.75,
+            steps: 4,
+        }
+    };
+
+    for (name, state) in [("annealed", annealed), ("saturated", saturated)] {
+        let dir = temp_dir(&format!("edge-{name}"));
+        let checkpoint = dir.join("checkpoint.json");
+        save_checkpoint(&checkpoint, &state).unwrap();
+        let opts = ServeOptions::new(Listen::parse("127.0.0.1:0"), checkpoint);
+        let server = Server::bind(state.config.clone(), &opts).expect("bind");
+        let addr = server.local_addr().expect("tcp addr");
+        let listen = Listen::parse(&addr.to_string());
+        let handle = std::thread::spawn(move || server.run().expect("serve"));
+        let mut client = connect(&listen);
+
+        let policy = BoltzmannPolicy::with_temperature(state.temperature, state.config.epsilon);
+        for seed in 0..64 {
+            let Response::Decision { action, .. } = client.decide(seed).unwrap() else {
+                panic!("expected decision");
+            };
+            let want = policy.sample(&state.lspi, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(Some(action), want, "{name}, seed {seed}");
+        }
+        let Response::Stats { steps, nnz, .. } = client.request(&Request::Stats).unwrap() else {
+            panic!("expected stats");
+        };
+        assert_eq!((steps, nnz), (4, state.lspi.explicit_nnz()), "{name}");
+
+        assert!(matches!(client.shutdown().unwrap(), Response::Bye));
+        handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
