@@ -58,6 +58,18 @@ filtered_test -q -p megh-cli sweep_determinism
 echo "==> experiment determinism (thread count never changes results/<row>.json)"
 filtered_test -q -p megh-bench experiment_determinism
 
+echo "==> fig1_workloads and experiment fig8 run end to end in a scratch directory"
+# Both write under ./results; each must exit 0 and leave its files.
+REPO_DIR="$(pwd)"
+RUN_DIR="$(mktemp -d)"
+(cd "$RUN_DIR" && "$REPO_DIR/target/release/fig1_workloads" >/dev/null \
+  && "$REPO_DIR/target/release/experiment" fig8 >/dev/null)
+if ! [ -s "$RUN_DIR/results/fig8.json" ] || ! compgen -G "$RUN_DIR/results/fig1a_*.csv" >/dev/null; then
+  echo "missing results/fig8.json or results/fig1a_*.csv" >&2
+  exit 1
+fi
+rm -rf "$RUN_DIR"
+
 echo "==> streamed runs equal in-memory runs (engine chunk sizes; CLI vs library; file errors)"
 filtered_test -q -p megh-sim streaming_
 filtered_test -q -p megh-cli stream_

@@ -4,8 +4,9 @@
 //!
 //! Prints a markdown table per row (mean ± sd per metric, Δ ± SE against
 //! Megh, ms per decision) and writes `results/<row>.json`, which is
-//! byte-identical for any `--threads`; the figure rows also write
-//! `results/fig<N>{a,b,c,d}_*.csv` from seed 1.
+//! byte-identical for any `--threads`; the series rows (`table2`,
+//! `table3`, `fig4`, `fig5`) also write `results/<row>{a,b,c,d}_*.csv`
+//! from seed 1.
 //!
 //! Usage: `cargo run -p megh-bench --release --bin experiment --
 //! NAME|all|list [--threads T]`
@@ -130,6 +131,7 @@ mod tests {
     fn accepts_names_all_and_list_with_threads() {
         for (line, target, threads) in [
             ("table2", "table2", None),
+            ("fig8", "fig8", None),
             ("all --threads 2", "all", Some(2)),
             ("--threads=3 list", "list", Some(3)),
             (
@@ -156,7 +158,8 @@ mod tests {
             ("table2 --threads abc", "\"abc\""),
             ("table2 --threads 0", "\"0\""),
             ("table2 --threads", "needs a value"),
-            ("table2 fig2", "\"fig2\""),
+            ("table2 fig8", "\"fig8\""),
+            ("fig2", "\"fig2\""),
         ] {
             let err = parse_line(line).unwrap_err();
             assert!(err.contains(named), "{line}: {err}");

@@ -3,22 +3,32 @@
 //! (a) PlanetLab workload dynamics — across-VM mean ± std per step;
 //! (b) Google Cluster task-duration histogram on a log axis.
 //!
-//! Usage: `cargo run -p megh-bench --release --bin fig1_workloads [--full]`
+//! Runs the paper's fleets (1 052 PlanetLab VMs, 2 000 Google VMs, one
+//! week) and takes no argument; any argument exits 2, naming it.
+//!
+//! Usage: `cargo run -p megh-bench --release --bin fig1_workloads`
 
-use megh_bench::{ensure_results_dir, scale_from_args, write_csv, Scale};
+use std::process::ExitCode;
+
+use megh_bench::{ensure_results_dir, write_csv};
 use megh_trace::{CullenFrey, DurationStats, GoogleConfig, PlanetLabConfig, TraceStats};
 
-fn main() {
-    // VM counts of the Tables 2–3 rows (`experiment table2|table3`, or
-    // the `-full` rows).
-    let (n_pl, n_g, days) = match scale_from_args() {
-        Scale::Reduced => (210, 400, 7),
-        Scale::Full => (1052, 2000, 7),
-    };
+/// PlanetLab VMs of the `table2-full` row.
+const PLANETLAB_VMS: usize = 1052;
+/// Google VMs of the `table3-full` row.
+const GOOGLE_VMS: usize = 2000;
+/// Simulated days of both rows.
+const DAYS: usize = 7;
+
+fn main() -> ExitCode {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument {arg:?} (fig1_workloads takes none)");
+        return ExitCode::from(2);
+    }
     let dir = ensure_results_dir().expect("results dir");
 
     // (a) PlanetLab dynamics.
-    let planetlab = PlanetLabConfig::new(n_pl, 42).generate(days);
+    let planetlab = PlanetLabConfig::new(PLANETLAB_VMS, 42).generate(DAYS);
     let stats = TraceStats::compute(&planetlab);
     println!("Figure 1(a) — PlanetLab-like workload dynamics");
     println!(
@@ -53,7 +63,7 @@ fn main() {
     .expect("write fig1a");
 
     // (b) Google task durations.
-    let google_cfg = GoogleConfig::new(n_g, 43);
+    let google_cfg = GoogleConfig::new(GOOGLE_VMS, 43);
     let durations = google_cfg.sample_task_durations(20_000);
     let hist = DurationStats::from_durations(&durations, 4);
     println!("Figure 1(b) — Google-Cluster-like task durations");
@@ -76,4 +86,5 @@ fn main() {
     .expect("write fig1b");
 
     println!("wrote results/fig1a_planetlab_dynamics.csv, results/fig1b_google_durations.csv");
+    ExitCode::SUCCESS
 }

@@ -1,6 +1,8 @@
-//! Renders SVG figures from the CSV series in `results/`: Figures 2–5
-//! from `experiment fig2` … `fig5`, Figures 1, 7 and 8 from their probe
-//! binaries. Run those first, then this.
+//! Renders SVG figures from the CSV series in `results/`: Figure 1 from
+//! `fig1_workloads`, Figures 2–3 from `experiment table2` and `table3`
+//! (seed 1's series), Figures 4–5 from `experiment fig4` and `fig5`.
+//! Run those first, then this. Figures 6–8 are tables, which
+//! `experiment fig6`, `fig8` and `tests/paper_claims.rs` report.
 //!
 //! Usage: `cargo run -p megh-bench --release --bin render_figures`
 
@@ -74,7 +76,7 @@ fn main() {
         "count",
         false,
     );
-    for (prefix, family) in [("fig2", "PlanetLab"), ("fig3", "Google Cluster")] {
+    for (prefix, family) in [("table2", "PlanetLab"), ("table3", "Google Cluster")] {
         render_series(
             &dir,
             &format!("{prefix}a_cost_per_step"),
@@ -142,36 +144,4 @@ fn main() {
             true,
         );
     }
-    render_series(
-        &dir,
-        "fig7_qtable_growth",
-        "Figure 7 — Q-table non-zeros",
-        "step",
-        "non-zeros",
-        false,
-    );
-    render_series(
-        &dir,
-        "fig8a_temp0",
-        "Figure 8(a) — sensitivity to Temp0",
-        "Temp0",
-        "USD / step",
-        false,
-    );
-    render_series(
-        &dir,
-        "fig8b_epsilon",
-        "Figure 8(b) — sensitivity to epsilon",
-        "epsilon",
-        "USD / step",
-        false,
-    );
-    render_series(
-        &dir,
-        "fig8c_temp0_small_space",
-        "Figure 8(c) — small-space sensitivity",
-        "Temp0",
-        "USD / step",
-        false,
-    );
 }

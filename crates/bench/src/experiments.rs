@@ -85,7 +85,7 @@ const MADVM: Arm<'static> = Arm {
 };
 
 /// Megh's design choices, one at a time against the paper defaults.
-const MEGH_ABLATIONS: [Arm<'static>; 6] = [
+const MEGH_ABLATIONS: [Arm<'static>; 7] = [
     Arm {
         label: "gamma=0",
         make: &|c, s| megh_with(c, s, |m| m.gamma = 0.0),
@@ -118,6 +118,40 @@ const MEGH_ABLATIONS: [Arm<'static>; 6] = [
                 m.epsilon = 0.0;
             })
         },
+    },
+    // The ridge of B₀ = I/δ: the paper's δ = d against a unit ridge.
+    Arm {
+        label: "delta=1",
+        make: &|c, s| megh_with(c, s, |m| m.delta = 1.0),
+    },
+];
+
+/// Figure 8's exploration parameters, one at a time against the paper
+/// defaults (Temp₀ 3, ε 0.01).
+const FIG8_ARMS: [Arm<'static>; 6] = [
+    Arm {
+        label: "Temp0=0.5",
+        make: &|c, s| megh_with(c, s, |m| m.temp0 = 0.5),
+    },
+    Arm {
+        label: "Temp0=1",
+        make: &|c, s| megh_with(c, s, |m| m.temp0 = 1.0),
+    },
+    Arm {
+        label: "Temp0=10",
+        make: &|c, s| megh_with(c, s, |m| m.temp0 = 10.0),
+    },
+    Arm {
+        label: "eps=0.001",
+        make: &|c, s| megh_with(c, s, |m| m.epsilon = 0.001),
+    },
+    Arm {
+        label: "eps=0.1",
+        make: &|c, s| megh_with(c, s, |m| m.epsilon = 0.1),
+    },
+    Arm {
+        label: "eps=1",
+        make: &|c, s| megh_with(c, s, |m| m.epsilon = 1.0),
     },
 ];
 
@@ -201,6 +235,9 @@ const QLEARNING: [Arm<'static>; 2] = [
     },
 ];
 
+/// Figure 6's hosts and VMs: every (m, n) pair is one setup.
+const FIG6_GRID: [usize; 3] = [100, 200, 400];
+
 /// The experiment table, in the order `experiment all` runs it.
 pub fn table() -> Vec<Row<'static>> {
     use Workload::{Google, PlanetLab};
@@ -224,27 +261,13 @@ pub fn table() -> Vec<Row<'static>> {
             "Table 2 — PlanetLab",
             vec![planetlab.clone()],
             MMT.to_vec(),
-            vec![],
+            vec![Output::Series],
         ),
         row(
             "table3",
             "Table 3 — Google Cluster",
             vec![google.clone()],
             MMT.to_vec(),
-            vec![],
-        ),
-        row(
-            "fig2",
-            "Figure 2 — Megh vs THR-MMT (PlanetLab)",
-            vec![planetlab.clone()],
-            vec![THR],
-            vec![Output::Series],
-        ),
-        row(
-            "fig3",
-            "Figure 3 — Megh vs THR-MMT (Google Cluster)",
-            vec![google.clone()],
-            vec![THR],
             vec![Output::Series],
         ),
         row(
@@ -260,6 +283,28 @@ pub fn table() -> Vec<Row<'static>> {
             vec![madvm_subset(Google)],
             vec![MADVM],
             vec![Output::Series],
+        ),
+        row(
+            "fig6",
+            "Figure 6 — decision time over the (hosts, VMs) grid",
+            FIG6_GRID
+                .iter()
+                .flat_map(|&hosts| FIG6_GRID.map(|vms| Setup::new(PlanetLab, hosts, vms, 1)))
+                .collect(),
+            vec![THR],
+            vec![],
+        ),
+        row(
+            "fig8",
+            "Figure 8 — sensitivity to Temp0 and epsilon",
+            vec![
+                Setup::new(PlanetLab, 160, 210, 2),
+                // Panel (c): d = 96, small enough for exploration to
+                // cover the action space.
+                Setup::new(PlanetLab, 8, 12, 2),
+            ],
+            FIG8_ARMS.to_vec(),
+            vec![],
         ),
         row(
             "ablation-megh",
@@ -409,10 +454,27 @@ mod tests {
     fn rows_have_unique_names_and_megh_as_reference() {
         let table = table();
         let mut names: Vec<&str> = table.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), 13);
+        assert_eq!(
+            names,
+            [
+                "table2",
+                "table3",
+                "fig4",
+                "fig5",
+                "fig6",
+                "fig8",
+                "ablation-megh",
+                "ablation-mmt",
+                "ablation-oversubscription",
+                "ext-slav",
+                "ext-qlearning",
+                "table2-full",
+                "table3-full",
+            ]
+        );
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 13, "row names must be unique");
+        assert_eq!(names.len(), table.len(), "row names must be unique");
         for row in &table {
             assert_eq!(row.arms[0].label, "Megh", "{}", row.name);
             assert!(row.arms.len() >= 2, "{}", row.name);
@@ -429,6 +491,10 @@ mod tests {
             ["Megh", "THR-MMT", "IQR-MMT", "MAD-MMT", "LR-MMT", "LRR-MMT"]
         );
         assert_eq!(fleet("table3").0, Setup::new(Workload::Google, 100, 400, 7));
+        // Figures 2–3 are the first seed's series of these two rows.
+        for name in ["table2", "table3"] {
+            assert_eq!(row(name).unwrap().outputs, [Output::Series], "{name}");
+        }
         // The only paper-scale rows: §6.2's fleets.
         assert_eq!(
             fleet("table2-full").0,
@@ -480,8 +546,50 @@ mod tests {
         for name in ["table2-full", "table3-full"] {
             assert!(row(name).unwrap().arms.iter().all(|a| a.label != "MadVM"));
         }
-        assert_eq!(fleet("ablation-megh").1.len(), 7);
+        let (_, megh_arms) = fleet("ablation-megh");
+        assert_eq!(megh_arms.len(), 8);
+        assert_eq!(megh_arms.last(), Some(&"delta=1"));
         assert_eq!(fleet("ablation-mmt").1.len(), 8);
+    }
+
+    #[test]
+    fn figures_6_and_8_are_paired_rows_over_their_grids() {
+        let fig6 = row("fig6").unwrap();
+        let cells: Vec<(usize, usize)> = fig6.setups.iter().map(|s| (s.hosts, s.vms)).collect();
+        assert_eq!(cells.len(), 9);
+        for hosts in FIG6_GRID {
+            for vms in FIG6_GRID {
+                assert!(cells.contains(&(hosts, vms)), "({hosts}, {vms})");
+            }
+        }
+        assert!(fig6
+            .setups
+            .iter()
+            .all(|s| s.workload == Workload::PlanetLab && s.days == 1));
+        let labels: Vec<&str> = fig6.arms.iter().map(|a| a.label).collect();
+        assert_eq!(labels, ["Megh", "THR-MMT"]);
+
+        let fig8 = row("fig8").unwrap();
+        assert_eq!(
+            fig8.setups,
+            [
+                Setup::new(Workload::PlanetLab, 160, 210, 2),
+                Setup::new(Workload::PlanetLab, 8, 12, 2)
+            ]
+        );
+        let labels: Vec<&str> = fig8.arms.iter().map(|a| a.label).collect();
+        assert_eq!(
+            labels,
+            [
+                "Megh",
+                "Temp0=0.5",
+                "Temp0=1",
+                "Temp0=10",
+                "eps=0.001",
+                "eps=0.1",
+                "eps=1"
+            ]
+        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! [`experiments::table`], run over eight paired seeds by the
 //! `experiment` binary through [`megh_sim::sweep::run_row`], which
 //! prints a markdown table and drops `results/<row>.json` (plus the
-//! figure CSVs). The probes that are not
-//! sweeps — `fig1_workloads`, `fig6_scalability`, `fig7_qtable_growth`,
-//! `fig8_sensitivity` — are their own binaries and take `--full` for the
-//! paper's grids; `render_figures` turns the CSVs into SVGs.
+//! series CSVs of the rows that keep them). Figure 1 characterises the
+//! workloads and is no sweep, so `fig1_workloads` is its own binary;
+//! `render_figures` turns the CSVs into SVGs. Figure 7 and §5.2's
+//! complexity claim are tests (`tests/paper_claims.rs`,
+//! `crates/core/tests/footprint.rs`).
 //!
 //! # Examples
 //!
@@ -26,11 +27,7 @@
 
 pub mod experiments;
 mod plot;
-mod probe;
 mod report;
-mod scale;
 
 pub use plot::LineChart;
-pub use probe::MeghProbe;
 pub use report::{ensure_results_dir, write_csv, write_json, ResultsError};
-pub use scale::{scale_from_args, Scale};

@@ -1,18 +1,17 @@
 //! Integration tests of the experiment harness itself: a mini row run
 //! through the paired-seed runner must produce the JSON, the figure
 //! CSVs and the table every experiment relies on, byte-identically for
-//! any thread count; the probe must not change behaviour; and the
-//! `experiment` binary must refuse bad input by name.
+//! any thread count; and the `experiment` binary must list its rows
+//! and refuse bad input by name.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 use megh_bench::experiments::{format_convergence, row, write_outputs, SEEDS};
-use megh_bench::{LineChart, MeghProbe};
+use megh_bench::LineChart;
 use megh_core::{MeghAgent, MeghConfig};
 use megh_sim::sweep::{format_row, run_row, Output, Placement, Row, Setup, Workload};
-use megh_sim::{DataCenterConfig, InitialPlacement, Simulation};
-use megh_trace::PlanetLabConfig;
+use megh_sim::Simulation;
 
 /// A test-local row: the arms of table row `arms_of` on a 5-host,
 /// 8-VM, one-day PlanetLab setup.
@@ -139,32 +138,6 @@ fn experiment_determinism_thread_count_never_changes_json() {
     assert_eq!(single, json_with(3), "uneven chunks: 8 seeds on 3 threads");
 }
 
-fn mini_sim() -> Simulation {
-    let mut config = DataCenterConfig::paper_planetlab(5, 8);
-    config.initial_placement = InitialPlacement::DemandPacked;
-    let trace = PlanetLabConfig::new(8, 9).generate_steps(30);
-    Simulation::new(config, trace).unwrap()
-}
-
-#[test]
-fn probe_and_direct_agent_agree() {
-    // Wrapping the agent in the Fig-7 probe must not change behaviour.
-    let sim = mini_sim();
-    let direct = sim.run(MeghAgent::new(MeghConfig::paper_defaults(8, 5)));
-    let mut probe = MeghProbe::new(MeghAgent::new(MeghConfig::paper_defaults(8, 5)));
-    let probed = sim.run(&mut probe);
-    assert_eq!(direct.final_placement(), probed.final_placement());
-    assert_eq!(
-        direct.report().total_migrations,
-        probed.report().total_migrations
-    );
-    assert_eq!(probe.qtable_nnz_series().len(), 30);
-    assert_eq!(
-        *probe.qtable_nnz_series().last().unwrap(),
-        probe.agent().qtable_nnz()
-    );
-}
-
 #[test]
 fn experiment_binary_lists_rows_and_exits_2_naming_bad_input() {
     let run = |args: &[&str]| {
@@ -176,18 +149,47 @@ fn experiment_binary_lists_rows_and_exits_2_naming_bad_input() {
     let list = run(&["list"]);
     assert!(list.status.success());
     let stdout = String::from_utf8_lossy(&list.stdout);
-    for name in ["table2", "fig5", "ext-qlearning", "table3-full"] {
-        assert!(stdout.contains(name), "{stdout}");
+    let names: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    for name in [
+        "table2",
+        "fig5",
+        "fig6",
+        "fig8",
+        "ext-qlearning",
+        "table3-full",
+    ] {
+        assert!(names.contains(&name), "{stdout}");
+    }
+    // Figures 2–3 are the series of `table2` and `table3`.
+    for gone in ["fig2", "fig3", "fig7"] {
+        assert!(!names.contains(&gone), "{stdout}");
     }
     for (args, named) in [
         (&["table9"][..], "table9"),
         (&["table2", "--seeds", "3"], "--seeds"),
         (&["table2", "--threads", "abc"], "abc"),
+        (&["fig2"], "fig2"),
         (&[], "missing experiment name"),
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn fig1_binary_takes_no_argument_and_names_the_one_it_got() {
+    for arg in ["--full", "results"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig1_workloads"))
+            .arg(arg)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{arg}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(arg), "{arg}: {stderr}");
     }
 }

@@ -49,6 +49,48 @@ fn fleet_scale_lspi_is_built_updated_cloned_and_round_tripped() {
     }
 }
 
+/// §5.2's complexity claim as a counted fact: an update touches only
+/// what its two actions reach, so the same 2 000 updates leave the same
+/// learned state at d = 15 000 (100 hosts × 150 VMs) and at the paper
+/// fleet's d = 841 600 (800 × 1 052). Both use one δ: the paper's δ = d
+/// would differ between them.
+#[test]
+fn lspi_state_after_the_same_updates_does_not_depend_on_d() {
+    const SMALL: usize = 100 * 150;
+    const PAPER: usize = 800 * 1_052;
+    let mut rng = StdRng::seed_from_u64(52);
+    let updates: Vec<(usize, usize, f64)> = (0..2_000)
+        .map(|_| {
+            (
+                rng.gen_range(0..SMALL),
+                rng.gen_range(0..SMALL),
+                rng.gen_range(0.05..0.5),
+            )
+        })
+        .collect();
+    let replay = |dim| {
+        let mut lspi = SparseLspi::new(dim, SMALL as f64, 0.5);
+        for &(a, a_next, cost) in &updates {
+            assert!(lspi.update(a, a_next, cost));
+        }
+        lspi
+    };
+    let (small, paper) = (replay(SMALL), replay(PAPER));
+    assert_eq!(small.updates(), 2_000);
+    assert_eq!(paper.updates(), small.updates());
+    assert_eq!(paper.explicit_nnz(), small.explicit_nnz());
+    assert_eq!(paper.theta_nnz(), small.theta_nnz());
+    for &(a, a_next, _) in &updates {
+        for action in [a, a_next] {
+            assert_eq!(
+                paper.q(action).to_bits(),
+                small.q(action).to_bits(),
+                "θ[{action}]"
+            );
+        }
+    }
+}
+
 /// A fresh 6 × 3 agent's checkpoint with the state's dimension (and
 /// Δ's order, and z's and θ's) rewritten to 2⁴⁰, as bare legacy JSON.
 fn hostile_legacy_checkpoint() -> String {

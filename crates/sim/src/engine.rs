@@ -25,13 +25,14 @@
 //! # Streaming
 //!
 //! The loop is driven by any [`TraceSource`], pulling utilization
-//! columns one simulated day ([`STEPS_PER_DAY`] steps) at a time, so a
-//! run holds only the current chunk in memory regardless of trace
-//! length. [`Simulation::run`] streams from an in-memory
-//! [`WorkloadTrace`] cursor; [`run_streamed`] drives the same loop from
-//! a lazy source (generator or file reader) without ever materializing
-//! the trace. Outcomes do not depend on the chunk size (the engine's
-//! tests sweep it; see [`SimulationOutcome::fingerprint`]).
+//! columns one simulated day ([`STEPS_PER_DAY`] steps) at a time, or
+//! fewer steps where a day of columns would exceed 8 MiB, so a run
+//! holds only the current chunk in memory regardless of trace length.
+//! [`Simulation::run`] streams from an in-memory [`WorkloadTrace`]
+//! cursor; [`run_streamed`] drives the same loop from a lazy source
+//! (generator or file reader) without ever materializing the trace.
+//! Outcomes do not depend on the chunk size (the engine's tests sweep
+//! it; see [`SimulationOutcome::fingerprint`]).
 //!
 //! A step runs on one thread: the phase-5 accounting is a few
 //! microseconds of arithmetic, less than one hand-off to a worker
@@ -51,6 +52,11 @@ use crate::{
     config::InitialPlacement, migration_seconds, DataCenterConfig, DataCenterView, Scheduler,
     SimError, StepFeedback, StepRecord, SummaryReport,
 };
+
+/// Trace memory the step loop holds at once: 8 MiB of utilization
+/// columns, which is a whole day up to 3 640 VMs (and at least one step
+/// at any fleet size).
+const CHUNK_BYTES: usize = 8 << 20;
 
 /// Length of the per-host utilization history handed to schedulers
 /// ([`DataCenterView::host_history`]); the adaptive MMT detectors read
@@ -247,8 +253,9 @@ impl Simulation {
 }
 
 /// Runs a scheduler directly over a lazy [`TraceSource`] without ever
-/// materializing the full trace: peak trace memory is one chunk
-/// ([`STEPS_PER_DAY`] columns), independent of trace length.
+/// materializing the full trace: peak trace memory is one chunk (at
+/// most [`STEPS_PER_DAY`] columns and at most 8 MiB), independent of
+/// trace length.
 ///
 /// The source must be freshly constructed or [`TraceSource::reset`];
 /// its declared header drives validation and the step count. The
@@ -299,10 +306,11 @@ pub fn run_streamed<T: TraceSource, S: Scheduler>(
 
 /// The step loop shared by [`Simulation::run_steps`] and
 /// [`run_streamed`]. `source` must be positioned at step 0; the loop
-/// pulls `chunk_steps` columns at a time (both callers pass one day;
-/// the tests sweep it) and stops early if the source dries up before
-/// its declared `n_steps` (e.g. a file reader that hit a malformed
-/// line, which the reader keeps for its caller to report).
+/// pulls `chunk_steps` columns at a time, capped at [`CHUNK_BYTES`] of
+/// them (both callers pass one day; the tests sweep it), and stops
+/// early if the source dries up before its declared `n_steps` (e.g. a
+/// file reader that hit a malformed line, which the reader keeps for
+/// its caller to report).
 fn run_core<T: TraceSource, S: Scheduler>(
     config: &DataCenterConfig,
     initial_placement: &[usize],
@@ -319,7 +327,9 @@ fn run_core<T: TraceSource, S: Scheduler>(
     let steps = max_steps.min(header.n_steps);
     let cap = config.migration_cap();
     let cost = &config.cost;
-    let chunk_steps = chunk_steps.max(1);
+    let chunk_steps = chunk_steps
+        .min(CHUNK_BYTES / (std::mem::size_of::<f64>() * n.max(1)))
+        .max(1);
 
     let mut placement = initial_placement.to_vec();
     let mut vm_downtime_s = vec![0.0f64; n];

@@ -121,27 +121,37 @@ fn google_workload_rewards_spreading() {
     );
 }
 
-/// Figure 7: Megh's Q-table grows roughly linearly with time.
+/// Figure 7: Megh's Q-table grows roughly linearly with time, and
+/// shifts up with the fleet. With the §6.1 budget of ⌈0.02 N⌉ actions
+/// per step (one action up to N = 50, two at N = 100), the larger fleet
+/// learns from more actions per step.
 #[test]
 fn qtable_growth_is_linear_in_time() {
-    let (hosts, vms) = (20, 20);
-    let sim = planetlab_sim(hosts, vms, 400, 47);
-    let mut agent = MeghAgent::new(MeghConfig::paper_defaults(vms, hosts));
-    // Measure nnz at 1/2 horizon and full horizon via two fresh runs
-    // (the agent is deterministic under its seed).
-    sim.run_steps(
-        &mut MeghAgent::new(MeghConfig::paper_defaults(vms, hosts)),
-        200,
-    );
-    let mut half_agent = MeghAgent::new(MeghConfig::paper_defaults(vms, hosts));
-    sim.run_steps(&mut half_agent, 200);
-    sim.run(&mut agent);
-    let half = half_agent.qtable_nnz() as f64;
-    let full = agent.qtable_nnz() as f64;
-    let ratio = full / half.max(1.0);
+    let mut final_nnz = Vec::new();
+    for n in [20, 50, 100] {
+        let sim = planetlab_sim(n, n, 400, 47);
+        let config = MeghConfig {
+            actions_per_step: (n * 2).div_ceil(100),
+            ..MeghConfig::paper_defaults(n, n)
+        };
+        // nnz at half and at full horizon, from two runs (the agent is
+        // deterministic under its seed).
+        let mut half_agent = MeghAgent::new(config.clone());
+        sim.run_steps(&mut half_agent, 200);
+        let mut agent = MeghAgent::new(config);
+        sim.run(&mut agent);
+        let half = half_agent.qtable_nnz() as f64;
+        let full = agent.qtable_nnz() as f64;
+        let ratio = full / half.max(1.0);
+        assert!(
+            (1.5..=2.5).contains(&ratio),
+            "N = M = {n}: expected ~2x growth, got {half} -> {full} (ratio {ratio:.2})"
+        );
+        final_nnz.push(agent.qtable_nnz());
+    }
     assert!(
-        (1.5..=2.5).contains(&ratio),
-        "expected ~2x growth, got {half} -> {full} (ratio {ratio:.2})"
+        final_nnz[2] > final_nnz[1],
+        "N = M = 100 must end above N = M = 50: {final_nnz:?}"
     );
 }
 
