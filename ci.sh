@@ -38,7 +38,7 @@ cargo build --workspace --release
 echo "==> two-level cost guard (Table 2 fleet, 4 seeds, $(nproc) cores): hier <= 1.25 x flat"
 # The sweep prints a markdown table with one `| <name> | <mean> ± <sd> | …`
 # row per scheduler, in --schedulers order; each seed drives the trace and
-# both schedulers' RNGs. Expected 20504.1 (megh) and 18798.2 (hier); the
+# both schedulers' RNGs. Expected 20504.1 (megh) and 18435.6 (hier); the
 # score coordinator this guard keeps out cost ~39 000.
 target/release/megh sweep --hosts 800 --vms 1052 --days 30 --schedulers megh,hier \
   --seeds 4 --seed 1 | awk -F'|' '

@@ -5,8 +5,9 @@
 // days under a counting allocator and holds, over days 3–4, `observe`
 // at 0 and a learning `decide` at no more than 6 allocations per call
 // (3.2 on average: the `Vec` it returns, non-empty on 98 % of steps,
-// plus the Q-table growth of the critic pass). With learning paused the
-// returned `Vec` is all that is left: one allocation, none when empty.
+// plus the Q-table growth of the critic pass). A frozen agent runs no
+// critic, so the returned `Vec` is all that is left: one allocation,
+// none when empty.
 #![cfg_attr(
     not(test),
     deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)
@@ -89,14 +90,8 @@ pub struct MeghAgent {
     vm_taken: Vec<bool>,
     last_cost: Option<f64>,
     steps: usize,
-    /// `true` while the critic applies Sherman–Morrison updates;
-    /// `false` during evaluation phases, where the critic only previews.
+    /// `true` until [`MeghAgent::freeze`]; a frozen agent runs no critic.
     learning: bool,
-    /// Σ|preview coefficient| accumulated during the current evaluation
-    /// phase — a drift diagnostic for the frozen policy.
-    eval_residual_abs: f64,
-    /// Previews accumulated during the current evaluation phase.
-    eval_previews: usize,
 }
 
 impl MeghAgent {
@@ -129,8 +124,6 @@ impl MeghAgent {
             last_cost: None,
             steps: 0,
             learning: true,
-            eval_residual_abs: 0.0,
-            eval_previews: 0,
         }
     }
 
@@ -200,64 +193,35 @@ impl MeghAgent {
             last_cost: None,
             steps: checkpoint.steps,
             config: checkpoint.config,
-            // Evaluation mode is derived runtime state, not persisted:
-            // a restored agent resumes learning.
+            // Freezing is runtime state, not persisted: a restored
+            // agent learns.
             learning: true,
-            eval_residual_abs: 0.0,
-            eval_previews: 0,
         }
     }
 
-    /// Enters an evaluation phase: learning paused, critic previews.
+    /// Stops learning for good.
     ///
-    /// While frozen the agent still samples actions and runs its critic
-    /// pass every step, but the critic only *previews* the Sherman–
-    /// Morrison step ([`SparseLspi::preview_update`]) — `B`, `z`, `θ`
-    /// and the Boltzmann temperature all stay fixed. Each call starts a
-    /// fresh phase: the preview diagnostics behind
-    /// [`MeghAgent::eval_residual_mean`] restart from zero.
+    /// A frozen agent keeps acting: it samples from its fixed `θ` at
+    /// the temperature it froze at. It runs no critic, so `B`, `z`, `θ`
+    /// and the temperature all stay fixed, and there is no way back
+    /// short of [`MeghAgent::restore`] from a checkpoint.
     pub fn freeze(&mut self) {
         self.learning = false;
-        self.eval_residual_abs = 0.0;
-        self.eval_previews = 0;
     }
 
-    /// Resumes learning and temperature annealing.
-    ///
-    /// The finished phase's preview diagnostics are left in place, so
-    /// [`MeghAgent::eval_residual_mean`] stays readable after the thaw;
-    /// the next [`MeghAgent::freeze`] resets them.
-    pub fn thaw(&mut self) {
-        self.learning = true;
-    }
-
-    /// Whether the agent is in an evaluation phase (critic previews
-    /// instead of updating).
+    /// Whether [`MeghAgent::freeze`] was called.
     pub fn is_frozen(&self) -> bool {
         !self.learning
     }
 
-    /// Mean |preview coefficient| over the latest evaluation phase —
-    /// how much the frozen policy's value estimates would still move if
-    /// learning were on. `None` before the first preview.
-    pub fn eval_residual_mean(&self) -> Option<f64> {
-        (self.eval_previews > 0).then(|| self.eval_residual_abs / self.eval_previews as f64)
-    }
-
-    /// Learns from the stored `(a_t, C_{t+1})` pair, if any. Drains
-    /// `pending` in place so its buffer is reused step after step.
+    /// Learns from the stored `(a_t, C_{t+1})` pair, if any; a frozen
+    /// agent drops it. Drains `pending` in place so its buffer is reused
+    /// step after step.
     pub(crate) fn learn_pending(&mut self) {
-        if let Some(cost) = self.last_cost.take() {
+        if let Some(cost) = self.last_cost.take().filter(|_| self.learning) {
             for &a_prev in &self.pending {
                 let a_next = self.policy.greedy(&self.lspi, &mut self.rng);
-                if self.learning {
-                    self.lspi.update(a_prev, a_next, cost);
-                } else if let Some(coeff) = self.lspi.preview_update(a_prev, a_next, cost) {
-                    // Evaluation phase: same products, no state change —
-                    // accumulate the drift diagnostic.
-                    self.eval_residual_abs += coeff.abs();
-                    self.eval_previews += 1;
-                }
+                self.lspi.update(a_prev, a_next, cost);
             }
         }
         self.pending.clear();
@@ -275,9 +239,8 @@ impl MeghAgent {
         host_lo: usize,
         out: &mut Vec<MigrationRequest>,
     ) {
-        // Annealing pauses while evaluating so a freeze → thaw
-        // round-trip leaves the exploration schedule exactly where
-        // learning left it.
+        // Annealing stops with learning: a frozen agent acts at the
+        // temperature it froze at.
         if self.learning {
             self.policy.decay();
         }
@@ -345,8 +308,7 @@ impl Scheduler for MeghAgent {
         if self.space.dim() == 0 {
             return requests;
         }
-        // Critic: fold last step's observed cost into B, z, θ — or, in
-        // an evaluation phase, preview it without mutating.
+        // Critic: fold last step's observed cost into B, z, θ.
         self.learn_pending();
         self.act_into(view, 0, 0, &mut requests);
         requests
@@ -480,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_pauses_learning_and_thaw_resumes() {
+    fn freeze_pauses_learning() {
         let sim = mini_sim(4, 8, 60);
         let mut agent = MeghAgent::new(MeghConfig::paper_defaults(8, 4));
         sim.run(&mut agent);
@@ -491,21 +453,17 @@ mod tests {
 
         agent.freeze();
         assert!(agent.is_frozen());
-        sim.run(&mut agent);
-        // Evaluation ran the critic previews but changed nothing learned.
+        let outcome = sim.run(&mut agent);
+        // The frozen agent kept acting but changed nothing learned.
+        assert!(
+            outcome.report().total_migrations > 0,
+            "frozen agent stopped acting"
+        );
+        assert_eq!(agent.steps(), 120);
         assert_eq!(agent.qtable_nnz(), learned_nnz);
         assert_eq!(agent.lspi().updates(), learned_updates);
         assert_eq!(agent.temperature(), learned_temp);
-        assert!(
-            agent.eval_residual_mean().is_some(),
-            "evaluation phase must accumulate preview diagnostics"
-        );
-
-        agent.thaw();
-        assert!(!agent.is_frozen());
-        sim.run(&mut agent);
-        assert!(agent.lspi().updates() > learned_updates);
-        assert!(agent.temperature() < learned_temp);
+        assert!(agent.is_frozen());
     }
 
     #[test]

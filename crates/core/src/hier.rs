@@ -16,17 +16,15 @@
 //! * The **coordinator** is a counter: decide `t` goes to shard
 //!   `t mod S`, so every shard gets the same share of the decision
 //!   budget and the coordinator never reads the view. Picking shards by
-//!   a score (utilization, awake hosts, evaluation drift) instead costs
+//!   a score (utilization, awake hosts, critic drift) instead costs
 //!   1.4–2.2× the total USD at every fleet size measured (DESIGN §16).
 //! * Each shard is a plain [`MeghAgent`] over its local `N_c × M_c`
 //!   basis — its own `SparseLspi`, Boltzmann policy, exploration RNG and
-//!   learning-paused (frozen) state — acting through the shard's VM and
-//!   host offsets.
-//! * Phase windows — `n_phases` equal slices of each 24-hour period —
-//!   drive **auto-freeze**: a shard whose Q-table stopped growing over
-//!   a phase window freezes — learning and annealing
-//!   pause, the critic only previews — and a frozen shard whose preview
-//!   residual drifts past its baseline thaws back to learning.
+//!   frozen flag — acting through the shard's VM and host offsets.
+//! * Phase windows — four equal slices of each 24-hour period — drive
+//!   **auto-freeze**: a shard whose Q-table grew by at most 2 % over a
+//!   completed window freezes for good. From then on it acts from its
+//!   fixed `θ` at its fixed temperature and runs no critic.
 //!
 //! A VM's *home* shard is fixed; the local action space covers exactly
 //! the home shard's hosts, so every emitted [`MigrationRequest`]
@@ -51,97 +49,29 @@ use megh_sim::{DataCenterView, MigrationRequest, Scheduler, StepFeedback};
 
 use crate::{MeghAgent, MeghConfig, SparseLspi};
 
-/// Configuration of the hierarchical scheduler.
-///
-/// `base` carries the *global* dimensions and the RL parameters every
-/// shard inherits (γ, Temp₀, ε, actions-per-step, masking, seed); each
-/// shard derives its own δ from its local dimension, following the
-/// paper's "δ as d" convention.
-///
-/// # Examples
-///
-/// ```
-/// use megh_core::{HierConfig, HierMegh};
-///
-/// let cfg = HierConfig::paper_defaults(24, 12, 3);
-/// let agent = HierMegh::new(cfg);
-/// assert_eq!(agent.n_shards(), 3);
-/// assert_eq!(agent.shard_hosts(0), 0..4);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierConfig {
-    /// Global dimensions plus the shared RL parameters.
-    pub base: MeghConfig,
-    /// Number of shards the fleet is split into (`1 ..= n_hosts`).
-    pub n_shards: usize,
-    /// Phase windows per period for the auto-freeze detector.
-    pub n_phases: usize,
-    /// Steps per period (288 five-minute steps = 24 h).
-    pub steps_per_period: usize,
-    /// A shard freezes when its Q-table grew by at most this fraction
-    /// over a completed phase window.
-    pub freeze_growth_limit: f64,
-    /// A frozen shard thaws when its evaluation residual exceeds this
-    /// multiple of the residual observed in its first frozen window.
-    pub thaw_drift: f64,
-}
+/// Phase windows per 24-hour period of the auto-freeze detector.
+const N_PHASES: usize = 4;
 
-impl HierConfig {
-    /// Paper-style defaults for a fleet of `n_vms` VMs on `n_hosts`
-    /// hosts split into `n_shards` shards.
-    pub fn paper_defaults(n_vms: usize, n_hosts: usize, n_shards: usize) -> Self {
-        Self {
-            base: MeghConfig::paper_defaults(n_vms, n_hosts),
-            n_shards,
-            n_phases: 4,
-            steps_per_period: 288,
-            freeze_growth_limit: 0.02,
-            thaw_drift: 4.0,
-        }
+/// Steps per period: 288 five-minute steps are 24 hours. (288 is not
+/// zero, so the `None` arm is never taken.)
+const STEPS_PER_PERIOD: NonZeroUsize = match NonZeroUsize::new(288) {
+    Some(steps) => steps,
+    None => NonZeroUsize::MIN,
+};
+
+/// A shard freezes when its Q-table grew by at most this fraction over
+/// a completed phase window.
+const FREEZE_GROWTH_LIMIT: f64 = 0.02;
+
+/// Validates `base` and the shard count, and hands the count back in a
+/// type that cannot be zero.
+fn shard_count(base: &MeghConfig, n_shards: usize) -> Result<NonZeroUsize, &'static str> {
+    base.validate()?;
+    let count = NonZeroUsize::new(n_shards).ok_or("n_shards must be at least 1")?;
+    if n_shards > base.n_hosts.max(1) {
+        return Err("n_shards must not exceed n_hosts");
     }
-
-    /// Validates parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        self.divisors().map(|_| ())
-    }
-
-    /// Validates, and hands back the two counts the shard and phase
-    /// arithmetic divides by in a type that cannot be zero.
-    fn divisors(&self) -> Result<Divisors, &'static str> {
-        self.base.validate()?;
-        let n_shards = NonZeroUsize::new(self.n_shards).ok_or("n_shards must be at least 1")?;
-        if self.n_shards > self.base.n_hosts.max(1) {
-            return Err("n_shards must not exceed n_hosts");
-        }
-        if self.n_phases == 0 {
-            return Err("n_phases must be at least 1");
-        }
-        let steps_per_period = NonZeroUsize::new(self.steps_per_period)
-            .ok_or("steps_per_period must be at least 1")?;
-        // NaN fails both comparisons, so it is rejected as well.
-        if self.freeze_growth_limit < 0.0 || !self.freeze_growth_limit.is_finite() {
-            return Err("freeze_growth_limit must be non-negative");
-        }
-        if self.thaw_drift < 1.0 || !self.thaw_drift.is_finite() {
-            return Err("thaw_drift must be at least 1");
-        }
-        Ok(Divisors {
-            n_shards,
-            steps_per_period,
-        })
-    }
-}
-
-/// `HierConfig::{n_shards, steps_per_period}` as validated once by
-/// [`HierMegh::new`]: every `/` and `%` below takes its divisor from here.
-#[derive(Debug, Clone, Copy)]
-struct Divisors {
-    n_shards: NonZeroUsize,
-    steps_per_period: NonZeroUsize,
+    Ok(count)
 }
 
 /// The contiguous slice `[s·total/n, (s+1)·total/n)` of a resource
@@ -169,7 +99,7 @@ pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
 }
 
 /// One cluster: a plain [`MeghAgent`] over the shard's local basis, its
-/// offsets into the fleet, and its freeze bookkeeping.
+/// offsets into the fleet, and its freeze detector.
 #[derive(Debug, Clone)]
 struct Shard {
     agent: MeghAgent,
@@ -181,21 +111,19 @@ struct Shard {
     last_phase: usize,
     /// Q-table size at the start of the current phase window.
     phase_nnz: usize,
-    /// Residual of the first completed frozen window, the thaw baseline.
-    frozen_baseline: Option<f64>,
 }
 
 impl Shard {
-    fn new(cfg: &HierConfig, s: usize, n_shards: NonZeroUsize) -> Self {
-        let vms = split_range(cfg.base.n_vms, s, n_shards);
-        let hosts = split_range(cfg.base.n_hosts, s, n_shards);
+    fn new(base: &MeghConfig, s: usize, n_shards: NonZeroUsize) -> Self {
+        let vms = split_range(base.n_vms, s, n_shards);
+        let hosts = split_range(base.n_hosts, s, n_shards);
         let local = MeghConfig {
             n_vms: vms.len(),
             n_hosts: hosts.len(),
             // Paper convention, per shard: δ_c = d_c.
             delta: (vms.len() * hosts.len()).max(1) as f64,
-            seed: shard_seed(cfg.base.seed, s),
-            ..cfg.base
+            seed: shard_seed(base.seed, s),
+            ..*base
         };
         Self {
             agent: MeghAgent::new(local),
@@ -203,70 +131,40 @@ impl Shard {
             host_lo: hosts.start,
             last_phase: 0,
             phase_nnz: 0,
-            frozen_baseline: None,
         }
-    }
-
-    fn freeze(&mut self) {
-        self.agent.freeze();
-        self.frozen_baseline = None;
     }
 
     /// Phase-boundary bookkeeping: freeze a shard whose Q-table went
-    /// quiet over the completed window, thaw a frozen shard whose
-    /// preview residual drifted past its baseline.
-    fn tick_phase(&mut self, phase: usize, cfg: &HierConfig) {
-        if phase == self.last_phase {
+    /// quiet over the completed window. A frozen shard stays frozen.
+    fn tick_phase(&mut self, phase: usize) {
+        if self.agent.is_frozen() || phase == self.last_phase {
             return;
         }
         self.last_phase = phase;
-        if self.agent.is_frozen() {
-            let residual = self.agent.eval_residual_mean();
-            // Each frozen window's residual is measured on its own.
+        let nnz = self.agent.qtable_nnz();
+        let grown = nnz.saturating_sub(self.phase_nnz);
+        self.phase_nnz = nnz;
+        if nnz > 0 && (grown as f64) <= FREEZE_GROWTH_LIMIT * nnz as f64 {
             self.agent.freeze();
-            match (residual, self.frozen_baseline) {
-                (None, _) => {}
-                (Some(residual), None) => self.frozen_baseline = Some(residual),
-                (Some(residual), Some(baseline)) => {
-                    if residual > cfg.thaw_drift * baseline + f64::EPSILON {
-                        self.agent.thaw();
-                        self.phase_nnz = self.agent.qtable_nnz();
-                    }
-                }
-            }
-        } else {
-            let nnz = self.agent.qtable_nnz();
-            let grown = nnz.saturating_sub(self.phase_nnz);
-            let stable = nnz > 0 && (grown as f64) <= cfg.freeze_growth_limit * nnz as f64;
-            self.phase_nnz = nnz;
-            if stable {
-                self.freeze();
-            }
         }
     }
 
     /// One Megh step over the shard's `N_c × M_c` basis, emitting
     /// migrations in global ids into `out`.
-    fn decide_local(
-        &mut self,
-        view: &DataCenterView,
-        cfg: &HierConfig,
-        steps_per_period: NonZeroUsize,
-        out: &mut Vec<MigrationRequest>,
-    ) {
+    fn decide_local(&mut self, view: &DataCenterView, out: &mut Vec<MigrationRequest>) {
         if self.agent.lspi().dim() == 0 {
             return;
         }
         self.agent.learn_pending();
-        self.tick_phase(phase_of(view.step(), cfg.n_phases, steps_per_period), cfg);
+        self.tick_phase(phase_of(view.step()));
         self.agent.act_into(view, self.vm_lo, self.host_lo, out);
     }
 }
 
-/// The phase window a step falls in: `n_phases` equal slices of each
-/// `period`-step period.
-fn phase_of(step: usize, n_phases: usize, period: NonZeroUsize) -> usize {
-    (step % period) * n_phases / period
+/// The phase window a step falls in: [`N_PHASES`] equal slices of each
+/// [`STEPS_PER_PERIOD`]-step period.
+fn phase_of(step: usize) -> usize {
+    (step % STEPS_PER_PERIOD) * N_PHASES / STEPS_PER_PERIOD
 }
 
 /// The two-level scheduler: a counter over per-shard Megh agents.
@@ -274,21 +172,23 @@ fn phase_of(step: usize, n_phases: usize, period: NonZeroUsize) -> usize {
 /// # Examples
 ///
 /// ```
-/// use megh_core::{HierConfig, HierMegh};
+/// use megh_core::{HierMegh, MeghConfig};
 /// use megh_sim::{DataCenterConfig, Simulation};
 /// use megh_trace::PlanetLabConfig;
 ///
 /// let trace = PlanetLabConfig::new(12, 7).generate_steps(40);
 /// let config = DataCenterConfig::paper_planetlab(6, 12);
-/// let agent = HierMegh::new(HierConfig::paper_defaults(12, 6, 2));
+/// let agent = HierMegh::sharded(MeghConfig::paper_defaults(12, 6), 2);
 /// let outcome = Simulation::new(config, trace)?.run(agent);
 /// assert_eq!(outcome.records().len(), 40);
 /// # Ok::<(), megh_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct HierMegh {
-    config: HierConfig,
-    divisors: Divisors,
+    n_vms: usize,
+    n_hosts: usize,
+    /// Every `/` and `%` on shard indices divides by this.
+    n_shards: NonZeroUsize,
     /// `Megh-H<n_shards>`, so sweeps over shard counts stay tellable apart.
     name: String,
     shards: Vec<Shard>,
@@ -298,45 +198,47 @@ pub struct HierMegh {
 }
 
 impl HierMegh {
-    /// Creates the hierarchical scheduler.
+    /// Splits a fleet of `base.n_vms` VMs on `base.n_hosts` hosts into
+    /// `n_shards` shards.
+    ///
+    /// `base` carries the *global* dimensions and the RL parameters
+    /// every shard inherits (γ, Temp₀, ε, actions-per-step, masking,
+    /// seed); each shard derives its own δ from its local dimension,
+    /// following the paper's "δ as d" convention.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`HierConfig::validate`].
-    pub fn new(config: HierConfig) -> Self {
-        let divisors = match config.divisors() {
-            Ok(divisors) => divisors,
+    /// Panics if `base` fails [`MeghConfig::validate`], or if
+    /// `n_shards` is 0 or exceeds `base.n_hosts` (1 is always allowed).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use megh_core::{HierMegh, MeghConfig};
+    ///
+    /// let agent = HierMegh::sharded(MeghConfig::paper_defaults(24, 12), 3);
+    /// assert_eq!(agent.n_shards(), 3);
+    /// assert_eq!(agent.shard_hosts(0), 0..4);
+    /// ```
+    pub fn sharded(base: MeghConfig, n_shards: usize) -> Self {
+        let n_shards = match shard_count(&base, n_shards) {
+            Ok(n_shards) => n_shards,
             #[expect(clippy::panic, reason = "documented contract, asserted by tests")]
             Err(msg) => panic!("invalid hierarchical Megh configuration: {msg}"),
         };
         // One-time construction of the shard fleet.
-        let shards = (0..config.n_shards)
-            .map(|s| Shard::new(&config, s, divisors.n_shards))
+        let shards = (0..n_shards.get())
+            .map(|s| Shard::new(&base, s, n_shards))
             .collect();
         Self {
-            name: format!("Megh-H{}", config.n_shards),
-            config,
-            divisors,
+            n_vms: base.n_vms,
+            n_hosts: base.n_hosts,
+            n_shards,
+            name: format!("Megh-H{n_shards}"),
             shards,
             last_shard: None,
             decides: 0,
         }
-    }
-
-    /// Convenience constructor from a flat config plus a shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting configuration is invalid.
-    pub fn sharded(base: MeghConfig, n_shards: usize) -> Self {
-        let mut config = HierConfig::paper_defaults(base.n_vms, base.n_hosts, n_shards);
-        config.base = base;
-        Self::new(config)
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &HierConfig {
-        &self.config
     }
 
     /// Number of shards.
@@ -351,7 +253,7 @@ impl HierMegh {
     /// Panics if `s` is out of range.
     pub fn shard_hosts(&self, s: usize) -> std::ops::Range<usize> {
         assert!(s < self.n_shards(), "shard index out of range");
-        split_range(self.config.base.n_hosts, s, self.divisors.n_shards)
+        split_range(self.n_hosts, s, self.n_shards)
     }
 
     /// The contiguous global VM range owned by shard `s`.
@@ -361,7 +263,7 @@ impl HierMegh {
     /// Panics if `s` is out of range.
     pub fn shard_vms(&self, s: usize) -> std::ops::Range<usize> {
         assert!(s < self.n_shards(), "shard index out of range");
-        split_range(self.config.base.n_vms, s, self.divisors.n_shards)
+        split_range(self.n_vms, s, self.n_shards)
     }
 
     /// The shard owning global host `host`.
@@ -370,9 +272,8 @@ impl HierMegh {
     ///
     /// Panics if `host` is out of range.
     pub fn shard_of_host(&self, host: usize) -> usize {
-        let n_hosts = self.config.base.n_hosts;
-        assert!(host < n_hosts, "host index out of range");
-        shard_of(host, n_hosts, self.divisors.n_shards)
+        assert!(host < self.n_hosts, "host index out of range");
+        shard_of(host, self.n_hosts, self.n_shards)
     }
 
     /// The shard owning global VM `vm`.
@@ -381,9 +282,8 @@ impl HierMegh {
     ///
     /// Panics if `vm` is out of range.
     pub fn shard_of_vm(&self, vm: usize) -> usize {
-        let n_vms = self.config.base.n_vms;
-        assert!(vm < n_vms, "vm index out of range");
-        shard_of(vm, n_vms, self.divisors.n_shards)
+        assert!(vm < self.n_vms, "vm index out of range");
+        shard_of(vm, self.n_vms, self.n_shards)
     }
 
     /// Total explicit non-zeros across all shard operators (the
@@ -402,7 +302,7 @@ impl HierMegh {
             .unwrap_or(0)
     }
 
-    /// Number of shards whose learning is currently paused (frozen).
+    /// Number of frozen shards; it never decreases.
     pub fn frozen_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.agent.is_frozen()).count()
     }
@@ -420,20 +320,6 @@ impl HierMegh {
         }
     }
 
-    /// Pauses learning on every shard (evaluation mode: critic previews).
-    pub fn freeze_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.freeze();
-        }
-    }
-
-    /// Thaws every shard back to learning.
-    pub fn thaw_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.agent.thaw();
-        }
-    }
-
     /// Decides taken so far.
     pub fn steps(&self) -> usize {
         self.decides
@@ -448,25 +334,24 @@ impl Scheduler for HierMegh {
     fn decide(&mut self, view: &DataCenterView) -> Vec<MigrationRequest> {
         assert_eq!(
             (view.n_vms(), view.n_hosts()),
-            (self.config.base.n_vms, self.config.base.n_hosts),
+            (self.n_vms, self.n_hosts),
             "view dimensions do not match the hierarchical Megh configuration"
         );
         // An empty Vec never touches the heap, but 549 of 576 decides on
         // the run `tests/no_alloc.rs` counts return a migration.
         let mut requests = Vec::new();
-        if self.config.base.n_vms == 0 {
+        if self.n_vms == 0 {
             return requests;
         }
 
         // Level 1: the clusters take turns.
-        debug_assert_eq!(self.divisors.n_shards.get(), self.shards.len());
-        let chosen = self.decides % self.divisors.n_shards;
+        debug_assert_eq!(self.n_shards.get(), self.shards.len());
+        let chosen = self.decides % self.n_shards;
         self.decides += 1;
 
         // Level 2: the chosen cluster's Megh agent picks VM and host.
         if let Some(shard) = self.shards.get_mut(chosen) {
-            let period = self.divisors.steps_per_period;
-            shard.decide_local(view, &self.config, period, &mut requests);
+            shard.decide_local(view, &mut requests);
         }
         self.last_shard = Some(chosen);
         requests
@@ -491,9 +376,13 @@ mod tests {
         Simulation::new(DataCenterConfig::paper_planetlab(n_hosts, n_vms), trace).unwrap()
     }
 
+    fn hier(n_vms: usize, n_hosts: usize, n_shards: usize) -> HierMegh {
+        HierMegh::sharded(MeghConfig::paper_defaults(n_vms, n_hosts), n_shards)
+    }
+
     #[test]
     fn partition_covers_fleet_without_overlap() {
-        let agent = HierMegh::new(HierConfig::paper_defaults(23, 10, 3));
+        let agent = hier(23, 10, 3);
         let mut hosts_seen = 0;
         let mut vms_seen = 0;
         for s in 0..agent.n_shards() {
@@ -517,7 +406,7 @@ mod tests {
     #[test]
     fn runs_end_to_end_and_learns_per_shard() {
         let sim = mini_sim(6, 12, 120);
-        let mut agent = HierMegh::new(HierConfig::paper_defaults(12, 6, 3));
+        let mut agent = hier(12, 6, 3);
         let outcome = sim.run(&mut agent);
         assert_eq!(outcome.records().len(), 120);
         assert!(agent.qtable_nnz() > 0, "no shard learned anything");
@@ -528,7 +417,7 @@ mod tests {
     #[test]
     fn hier_counter_gives_every_shard_its_turn() {
         let sim = mini_sim(6, 12, 60);
-        let mut agent = HierMegh::new(HierConfig::paper_defaults(12, 6, 3));
+        let mut agent = hier(12, 6, 3);
         sim.run(&mut agent);
         // 20 decides per shard, the first with nothing to learn from.
         for s in 0..agent.n_shards() {
@@ -537,42 +426,30 @@ mod tests {
         }
     }
 
-    /// FNV-1a of the run's fingerprint after the `scheduler=<name>;`
-    /// field (the recorded runs' name had no shard count in it).
-    fn run_digest(n_hosts: usize, n_vms: usize, steps: usize, cfg: HierConfig) -> u64 {
-        let fingerprint = mini_sim(n_hosts, n_vms, steps)
-            .run(HierMegh::new(cfg))
-            .fingerprint();
-        let (_, run) = fingerprint.split_once(';').unwrap();
-        crate::fnv1a64(run.as_bytes())
-    }
-
     #[test]
     fn hier_counter_matches_the_parent_with_scoring_off() {
-        // Both constants were recorded on the last tree that had the
-        // score coordinator, with its two knobs set so that every decide
-        // went round-robin and no aggregate was refreshed: shards built
-        // from `MeghAgent` reproduce that tree's hand-rolled shards bit
-        // for bit.
-
-        // Short phases and the lowest thaw threshold: all three shards
-        // freeze, and there are 14 thaws along the way.
-        let mut cfg = HierConfig::paper_defaults(12, 6, 3);
-        cfg.steps_per_period = 40;
-        cfg.thaw_drift = 1.0;
-        assert_eq!(run_digest(6, 12, 600, cfg), 0x7812_b7d8_89bb_8272);
-
-        // The sleeping-target mask, through the shard's id offsets.
-        let mut cfg = HierConfig::paper_defaults(13, 6, 3);
-        cfg.base.mask_sleeping_targets = true;
-        cfg.base.actions_per_step = 2;
-        assert_eq!(run_digest(6, 13, 300, cfg), 0x7ca8_626f_c23d_6c15);
+        // The constant was recorded on the last tree that had the score
+        // coordinator, with its two knobs set so that every decide went
+        // round-robin and no aggregate was refreshed: shards built from
+        // `MeghAgent` reproduce that tree's hand-rolled shards bit for
+        // bit. The run exercises the sleeping-target mask through the
+        // shard's id offsets, and two of its three shards freeze.
+        let mut base = MeghConfig::paper_defaults(13, 6);
+        base.mask_sleeping_targets = true;
+        base.actions_per_step = 2;
+        let mut agent = HierMegh::sharded(base, 3);
+        let fingerprint = mini_sim(6, 13, 300).run(&mut agent).fingerprint();
+        // FNV-1a after the `scheduler=<name>;` field: the recorded run's
+        // name had no shard count in it.
+        let (_, run) = fingerprint.split_once(';').unwrap();
+        assert_eq!(crate::fnv1a64(run.as_bytes()), 0x7ca8_626f_c23d_6c15);
+        assert_eq!(agent.frozen_shards(), 2);
     }
 
     #[test]
     fn is_deterministic_under_seed() {
         let sim = mini_sim(4, 8, 60);
-        let mk = || HierMegh::new(HierConfig::paper_defaults(8, 4, 2));
+        let mk = || hier(8, 4, 2);
         let a = sim.run(mk());
         let b = sim.run(mk());
         let costs_a: Vec<f64> = a.records().iter().map(|r| r.total_cost_usd).collect();
@@ -612,7 +489,7 @@ mod tests {
         }
         let sim = mini_sim(6, 13, 100);
         let mut checker = Checker {
-            inner: HierMegh::new(HierConfig::paper_defaults(13, 6, 3)),
+            inner: hier(13, 6, 3),
         };
         let outcome = sim.run(&mut checker);
         assert!(outcome.report().total_migrations > 0, "nothing migrated");
@@ -620,67 +497,76 @@ mod tests {
 
     #[test]
     fn stable_shards_auto_freeze() {
-        // Short phases so several windows complete; a learned fleet
-        // goes quiet and freezes.
-        let mut cfg = HierConfig::paper_defaults(8, 4, 2);
-        cfg.steps_per_period = 40;
-        cfg.n_phases = 4;
-        let sim = mini_sim(4, 8, 400);
-        let mut agent = HierMegh::new(cfg);
-        sim.run(&mut agent);
-        assert!(
-            agent.frozen_shards() > 0,
-            "no shard froze after 400 quiet steps"
-        );
-    }
-
-    #[test]
-    fn freeze_all_round_trips_q_values_bitwise() {
-        let sim = mini_sim(4, 8, 80);
-        let mut agent = HierMegh::new(HierConfig::paper_defaults(8, 4, 2));
-        sim.run(&mut agent);
-        let before: Vec<Vec<f64>> = (0..agent.n_shards())
-            .map(|s| {
-                (0..agent.shard_lspi(s).dim())
-                    .map(|a| agent.shard_lspi(s).q(a))
-                    .collect()
-            })
-            .collect();
-        agent.freeze_all();
-        assert_eq!(agent.frozen_shards(), 2);
-        agent.thaw_all();
-        assert_eq!(agent.frozen_shards(), 0);
-        for (s, shard_before) in before.iter().enumerate() {
-            for (a, &want) in shard_before.iter().enumerate() {
-                assert_eq!(agent.shard_lspi(s).q(a), want, "shard {s} action {a}");
+        // Checks after every decide that no shard unfreezes, and that a
+        // frozen shard's critic and temperature never move again.
+        struct Watch {
+            inner: HierMegh,
+            /// Per shard: `(updates, temperature)` when it was first seen
+            /// frozen.
+            frozen_at: Vec<Option<(usize, f64)>>,
+            frozen: usize,
+        }
+        impl Scheduler for Watch {
+            fn name(&self) -> &str {
+                "watch"
+            }
+            fn decide(&mut self, view: &DataCenterView) -> Vec<MigrationRequest> {
+                let requests = self.inner.decide(view);
+                let frozen = self.inner.frozen_shards();
+                assert!(
+                    frozen >= self.frozen,
+                    "a shard unfroze at step {}",
+                    view.step()
+                );
+                self.frozen = frozen;
+                for (shard, seen) in self.inner.shards.iter().zip(&mut self.frozen_at) {
+                    let now = (shard.agent.lspi().updates(), shard.agent.temperature());
+                    match seen {
+                        Some(then) => assert_eq!(*then, now, "a frozen shard moved"),
+                        None if shard.agent.is_frozen() => *seen = Some(now),
+                        None => {}
+                    }
+                }
+                requests
+            }
+            fn observe(&mut self, feedback: &StepFeedback) {
+                self.inner.observe(feedback);
             }
         }
+        let mut watch = Watch {
+            inner: hier(8, 4, 2),
+            frozen_at: vec![None; 2],
+            frozen: 0,
+        };
+        let outcome = mini_sim(4, 8, 4 * 288).run(&mut watch);
+        assert!(outcome.report().total_migrations > 0, "nothing migrated");
+        assert_eq!(watch.frozen, 2, "a shard never froze over four quiet days");
     }
 
     #[test]
     fn empty_fleet_is_handled() {
         let trace = megh_trace::WorkloadTrace::from_rows(300, vec![]).unwrap();
         let sim = Simulation::new(DataCenterConfig::paper_planetlab(2, 0), trace).unwrap();
-        let outcome = sim.run(HierMegh::new(HierConfig::paper_defaults(0, 2, 2)));
+        let outcome = sim.run(hier(0, 2, 2));
         assert_eq!(outcome.report().total_migrations, 0);
     }
 
     #[test]
     #[should_panic(expected = "n_shards must not exceed n_hosts")]
     fn too_many_shards_is_rejected() {
-        let _ = HierMegh::new(HierConfig::paper_defaults(8, 4, 5));
+        let _ = hier(8, 4, 5);
     }
 
     #[test]
     #[should_panic(expected = "view dimensions")]
     fn dimension_mismatch_panics() {
         let sim = mini_sim(3, 6, 5);
-        sim.run(HierMegh::new(HierConfig::paper_defaults(4, 3, 2)));
+        sim.run(hier(4, 3, 2));
     }
 
     #[test]
     fn single_shard_covers_whole_fleet() {
-        let agent = HierMegh::new(HierConfig::paper_defaults(6, 3, 1));
+        let agent = hier(6, 3, 1);
         assert_eq!(agent.shard_hosts(0), 0..3);
         assert_eq!(agent.shard_vms(0), 0..6);
         assert_eq!(agent.shard_lspi(0).dim(), 18);

@@ -73,6 +73,6 @@ pub use checkpoint::{
     CheckpointError, Config, Migration, SemVer, CHECKPOINT_VERSION,
 };
 pub use config::MeghConfig;
-pub use hier::{HierConfig, HierMegh};
+pub use hier::HierMegh;
 pub use lspi::SparseLspi;
 pub use policy::{BoltzmannPolicy, BoltzmannTable};

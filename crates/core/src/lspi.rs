@@ -213,7 +213,26 @@ impl SparseLspi {
         assert!(a_prev < self.dim, "a_prev out of range");
         assert!(a_next < self.dim, "a_next out of range");
 
-        let den = self.sherman_products(a_prev, a_next);
+        // Basis vectors built in scratch so the steady-state step never
+        // touches the allocator.
+        self.scratch_u.clear();
+        self.scratch_u.set(a_prev, 1.0);
+        self.scratch_v.clear();
+        self.scratch_v.set(a_prev, 1.0);
+        self.scratch_v.add_at(a_next, -self.gamma);
+
+        // bu = B·u = u/δ + Δ·u ; vb = Bᵀ·v = v/δ + Δᵀ·v.
+        self.delta_b
+            .mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
+        self.scratch_bu
+            .add_scaled_assign(&self.scratch_u, self.inv_delta);
+        self.delta_b
+            .mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
+        self.scratch_vb
+            .add_scaled_assign(&self.scratch_v, self.inv_delta);
+
+        // The Sherman–Morrison denominator.
+        let den = 1.0 + self.scratch_v.dot(&self.scratch_bu);
         if den.abs() < 1e-12 {
             self.skipped_singular += 1;
             return false;
@@ -242,58 +261,6 @@ impl SparseLspi {
 
         self.updates += 1;
         true
-    }
-
-    /// Builds `u = φ_{a_prev}`, `v = u − γ·φ_{a_next}` in scratch and
-    /// computes `bu = B·u`, `vb = Bᵀ·v`, returning the Sherman–Morrison
-    /// denominator `1 + v·bu`.
-    fn sherman_products(&mut self, a_prev: usize, a_next: usize) -> f64 {
-        // Basis vectors built in scratch so the steady-state step never
-        // touches the allocator.
-        self.scratch_u.clear();
-        self.scratch_u.set(a_prev, 1.0);
-        self.scratch_v.clear();
-        self.scratch_v.set(a_prev, 1.0);
-        self.scratch_v.add_at(a_next, -self.gamma);
-
-        // bu = B·u = u/δ + Δ·u ; vb = Bᵀ·v = v/δ + Δᵀ·v.
-        self.delta_b
-            .mul_sparse_vec_into(&self.scratch_u, &mut self.scratch_bu);
-        self.scratch_bu
-            .add_scaled_assign(&self.scratch_u, self.inv_delta);
-        self.delta_b
-            .mul_sparse_vec_left_into(&self.scratch_v, &mut self.scratch_vb);
-        self.scratch_vb
-            .add_scaled_assign(&self.scratch_v, self.inv_delta);
-
-        1.0 + self.scratch_v.dot(&self.scratch_bu)
-    }
-
-    /// Computes the Sherman–Morrison step for `(a_prev, a_next, cost)`
-    /// *without applying it*, returning the coefficient the step would
-    /// multiply `B·u` by when updating `θ` — a per-sample Bellman
-    /// correction magnitude.
-    ///
-    /// This is the read-only critic evaluation phases run in place of
-    /// [`SparseLspi::update`]: it performs the same `B·u` / `Bᵀ·v`
-    /// products but leaves `B`, `z`, `θ` and all counters untouched.
-    /// Returns `None` when the denominator vanishes, mirroring the
-    /// skipped-update case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either action index is out of range.
-    pub fn preview_update(&mut self, a_prev: usize, a_next: usize, cost: f64) -> Option<f64> {
-        assert!(a_prev < self.dim, "a_prev out of range");
-        assert!(a_next < self.dim, "a_next out of range");
-
-        let den = self.sherman_products(a_prev, a_next);
-        if den.abs() < 1e-12 {
-            return None;
-        }
-        let vb_z = self.scratch_vb.dot(&self.z);
-        let vb_u = self.scratch_vb.dot(&self.scratch_u);
-        Some(-(vb_z / den) + cost * (1.0 - vb_u / den))
     }
 
     /// Maintains the cached minimum after `θ` changed on the support of
@@ -742,39 +709,6 @@ mod tests {
         let mut lspi = SparseLspi::new(3, 3.0, 0.0);
         assert!(lspi.update(0, 2, 2.0));
         assert_theta_consistent(&lspi);
-    }
-
-    fn learned_lspi() -> SparseLspi {
-        let mut lspi = SparseLspi::new(8, 8.0, 0.5);
-        let steps = [
-            (0usize, 1usize, 2.0),
-            (1, 3, 1.5),
-            (3, 3, 0.7),
-            (2, 0, 4.0),
-            (0, 2, 0.9),
-            (5, 7, 2.2),
-        ];
-        for &(a, a2, c) in &steps {
-            lspi.update(a, a2, c);
-        }
-        lspi
-    }
-
-    #[test]
-    fn preview_update_leaves_state_untouched() {
-        let mut lspi = learned_lspi();
-        let before = serde_json::to_string(&lspi).unwrap();
-        let coeff = lspi.preview_update(1, 4, 3.0);
-        assert!(coeff.is_some());
-        assert_eq!(lspi.updates(), 6);
-        assert_eq!(serde_json::to_string(&lspi).unwrap(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn preview_update_rejects_bad_action() {
-        let mut lspi = SparseLspi::new(3, 3.0, 0.5);
-        let _ = lspi.preview_update(0, 3, 1.0);
     }
 
     #[test]

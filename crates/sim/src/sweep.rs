@@ -298,8 +298,9 @@ impl Setup {
 
     /// One-line description for tables and the JSON.
     pub fn describe(&self) -> String {
+        let days = if self.days == 1 { "day" } else { "days" };
         let mut text = format!(
-            "{:?}, {} hosts x {} VMs, {} days, {:?} placement, oversubscription {}",
+            "{:?}, {} hosts x {} VMs, {} {days}, {:?} placement, oversubscription {}",
             self.workload, self.hosts, self.vms, self.days, self.placement, self.oversubscription
         );
         for o in &self.outages {
@@ -618,9 +619,23 @@ fn mean_slav(runs: &[SlavMetrics]) -> SlavMetrics {
     }
 }
 
+/// Decimals that show `x` to `sig` significant digits, at most 12; 0
+/// for zero and non-finite `x`.
+fn sig_decimals(x: f64, sig: i32) -> usize {
+    let x = x.abs();
+    if x == 0.0 || !x.is_finite() {
+        return 0;
+    }
+    let leading = x.log10().floor() as i32;
+    (sig - 1 - leading).clamp(0, 12) as usize
+}
+
 /// The row as markdown: per setup, mean ± sd over the seeds per metric,
-/// Δ ± SE against the reference arm, and mean ms per decision; then the
-/// SLA-metric means where the row keeps them.
+/// Δ ± SE against the reference arm, and mean ms per decision (three
+/// significant digits); then the SLA-metric means where the row keeps
+/// them. A Δ cell keeps its metric's precision unless its SE (its mean,
+/// when the SE is 0) needs more decimals to show its first significant
+/// digit.
 pub fn format_row(run: &RowRun) -> String {
     let report = &run.report;
     let first = report.seeds.first().copied().unwrap_or_default();
@@ -643,6 +658,7 @@ pub fn format_row(run: &RowRun) -> String {
              |---|---|---|---|---|---|---|---|---|---|\n",
         );
         for (arm, ms) in block.arms.iter().zip(ms) {
+            let ms_prec = sig_decimals(*ms, 3);
             let cell = |metric: fn(&SeedRun) -> f64, prec: usize| {
                 let xs: Vec<f64> = arm.sweep.runs.iter().map(metric).collect();
                 format!("{:.prec$} ± {:.prec$}", mean(&xs), sample_sd(&xs))
@@ -651,11 +667,13 @@ pub fn format_row(run: &RowRun) -> String {
                 arm.vs_reference.as_ref().map_or("—".to_string(), |d| {
                     let d = pick(d);
                     let mark = if d.separated { " *" } else { "" };
+                    let scale = if d.se > 0.0 { d.se } else { d.mean };
+                    let prec = prec.max(sig_decimals(scale, 1));
                     format!("{:+.prec$} ± {:.prec$}{mark}", d.mean, d.se)
                 })
             };
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {ms:.4} |\n",
+                "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {ms:.ms_prec$} |\n",
                 arm.label,
                 cell(|r| r.total_cost_usd, 1),
                 delta(|d| &d.total_cost_usd, 1),
@@ -806,6 +824,66 @@ mod tests {
         assert!(table.contains("| lcg |"), "{table}");
         assert!(table.contains("Δ = arm − noop"), "{table}");
         assert!(table.contains("> 4.303 · SE (Student t, 2 df"), "{table}");
+    }
+
+    #[test]
+    fn format_row_shows_small_deltas_and_decision_times() {
+        let run = |seed, cost| SeedRun {
+            seed,
+            steps: 288,
+            total_cost_usd: cost,
+            energy_cost_usd: cost,
+            sla_cost_usd: 0.0,
+            total_migrations: 3,
+            mean_active_hosts: 2.0,
+        };
+        let reference = vec![run(1, 10.0), run(2, 12.0)];
+        let arm = vec![run(1, 9.96), run(2, 11.97)];
+        let arm_report = |label: &str, runs: &Vec<SeedRun>, vs: Option<Differences>| ArmReport {
+            label: label.to_string(),
+            sweep: SweepReport::from_runs(label.to_string(), runs.clone()),
+            vs_reference: vs,
+            slav: None,
+        };
+        let mut differences = Differences::paired(&reference, &arm);
+        // Every seed's active hosts moved by exactly −0.01: SE 0.
+        differences.mean_active_hosts = PairedDiff::of(&[-0.01, -0.01]);
+        let setup = Setup::new(Workload::PlanetLab, 3, 6, 1);
+        let table = format_row(&RowRun {
+            report: RowReport {
+                row: "hand".to_string(),
+                title: "hand-built".to_string(),
+                seeds: vec![1, 2],
+                blocks: vec![BlockReport {
+                    setup: setup.describe(),
+                    arms: vec![
+                        arm_report("ref", &reference, None),
+                        arm_report("arm", &arm, Some(differences)),
+                    ],
+                }],
+            },
+            decision_ms: vec![vec![0.003456, 12.3456]],
+            series: Vec::new(),
+        });
+        let lines: Vec<&str> = table.lines().collect();
+        assert!(
+            lines[2].starts_with("PlanetLab, 3 hosts x 6 VMs, 1 day, "),
+            "{table}"
+        );
+        assert_eq!(
+            lines[6],
+            "| ref | 11.0 ± 1.4 | — | 11.0 ± 1.4 | 0.0 ± 0.0 | 3 ± 0 | — | 2.0 ± 0.0 | — | 0.00346 |"
+        );
+        // Δ total −0.035 with SE 0.005 shows to the SE's first digit;
+        // Δ migrations is exactly 0 and keeps its integer precision.
+        assert_eq!(
+            lines[7],
+            "| arm | 11.0 ± 1.4 | -0.035 ± 0.005 | 11.0 ± 1.4 | 0.0 ± 0.0 | 3 ± 0 | +0 ± 0 \
+             | 2.0 ± 0.0 | -0.01 ± 0.00 * | 12.3 |"
+        );
+        assert!(Setup::new(Workload::Google, 3, 6, 2)
+            .describe()
+            .contains(", 2 days, "));
     }
 
     #[test]
