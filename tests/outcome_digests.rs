@@ -2,7 +2,9 @@
 //! [`SimulationOutcome::fingerprint`] over one fixed fleet, hashed with
 //! FNV-1a, must equal a recorded constant. A change to the step loop,
 //! the migration pricing, the initial packing or any scheduler that
-//! moves a single bit of any run shows up here.
+//! moves a single bit of any run shows up here. One more pin drives Megh
+//! over the same fleet with the Google-like trace, so a change to either
+//! workload generator shows up too.
 //!
 //! The fleet exercises both bandwidth rules of the step loop: host 0 is
 //! loaded by the demand packing, has a 100 Mbps NIC and goes down, so
@@ -12,20 +14,22 @@
 //!
 //! [`SimulationOutcome::fingerprint`]: megh::sim::SimulationOutcome::fingerprint
 
-use megh::baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
+use megh::baselines::{
+    MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler, QLearningConfig, QLearningScheduler,
+};
 use megh::core::{fnv1a64, HierMegh, MeghAgent, MeghConfig};
 use megh::sim::{
     DataCenterConfig, DataCenterView, HostOutage, InitialPlacement, MigrationRequest, PmId,
     Scheduler, Simulation, VmId,
 };
-use megh::trace::PlanetLabConfig;
+use megh::trace::{GoogleConfig, PlanetLabConfig, WorkloadTrace};
 
 const HOSTS: usize = 12;
 const VMS: usize = 24;
 const DOWN_HOST: usize = 0;
 const SLOW_HOST: usize = 11;
 
-fn fleet(placement: InitialPlacement) -> Simulation {
+fn fleet(placement: InitialPlacement, trace: WorkloadTrace) -> Simulation {
     let mut config = DataCenterConfig::paper_planetlab(HOSTS, VMS);
     config.initial_placement = placement;
     config.pms[DOWN_HOST].bw_mbps = 100.0;
@@ -35,7 +39,6 @@ fn fleet(placement: InitialPlacement) -> Simulation {
         from_step: 100,
         until_step: 300,
     }];
-    let trace = PlanetLabConfig::new(VMS, 23).generate(2);
     Simulation::new(config, trace).unwrap()
 }
 
@@ -73,12 +76,17 @@ fn digest(sim: &Simulation, scheduler: impl Scheduler) -> u64 {
 
 #[test]
 fn whole_run_outcomes_are_pinned() {
-    let packed = fleet(InitialPlacement::DemandPacked);
+    let planetlab = || PlanetLabConfig::new(VMS, 23).generate(2);
+    let packed = fleet(InitialPlacement::DemandPacked, planetlab());
     assert!(
         packed.initial_placement().contains(&DOWN_HOST),
         "the outage must hit a loaded host"
     );
-    let random = fleet(InitialPlacement::RandomUniform { seed: 5 });
+    let random = fleet(InitialPlacement::RandomUniform { seed: 5 }, planetlab());
+    let google = fleet(
+        InitialPlacement::DemandPacked,
+        GoogleConfig::new(VMS, 23).generate(2),
+    );
     let megh = || MeghConfig::paper_defaults(VMS, HOSTS);
 
     let got = [
@@ -98,8 +106,19 @@ fn whole_run_outcomes_are_pinned() {
             digest(&random, MadVmScheduler::new(MadVmConfig::default())),
         ),
         ("scripted", digest(&packed, Scripted)),
+        (
+            "q-learning",
+            digest(
+                &packed,
+                QLearningScheduler::new(QLearningConfig {
+                    seed: 17,
+                    ..QLearningConfig::default()
+                }),
+            ),
+        ),
+        ("megh-google", digest(&google, MeghAgent::new(megh()))),
     ];
-    let want: [(&str, u64); 7] = [
+    let want: [(&str, u64); 9] = [
         ("megh", 0x3251_97a6_4058_37c2),
         ("hier2", 0x8c9d_72d6_006e_1e8a),
         ("thr-mmt", 0x8bab_185f_9e85_eb82),
@@ -107,6 +126,8 @@ fn whole_run_outcomes_are_pinned() {
         ("madvm", 0x18ea_1b22_2bbd_faf9),
         ("madvm-random", 0x85f3_3661_64bd_1f30),
         ("scripted", 0xf7d6_fac4_3b34_9f32),
+        ("q-learning", 0x5030_4441_809a_645c),
+        ("megh-google", 0x55ee_c8af_3dba_404f),
     ];
     let mismatches: Vec<String> = got
         .iter()
