@@ -59,9 +59,9 @@ mod qlearning;
 mod selection;
 
 pub use detector::OverloadDetector;
-pub use madvm::{MadVmConfig, MadVmScheduler};
+pub use madvm::MadVmScheduler;
 pub use mmt::{MmtFlavor, MmtScheduler};
 pub use order::total_f64;
 pub use placement::{power_aware_best_fit, PlacementRound};
-pub use qlearning::{QLearningConfig, QLearningScheduler};
+pub use qlearning::QLearningScheduler;
 pub use selection::{select_minimum_migration_time, select_random, SelectionPolicy};

@@ -20,52 +20,35 @@
 use std::collections::BTreeSet;
 
 use megh_sim::{DataCenterView, MigrationRequest, PmId, Scheduler, VmId};
-use serde::{Deserialize, Serialize};
 
 use crate::total_f64;
 
-/// MadVM hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MadVmConfig {
-    /// Number of discretized utilization levels `L`.
-    pub n_levels: usize,
-    /// Discount factor (the paper sets 0.5 for both Megh and MadVM).
-    pub gamma: f64,
-    /// Value-iteration convergence threshold.
-    pub vi_epsilon: f64,
-    /// Hard cap on value-iteration sweeps per VM per step.
-    pub max_vi_iterations: usize,
-    /// Expected-utilization fraction below which a host is a
-    /// consolidation source.
-    pub underload_threshold: f64,
-}
+/// Number of discretized utilization levels `L`.
+const N_LEVELS: usize = 20;
+/// Discount factor (the paper sets 0.5 for both Megh and MadVM, §6.1).
+const GAMMA: f64 = 0.5;
+/// Value-iteration convergence threshold.
+const VI_EPSILON: f64 = 1e-9;
+/// Hard cap on value-iteration sweeps per VM per step.
+const MAX_VI_ITERATIONS: usize = 500;
+/// Expected-utilization fraction below which a host is a consolidation
+/// source.
+const UNDERLOAD_THRESHOLD: f64 = 0.2;
 
-impl Default for MadVmConfig {
-    fn default() -> Self {
-        Self {
-            n_levels: 20,
-            gamma: 0.5,
-            vi_epsilon: 1e-9,
-            max_vi_iterations: 500,
-            underload_threshold: 0.2,
-        }
-    }
-}
-
-/// The MadVM scheduler.
+/// The MadVM scheduler. [`Default`] is its constructor: a scheduler with
+/// no learned transitions.
 ///
 /// # Examples
 ///
 /// ```
-/// use megh_baselines::{MadVmConfig, MadVmScheduler};
+/// use megh_baselines::MadVmScheduler;
 /// use megh_sim::Scheduler;
 ///
-/// let s = MadVmScheduler::new(MadVmConfig::default());
+/// let s = MadVmScheduler::default();
 /// assert_eq!(s.name(), "MadVM");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MadVmScheduler {
-    cfg: MadVmConfig,
     /// `counts[vm][l][l']`: observed transitions level `l` → `l'`.
     counts: Vec<Vec<Vec<f64>>>,
     prev_level: Vec<Option<usize>>,
@@ -76,38 +59,20 @@ pub struct MadVmScheduler {
 }
 
 impl MadVmScheduler {
-    /// Creates a MadVM scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_levels == 0` or `gamma ∉ [0, 1)`.
-    pub fn new(cfg: MadVmConfig) -> Self {
-        assert!(cfg.n_levels > 0, "n_levels must be positive");
-        assert!((0.0..1.0).contains(&cfg.gamma), "gamma must be in [0, 1)");
-        Self {
-            cfg,
-            counts: Vec::new(),
-            prev_level: Vec::new(),
-            expected_util: Vec::new(),
-            vm_value: Vec::new(),
-        }
-    }
-
     /// Discretization level for a utilization fraction in `[0, 1]`.
-    fn level(&self, util_fraction: f64) -> usize {
-        let l = (util_fraction.clamp(0.0, 1.0) * self.cfg.n_levels as f64) as usize;
-        l.min(self.cfg.n_levels - 1)
+    fn level(util_fraction: f64) -> usize {
+        let l = (util_fraction.clamp(0.0, 1.0) * N_LEVELS as f64) as usize;
+        l.min(N_LEVELS - 1)
     }
 
     /// Midpoint utilization of a level.
-    fn level_mid(&self, level: usize) -> f64 {
-        (level as f64 + 0.5) / self.cfg.n_levels as f64
+    fn level_mid(level: usize) -> f64 {
+        (level as f64 + 0.5) / N_LEVELS as f64
     }
 
     fn ensure_capacity(&mut self, n_vms: usize) {
-        let levels = self.cfg.n_levels;
         while self.counts.len() < n_vms {
-            self.counts.push(vec![vec![0.0; levels]; levels]);
+            self.counts.push(vec![vec![0.0; N_LEVELS]; N_LEVELS]);
             self.prev_level.push(None);
             self.expected_util.push(0.0);
             self.vm_value.push(0.0);
@@ -116,18 +81,17 @@ impl MadVmScheduler {
 
     /// One frequentist transition update + value-iteration sweep per VM.
     fn learn_and_evaluate(&mut self, view: &DataCenterView) {
-        let levels = self.cfg.n_levels;
         for vm in view.vms() {
             let j = vm.0;
             let util = view.vm_utilization_percent(vm) / 100.0;
-            let cur = self.level(util);
+            let cur = Self::level(util);
             if let Some(prev) = self.prev_level[j] {
                 self.counts[j][prev][cur] += 1.0;
             }
             self.prev_level[j] = Some(cur);
 
             // Transition probabilities (uniform prior on unseen rows).
-            let mut p = vec![vec![1.0 / levels as f64; levels]; levels];
+            let mut p = vec![vec![1.0 / N_LEVELS as f64; N_LEVELS]; N_LEVELS];
             for (l, row) in self.counts[j].iter().enumerate() {
                 let total: f64 = row.iter().sum();
                 if total > 0.0 {
@@ -139,22 +103,24 @@ impl MadVmScheduler {
 
             // Value iteration: V(l) = mid(l) + γ Σ P(l'|l) V(l').
             // This per-VM sweep is MadVM's deliberate computational load.
-            let mut v = vec![0.0f64; levels];
-            for _ in 0..self.cfg.max_vi_iterations {
+            let mut v = vec![0.0f64; N_LEVELS];
+            for _ in 0..MAX_VI_ITERATIONS {
                 let mut max_delta = 0.0f64;
-                let mut next = vec![0.0f64; levels];
-                for l in 0..levels {
-                    let future: f64 = (0..levels).map(|l2| p[l][l2] * v[l2]).sum();
-                    next[l] = self.level_mid(l) + self.cfg.gamma * future;
+                let mut next = vec![0.0f64; N_LEVELS];
+                for l in 0..N_LEVELS {
+                    let future: f64 = (0..N_LEVELS).map(|l2| p[l][l2] * v[l2]).sum();
+                    next[l] = Self::level_mid(l) + GAMMA * future;
                     max_delta = max_delta.max((next[l] - v[l]).abs());
                 }
                 v = next;
-                if max_delta < self.cfg.vi_epsilon {
+                if max_delta < VI_EPSILON {
                     break;
                 }
             }
             self.vm_value[j] = v[cur];
-            self.expected_util[j] = (0..levels).map(|l2| p[cur][l2] * self.level_mid(l2)).sum();
+            self.expected_util[j] = (0..N_LEVELS)
+                .map(|l2| p[cur][l2] * Self::level_mid(l2))
+                .sum();
         }
     }
 
@@ -292,7 +258,7 @@ impl Scheduler for MadVmScheduler {
                 !view.is_asleep(h)
                     && cap > 0.0
                     && !overloaded.contains(&h)
-                    && expected_used[h.0] / cap < self.cfg.underload_threshold
+                    && expected_used[h.0] / cap < UNDERLOAD_THRESHOLD
                     && view.vms_on(h).iter().all(|vm| !moving.contains(vm))
             })
             .collect();
@@ -350,7 +316,7 @@ mod tests {
     fn runs_end_to_end() {
         let trace = PlanetLabConfig::new(8, 3).generate_steps(30);
         let sim = Simulation::new(DataCenterConfig::paper_planetlab(4, 8), trace).unwrap();
-        let outcome = sim.run(MadVmScheduler::new(MadVmConfig::default()));
+        let outcome = sim.run(MadVmScheduler::default());
         assert_eq!(outcome.records().len(), 30);
         assert!(outcome.report().total_cost_usd > 0.0);
     }
@@ -365,7 +331,7 @@ mod tests {
         config.initial_placement = InitialPlacement::Explicit(vec![0, 0]);
         let trace = WorkloadTrace::from_rows(300, vec![vec![100.0; 8]; 2]).unwrap();
         let sim = Simulation::new(config, trace).unwrap();
-        let outcome = sim.run(MadVmScheduler::new(MadVmConfig::default()));
+        let outcome = sim.run(MadVmScheduler::default());
         assert!(outcome.report().total_migrations >= 1);
         assert_eq!(outcome.records().last().unwrap().overloaded_hosts, 0);
     }
@@ -376,57 +342,42 @@ mod tests {
         config.vms = vec![VmSpec::new(500.0, 512.0, 100.0); 4];
         let trace = WorkloadTrace::from_rows(300, vec![vec![5.0; 10]; 4]).unwrap();
         let sim = Simulation::new(config, trace).unwrap();
-        let outcome = sim.run(MadVmScheduler::new(MadVmConfig::default()));
+        let outcome = sim.run(MadVmScheduler::default());
         let last = outcome.records().last().unwrap().active_hosts;
         assert!(last <= 2, "expected consolidation, got {last} active hosts");
     }
 
     #[test]
     fn level_discretization_is_sound() {
-        let s = MadVmScheduler::new(MadVmConfig {
-            n_levels: 10,
-            ..MadVmConfig::default()
-        });
-        assert_eq!(s.level(0.0), 0);
-        assert_eq!(s.level(0.05), 0);
-        assert_eq!(s.level(0.95), 9);
-        assert_eq!(s.level(1.0), 9);
-        assert_eq!(s.level(2.0), 9); // overload clamps
-        assert!((s.level_mid(0) - 0.05).abs() < 1e-12);
-        assert!((s.level_mid(9) - 0.95).abs() < 1e-12);
+        let level = MadVmScheduler::level;
+        assert_eq!(level(0.0), 0);
+        assert_eq!(level(0.025), 0);
+        assert_eq!(level(0.975), 19);
+        assert_eq!(level(1.0), 19);
+        assert_eq!(level(2.0), 19); // overload clamps
+        assert!((MadVmScheduler::level_mid(0) - 0.025).abs() < 1e-12);
+        assert!((MadVmScheduler::level_mid(19) - 0.975).abs() < 1e-12);
     }
 
     #[test]
     fn transition_learning_predicts_flat_workload() {
         let mut config = DataCenterConfig::paper_planetlab(2, 1);
         config.vms = vec![VmSpec::new(1000.0, 512.0, 100.0)];
-        let trace = WorkloadTrace::from_rows(300, vec![vec![45.0; 20]]).unwrap();
+        let trace = WorkloadTrace::from_rows(300, vec![vec![47.5; 20]]).unwrap();
         let sim = Simulation::new(config, trace).unwrap();
-        let mut scheduler = MadVmScheduler::new(MadVmConfig {
-            n_levels: 10,
-            ..MadVmConfig::default()
-        });
+        let mut scheduler = MadVmScheduler::default();
         sim.run(&mut scheduler);
-        // Level of 0.45 with L=10 is 4, midpoint 0.45: after 20 flat
+        // Level of 0.475 with L=20 is 9, midpoint 0.475: after 20 flat
         // observations the expectation must be pinned there.
-        assert!((scheduler.expected_util[0] - 0.45).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "n_levels must be positive")]
-    fn zero_levels_is_rejected() {
-        let _ = MadVmScheduler::new(MadVmConfig {
-            n_levels: 0,
-            ..MadVmConfig::default()
-        });
+        assert!((scheduler.expected_util[0] - 0.475).abs() < 1e-6);
     }
 
     #[test]
     fn is_deterministic() {
         let trace = PlanetLabConfig::new(6, 4).generate_steps(20);
         let sim = Simulation::new(DataCenterConfig::paper_planetlab(3, 6), trace).unwrap();
-        let a = sim.run(MadVmScheduler::new(MadVmConfig::default()));
-        let b = sim.run(MadVmScheduler::new(MadVmConfig::default()));
+        let a = sim.run(MadVmScheduler::default());
+        let b = sim.run(MadVmScheduler::default());
         assert_eq!(a.final_placement(), b.final_placement());
         assert_eq!(a.report().total_migrations, b.report().total_migrations);
     }

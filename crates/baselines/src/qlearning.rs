@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use megh_sim::{DataCenterView, MigrationRequest, PmId, Scheduler, Simulation, StepFeedback, VmId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{power_aware_best_fit, select_minimum_migration_time, total_f64};
 
@@ -24,45 +23,27 @@ const BUCKETS: usize = 5;
 /// Macro-actions: do nothing / relieve hottest host / consolidate coldest.
 const ACTIONS: usize = 3;
 
-/// Q-learning hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QLearningConfig {
-    /// Learning rate α.
-    pub alpha: f64,
-    /// Discount factor γ.
-    pub gamma: f64,
-    /// Exploration probability during training.
-    pub train_epsilon: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for QLearningConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.1,
-            gamma: 0.5,
-            train_epsilon: 0.2,
-            seed: 17,
-        }
-    }
-}
+/// Learning rate α.
+const ALPHA: f64 = 0.1;
+/// Discount factor γ.
+const GAMMA: f64 = 0.5;
+/// Exploration probability during training.
+const TRAIN_EPSILON: f64 = 0.2;
 
 /// A tabular Q-learning migration scheduler.
 ///
 /// # Examples
 ///
 /// ```
-/// use megh_baselines::{QLearningConfig, QLearningScheduler};
+/// use megh_baselines::QLearningScheduler;
 /// use megh_sim::Scheduler;
 ///
-/// let s = QLearningScheduler::new(QLearningConfig::default());
+/// let s = QLearningScheduler::new(17);
 /// assert_eq!(s.name(), "Q-learning");
 /// assert!(!s.is_trained());
 /// ```
 #[derive(Debug, Clone)]
 pub struct QLearningScheduler {
-    cfg: QLearningConfig,
     q: Vec<[f64; ACTIONS]>,
     rng: StdRng,
     exploring: bool,
@@ -72,11 +53,10 @@ pub struct QLearningScheduler {
 }
 
 impl QLearningScheduler {
-    /// Creates an untrained agent.
-    pub fn new(cfg: QLearningConfig) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
+    /// Creates an untrained agent whose exploration draws from `seed`.
+    pub fn new(seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
         Self {
-            cfg,
             q: vec![[0.0; ACTIONS]; BUCKETS * BUCKETS],
             rng,
             exploring: false,
@@ -118,7 +98,7 @@ impl QLearningScheduler {
     }
 
     fn choose_action(&mut self, state: usize) -> usize {
-        if self.exploring && self.rng.gen_bool(self.cfg.train_epsilon) {
+        if self.exploring && self.rng.gen_bool(TRAIN_EPSILON) {
             return self.rng.gen_range(0..ACTIONS);
         }
         let row = &self.q[state];
@@ -134,8 +114,8 @@ impl QLearningScheduler {
                 .iter()
                 .cloned()
                 .fold(f64::NEG_INFINITY, f64::max);
-            let target = reward + self.cfg.gamma * max_next;
-            self.q[s][a] += self.cfg.alpha * (target - self.q[s][a]);
+            let target = reward + GAMMA * max_next;
+            self.q[s][a] += ALPHA * (target - self.q[s][a]);
         }
     }
 
@@ -226,14 +206,14 @@ mod tests {
     #[test]
     fn untrained_agent_runs() {
         let sim = mini_sim();
-        let outcome = sim.run(QLearningScheduler::new(QLearningConfig::default()));
+        let outcome = sim.run(QLearningScheduler::new(17));
         assert_eq!(outcome.records().len(), 40);
     }
 
     #[test]
     fn training_fills_the_table_and_freezes() {
         let sim = mini_sim();
-        let mut agent = QLearningScheduler::new(QLearningConfig::default());
+        let mut agent = QLearningScheduler::new(17);
         agent.train(&sim, 3);
         assert!(agent.is_trained());
         let nonzero = agent
@@ -252,11 +232,8 @@ mod tests {
     #[test]
     fn trained_is_no_worse_than_untrained_on_training_workload() {
         let sim = mini_sim();
-        let untrained_cost = sim
-            .run(QLearningScheduler::new(QLearningConfig::default()))
-            .report()
-            .total_cost_usd;
-        let mut agent = QLearningScheduler::new(QLearningConfig::default());
+        let untrained_cost = sim.run(QLearningScheduler::new(17)).report().total_cost_usd;
+        let mut agent = QLearningScheduler::new(17);
         agent.train(&sim, 5);
         let trained_cost = sim.run(agent).report().total_cost_usd;
         // Q-learning trains on the reward it optimizes: allow slack but

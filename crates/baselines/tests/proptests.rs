@@ -1,7 +1,7 @@
 //! Property-based tests for the baseline schedulers: detectors,
 //! placement, and the full MMT loop under arbitrary workloads.
 
-use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler, OverloadDetector};
+use megh_baselines::{MadVmScheduler, MmtFlavor, MmtScheduler, OverloadDetector};
 use megh_sim::{DataCenterConfig, InitialPlacement, Scheduler, Simulation, VmSpec};
 use megh_trace::WorkloadTrace;
 use proptest::prelude::*;
@@ -119,10 +119,7 @@ proptest! {
                 requests
             }
         }
-        sim.run(Check(MadVmScheduler::new(MadVmConfig {
-            n_levels: 8,
-            ..MadVmConfig::default()
-        })));
+        sim.run(Check(MadVmScheduler::default()));
     }
 
     /// Underload consolidation is all-or-nothing per host: after one

@@ -12,8 +12,7 @@
 use std::path::Path;
 
 use megh_baselines::{
-    MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler, OverloadDetector, QLearningConfig,
-    QLearningScheduler,
+    MadVmScheduler, MmtFlavor, MmtScheduler, OverloadDetector, QLearningScheduler,
 };
 use megh_core::diagnostics::detect_convergence;
 use megh_core::{MeghAgent, MeghConfig};
@@ -81,7 +80,7 @@ const MMT: [Arm<'static>; 5] = [
 
 const MADVM: Arm<'static> = Arm {
     label: "MadVM",
-    make: &|_, _| Box::new(MadVmScheduler::new(MadVmConfig::default())),
+    make: &|_, _| Box::new(MadVmScheduler::default()),
 };
 
 /// Megh's design choices, one at a time against the paper defaults.
@@ -208,19 +207,12 @@ const MMT_ABLATIONS: [Arm<'static>; 7] = [
     },
 ];
 
-fn qlearner(seed: u64) -> QLearningScheduler {
-    QLearningScheduler::new(QLearningConfig {
-        seed,
-        ..QLearningConfig::default()
-    })
-}
-
 /// Tabular Q-learning, cold and trained offline on a disjoint
 /// PlanetLab week ("dependence on offline training", §2.2).
 const QLEARNING: [Arm<'static>; 2] = [
     Arm {
         label: "Q-learn (cold)",
-        make: &|_, s| Box::new(qlearner(s)),
+        make: &|_, s| Box::new(QLearningScheduler::new(s)),
     },
     Arm {
         label: "Q-learn (train)",
@@ -228,7 +220,7 @@ const QLEARNING: [Arm<'static>; 2] = [
             let week = PlanetLabConfig::new(c.vms.len(), s + QLEARN_TRAIN_OFFSET).generate(7);
             let sim = Simulation::new(c.clone(), week)
                 .expect("the training week is generated for this fleet");
-            let mut trained = qlearner(s);
+            let mut trained = QLearningScheduler::new(s);
             trained.train(&sim, QLEARN_EPISODES);
             Box::new(trained)
         },

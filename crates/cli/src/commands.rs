@@ -1,11 +1,11 @@
 //! CLI subcommand implementations.
 
-use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
+use megh_baselines::{MadVmScheduler, MmtFlavor, MmtScheduler};
 use megh_core::{HierMegh, MeghAgent, MeghConfig};
 use megh_serve::{
     Client as ServeClient, Listen, Request as ServeRequest, ServeError, ServeOptions,
 };
-use megh_sim::sweep::{format_row, run_row, Arm, Row, Setup, Workload};
+use megh_sim::sweep::{format_row, run_row, sig_decimals, Arm, Row, Setup, Workload};
 use megh_sim::{
     run_streamed, DataCenterConfig, HostOutage, NoOpScheduler, Scheduler, SimOptions,
     SimulationOutcome, SlavMetrics, SummaryReport,
@@ -270,7 +270,7 @@ pub fn build_named_scheduler(
         "mad-mmt" => Box::new(MmtScheduler::new(MmtFlavor::Mad)),
         "lr-mmt" => Box::new(MmtScheduler::new(MmtFlavor::Lr)),
         "lrr-mmt" => Box::new(MmtScheduler::new(MmtFlavor::Lrr)),
-        "madvm" => Box::new(MadVmScheduler::new(MadVmConfig::default())),
+        "madvm" => Box::new(MadVmScheduler::default()),
         "noop" => Box::new(NoOpScheduler),
         // hier: the two-level sharded Megh with auto-sized shards
         // (~64 hosts per shard).
@@ -670,10 +670,13 @@ pub fn cmd_client(args: &Args) -> Result<String, ArgsError> {
     Ok(format!("{line}\n"))
 }
 
+/// One scheduler's summary line; ms/decision keeps three significant
+/// digits, as in the sweep table.
 fn render_summary(r: &SummaryReport) -> String {
+    let ms_prec = sig_decimals(r.mean_decision_ms, 3);
     format!(
         "{}: total {:.2} USD (energy {:.2}, SLA {:.2}), {} migrations, \
-         {:.1} active hosts, {:.3} ms/decision over {} steps\n",
+         {:.1} active hosts, {:.ms_prec$} ms/decision over {} steps\n",
         r.scheduler,
         r.total_cost_usd,
         r.energy_cost_usd,
@@ -783,6 +786,26 @@ mod tests {
         let out = dispatch(&parse("simulate --hosts 4 --vms 6 --days 1")).unwrap();
         assert!(out.contains("Megh:"), "{out}");
         assert!(out.contains("total"));
+    }
+
+    #[test]
+    fn summary_prints_three_significant_digits_of_decision_time() {
+        let report = SummaryReport {
+            scheduler: "Megh-H13".into(),
+            steps: 288,
+            total_cost_usd: 12.0,
+            energy_cost_usd: 10.0,
+            sla_cost_usd: 2.0,
+            total_migrations: 7,
+            mean_active_hosts: 3.5,
+            mean_decision_ms: 0.00314,
+            max_decision_ms: 0.01,
+        };
+        let line = render_summary(&report);
+        assert!(
+            line.contains(" 0.00314 ms/decision over 288 steps"),
+            "{line}"
+        );
     }
 
     #[test]

@@ -60,8 +60,8 @@ fn sigkill_mid_update_restarts_from_last_checkpoint() {
     let listen = Listen::parse(&format!("unix:{}", socket.display()));
 
     let mut child = spawn_daemon(&socket, &checkpoint);
-    let mut client =
-        Client::connect_retry(&listen, 200, Duration::from_millis(20)).expect("daemon up");
+    let mut client = Client::connect_retry_timeout(&listen, 200, Duration::from_millis(20), None)
+        .expect("daemon up");
 
     // Learn, persist explicitly, and record the exact decision bytes
     // for the persisted state.
@@ -108,8 +108,8 @@ fn sigkill_mid_update_restarts_from_last_checkpoint() {
     // Restart from the recovered checkpoint; the stale socket file left
     // by the kill must not prevent the new daemon from binding.
     let mut child = spawn_daemon(&socket, &checkpoint);
-    let mut client =
-        Client::connect_retry(&listen, 200, Duration::from_millis(20)).expect("daemon back up");
+    let mut client = Client::connect_retry_timeout(&listen, 200, Duration::from_millis(20), None)
+        .expect("daemon back up");
     let Response::Stats { steps, .. } = client.request(&Request::Stats).unwrap() else {
         panic!("expected stats");
     };

@@ -38,7 +38,8 @@ pub struct MeghConfig {
     pub delta: f64,
     /// Actions sampled per observation step. The paper's Algorithm 1
     /// takes one action per iteration; raising this lets Megh request
-    /// several migrations per interval (bounded by the engine's 2 % cap).
+    /// several migrations per interval. §6.1's 2 % cap on Megh is
+    /// `⌈0.02 N⌉` here (the `2% actions` ablation arm).
     pub actions_per_step: usize,
     /// RNG seed for exploration; equal seeds reproduce runs exactly.
     pub seed: u64,

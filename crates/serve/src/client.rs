@@ -131,17 +131,10 @@ impl Client {
         })
     }
 
-    /// Connects, retrying while the daemon is still starting up.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last connection error once `attempts` are exhausted.
-    pub fn connect_retry(listen: &Listen, attempts: u32, delay: Duration) -> io::Result<Self> {
-        Self::connect_retry_timeout(listen, attempts, delay, None)
-    }
-
-    /// [`Client::connect_retry`] with a per-attempt connect deadline
-    /// that also becomes the connection's read/write timeout.
+    /// Connects, retrying up to `attempts` times `delay` apart while the
+    /// daemon is still starting up. `timeout` is a per-attempt connect
+    /// deadline that also becomes the connection's read/write timeout;
+    /// `None` waits indefinitely.
     ///
     /// # Errors
     ///

@@ -20,7 +20,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn connect(listen: &Listen) -> Client {
-    Client::connect_retry(listen, 100, Duration::from_millis(20)).expect("daemon up")
+    Client::connect_retry_timeout(listen, 100, Duration::from_millis(20), None).expect("daemon up")
 }
 
 /// Starts a daemon thread and waits until it accepts connections.

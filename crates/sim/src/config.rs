@@ -60,11 +60,9 @@ impl HostOutage {
 /// ```
 /// use megh_sim::DataCenterConfig;
 ///
-/// let mut c = DataCenterConfig::paper_planetlab(10, 20);
+/// let c = DataCenterConfig::paper_planetlab(10, 20);
 /// assert_eq!(c.pms.len(), 10);
 /// assert_eq!(c.vms.len(), 20);
-/// c.migration_cap_fraction = 0.02;
-/// assert_eq!(c.migration_cap(), 1); // ceil(2 % of 20)
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataCenterConfig {
@@ -76,12 +74,6 @@ pub struct DataCenterConfig {
     pub cost: CostParams,
     /// Initial VM→host assignment policy.
     pub initial_placement: InitialPlacement,
-    /// Fraction of VMs that may migrate per step. The default is 1.0
-    /// (uncapped): §6.1's 2 % cap is a restraint placed on *Megh*, not on
-    /// the heuristics — THR-MMT migrates ~15 % of VMs per step in
-    /// Table 2. Megh limits itself through its `actions_per_step`
-    /// parameter; set this field to 0.02 to enforce the cap globally.
-    pub migration_cap_fraction: f64,
     /// Scheduled host outages (maintenance windows / injected failures).
     pub outages: Vec<HostOutage>,
     /// CPU oversubscription ratio for the initial packing: demand-packed
@@ -103,7 +95,6 @@ impl DataCenterConfig {
             vms: VmSpec::paper_mix(n, 0x_7a57_e001),
             cost: CostParams::paper_defaults(),
             initial_placement: InitialPlacement::RoundRobin,
-            migration_cap_fraction: 1.0,
             outages: Vec::new(),
             oversubscription_ratio: 2.0,
         }
@@ -118,15 +109,6 @@ impl DataCenterConfig {
             vms: VmSpec::paper_mix(n, 0x_6006_1e00),
             ..Self::paper_planetlab(m, n)
         }
-    }
-
-    /// Maximum migrations per step: `ceil(fraction × N)`, at least 1 when
-    /// any VMs exist and the fraction is positive.
-    pub fn migration_cap(&self) -> usize {
-        if self.vms.is_empty() || self.migration_cap_fraction <= 0.0 {
-            return 0;
-        }
-        ((self.migration_cap_fraction * self.vms.len() as f64).ceil() as usize).max(1)
     }
 
     /// Validates the configuration.
@@ -155,11 +137,6 @@ impl DataCenterConfig {
             .position(|v| v.mips <= 0.0 || v.ram_mb < 0.0)
         {
             return Err(SimError::InvalidVm(j));
-        }
-        if !(0.0..=1.0).contains(&self.migration_cap_fraction) {
-            return Err(SimError::InvalidParameter(
-                "migration_cap_fraction must be in [0, 1]",
-            ));
         }
         if self.oversubscription_ratio <= 0.0 || !self.oversubscription_ratio.is_finite() {
             return Err(SimError::InvalidParameter(
@@ -274,36 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_cap_default_is_uncapped() {
-        assert_eq!(
-            DataCenterConfig::paper_planetlab(2, 100).migration_cap(),
-            100
-        );
-        assert_eq!(DataCenterConfig::paper_planetlab(2, 0).migration_cap(), 0);
-    }
-
-    #[test]
-    fn migration_cap_is_fraction_rounded_up() {
-        let mut c = DataCenterConfig::paper_planetlab(2, 100);
-        c.migration_cap_fraction = 0.02;
-        assert_eq!(c.migration_cap(), 2);
-        let mut c = DataCenterConfig::paper_planetlab(2, 101);
-        c.migration_cap_fraction = 0.02;
-        assert_eq!(c.migration_cap(), 3);
-        let mut c = DataCenterConfig::paper_planetlab(2, 10);
-        c.migration_cap_fraction = 0.02;
-        assert_eq!(c.migration_cap(), 1);
-    }
-
-    #[test]
-    fn zero_cap_fraction_disables_migrations() {
-        let mut c = DataCenterConfig::paper_planetlab(2, 10);
-        c.migration_cap_fraction = 0.0;
-        assert_eq!(c.migration_cap(), 0);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn validation_catches_missing_hosts() {
         let mut c = DataCenterConfig::paper_planetlab(0, 4);
         c.pms.clear();
@@ -324,7 +271,7 @@ mod tests {
     #[test]
     fn validation_catches_bad_parameters() {
         let mut c = DataCenterConfig::paper_planetlab(2, 2);
-        c.migration_cap_fraction = 1.5;
+        c.oversubscription_ratio = 0.0;
         assert!(matches!(c.validate(), Err(SimError::InvalidParameter(_))));
     }
 

@@ -6,8 +6,8 @@
 //! 2. hands the scheduler a read-only [`DataCenterView`] and times its
 //!    decision (that wall-clock time is the "execution time" metric of
 //!    Tables 2–3 and Figures 2(d)–6),
-//! 3. validates the requested migrations (in-range, not self-migrations,
-//!    one per VM) and truncates to the configured per-step cap,
+//! 3. validates the requested migrations (in-range, not
+//!    self-migrations, not onto a down host, the first request per VM),
 //! 4. applies them: the VM moves, and `migration_downtime_fraction × TM`
 //!    seconds of downtime accrue to it, where [`migration_seconds`]
 //!    gives `TM = 8·RAM/B` over the slower of the two NICs, or over the
@@ -325,7 +325,6 @@ fn run_core<T: TraceSource, S: Scheduler>(
     let m = config.pms.len();
     let tau = header.step_seconds as f64;
     let steps = max_steps.min(header.n_steps);
-    let cap = config.migration_cap();
     let cost = &config.cost;
     let chunk_steps = chunk_steps
         .min(CHUNK_BYTES / (std::mem::size_of::<f64>() * n.max(1)))
@@ -445,7 +444,6 @@ fn run_core<T: TraceSource, S: Scheduler>(
                 host_power: host_power.clone(),
                 host_down: down.clone(),
                 beta_overload: cost.beta_overload,
-                migration_cap: cap,
             };
 
             // 3. Timed decision.
@@ -457,14 +455,11 @@ fn run_core<T: TraceSource, S: Scheduler>(
             let requested = scheduler.decide(&view);
             let decision_micros = started.elapsed().as_micros() as u64;
 
-            // 4. Validate, dedupe per VM, cap, and apply.
+            // 4. Validate, dedupe per VM, and apply.
             let mut seen = vec![false; n];
             let mut applied = Vec::new();
             let mut migration_events = Vec::new();
             for req in requested {
-                if applied.len() >= cap {
-                    break;
-                }
                 let (j, dst) = (req.vm.0, req.target.0);
                 if j >= n || dst >= m || placement[j] == dst || seen[j] || down[dst] {
                     continue; // a down host cannot receive a VM
@@ -856,7 +851,9 @@ mod tests {
     }
 
     #[test]
-    fn migration_cap_is_enforced() {
+    fn every_vm_may_migrate_in_one_step() {
+        // The engine caps nothing: §6.1's 2 % cap is Megh's own
+        // `actions_per_step`, so a request for every VM moves every VM.
         struct MoveAll;
         impl Scheduler for MoveAll {
             fn name(&self) -> &str {
@@ -872,12 +869,8 @@ mod tests {
             }
         }
         let trace = flat_trace(10, 1, 10.0);
-        let mut config = DataCenterConfig::paper_planetlab(4, 10);
-        config.migration_cap_fraction = 0.02;
-        let sim = Simulation::new(config, trace).unwrap();
-        let outcome = sim.run(MoveAll);
-        // cap = ceil(0.02 × 10) = 1.
-        assert_eq!(outcome.report().total_migrations, 1);
+        let sim = Simulation::new(DataCenterConfig::paper_planetlab(4, 10), trace).unwrap();
+        assert_eq!(sim.run(MoveAll).report().total_migrations, 10);
     }
 
     #[test]
@@ -933,8 +926,7 @@ mod tests {
                 ]
             }
         }
-        let mut config = DataCenterConfig::paper_planetlab(3, 2);
-        config.migration_cap_fraction = 1.0; // cap is not the limiter here
+        let config = DataCenterConfig::paper_planetlab(3, 2);
         let trace = flat_trace(2, 1, 10.0);
         let sim = Simulation::new(config, trace).unwrap();
         let outcome = sim.run(TwoForOne);

@@ -7,7 +7,8 @@
 //! driven by CPU-utilization traces sampled every 5 minutes, an energy
 //! cost of 0.18675 USD/kWh, a 1.2 USD/h VM fee with 16.7 % / 33.3 % SLA
 //! paybacks, a β = 70 % host-overload threshold, an α = 30 % migration
-//! downtime threshold, and a cap of 2 % of VMs migrated per step.
+//! downtime threshold, and a cap of 2 % of VMs migrated per step that the
+//! paper places on Megh (its `actions_per_step`), not on the data center.
 //!
 //! This crate implements that whole substrate:
 //!

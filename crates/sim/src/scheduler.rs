@@ -36,15 +36,15 @@ pub struct StepFeedback {
     pub sla_cost_usd: f64,
     /// Total per-stage cost, USD.
     pub total_cost_usd: f64,
-    /// The migrations the engine actually applied (after validation and
-    /// the 2 % cap). May be fewer than the scheduler requested.
+    /// The migrations the engine actually applied (after validation). May
+    /// be fewer than the scheduler requested.
     pub applied: Vec<MigrationRequest>,
 }
 
 /// A live-migration scheduler: decides which VMs move where each step.
 ///
 /// The engine calls [`Scheduler::decide`] with a read-only
-/// [`DataCenterView`], applies the (validated, capped) requests, accounts
+/// [`DataCenterView`], applies the validated requests, accounts
 /// costs for the interval, and reports them via [`Scheduler::observe`].
 ///
 /// Determinism contract: given the same view sequence and the same

@@ -620,8 +620,20 @@ fn mean_slav(runs: &[SlavMetrics]) -> SlavMetrics {
 }
 
 /// Decimals that show `x` to `sig` significant digits, at most 12; 0
-/// for zero and non-finite `x`.
-fn sig_decimals(x: f64, sig: i32) -> usize {
+/// for zero and non-finite `x`. The sweep table prints ms/decision with
+/// `sig_decimals(ms, 3)`, so a 2 µs decide reads `0.00200`, not `0.002`.
+///
+/// # Examples
+///
+/// ```
+/// use megh_sim::sweep::sig_decimals;
+///
+/// assert_eq!(sig_decimals(0.00314, 3), 5);
+/// assert_eq!(sig_decimals(12.5, 3), 1);
+/// assert_eq!(sig_decimals(2016.0, 3), 0);
+/// assert_eq!(format!("{:.*}", sig_decimals(0.00314, 3), 0.00314), "0.00314");
+/// ```
+pub fn sig_decimals(x: f64, sig: i32) -> usize {
     let x = x.abs();
     if x == 0.0 || !x.is_finite() {
         return 0;

@@ -47,7 +47,6 @@ pub struct DataCenterView {
     pub(crate) host_power: std::sync::Arc<Vec<PowerModel>>,
     pub(crate) host_down: Vec<bool>,
     pub(crate) beta_overload: f64,
-    pub(crate) migration_cap: usize,
 }
 
 impl DataCenterView {
@@ -69,14 +68,6 @@ impl DataCenterView {
     /// Number of hosts.
     pub fn n_hosts(&self) -> usize {
         self.host_mips.len()
-    }
-
-    /// Maximum number of migrations the engine will apply this step:
-    /// [`crate::DataCenterConfig::migration_cap`], which is every VM under the
-    /// default fraction 1.0 (uncapped) and `ceil(2 % of VMs)` under §6.1's
-    /// cap of 0.02.
-    pub fn migration_cap(&self) -> usize {
-        self.migration_cap
     }
 
     /// The host currently running `vm`.
@@ -234,7 +225,6 @@ pub(crate) mod tests {
             ]),
             host_down: vec![false; 3],
             beta_overload: 0.7,
-            migration_cap: 1,
         }
     }
 

@@ -16,12 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::source::{GoogleSource, TraceSource};
 use crate::{WorkloadTrace, STEPS_PER_DAY};
 
-/// Configuration for the Google-Cluster-like generator.
+/// Configuration for the Google-Cluster-like generator: the fleet size
+/// and the seed. The task law is fixed to the paper's calibration.
 ///
 /// # Examples
 ///
@@ -32,33 +32,25 @@ use crate::{WorkloadTrace, STEPS_PER_DAY};
 /// assert_eq!(trace.n_vms(), 100);
 /// assert!(trace.overall_mean() < 15.0); // low, obfuscated usage
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoogleConfig {
     /// Number of VM workload rows to generate.
     pub n_vms: usize,
     /// RNG seed; equal seeds give byte-identical traces.
     pub seed: u64,
-    /// Minimum task duration in seconds (paper: ~10¹).
-    pub min_task_seconds: f64,
-    /// Maximum task duration in seconds (paper: ~10⁶).
-    pub max_task_seconds: f64,
-    /// Mean of the per-task utilization log-normal (percent).
-    pub task_util_mean: f64,
-    /// Expected idle gap between tasks, in steps.
-    pub mean_idle_steps: f64,
 }
 
 impl GoogleConfig {
-    /// Creates a configuration with the paper-calibrated defaults.
+    /// Shortest task duration in seconds: Figure 1(b)'s support starts
+    /// near 10¹ s.
+    pub const MIN_TASK_SECONDS: f64 = 10.0;
+    /// Longest task duration in seconds: Figure 1(b)'s support ends near
+    /// 10⁶ s.
+    pub const MAX_TASK_SECONDS: f64 = 1e6;
+
+    /// Creates a configuration for `n_vms` rows drawn from `seed`.
     pub fn new(n_vms: usize, seed: u64) -> Self {
-        Self {
-            n_vms,
-            seed,
-            min_task_seconds: 10.0,
-            max_task_seconds: 1e6,
-            task_util_mean: 9.0,
-            mean_idle_steps: 2.0,
-        }
+        Self { n_vms, seed }
     }
 
     /// A lazy streaming source of `n_steps` columns; the preferred entry
@@ -85,21 +77,23 @@ impl GoogleConfig {
         self.source(n_steps).take_steps(n_steps)
     }
 
-    /// Draws one task duration in seconds (log-uniform over the support).
-    pub(crate) fn sample_duration<R: Rng>(&self, rng: &mut R) -> f64 {
-        let lo = self.min_task_seconds.max(1.0).ln();
-        let hi = self.max_task_seconds.max(self.min_task_seconds + 1.0).ln();
-        rng.gen_range(lo..hi).exp()
-    }
-
     /// Samples `n` task durations (seconds) from the duration law.
     ///
     /// Used by the Figure 1(b) experiment to draw the duration histogram
     /// without reverse-engineering it from the utilization rows.
     pub fn sample_task_durations(&self, n: usize) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x9e37_79b9));
-        (0..n).map(|_| self.sample_duration(&mut rng)).collect()
+        (0..n).map(|_| sample_duration(&mut rng)).collect()
     }
+}
+
+/// Draws one task duration in seconds (log-uniform over the support).
+pub(crate) fn sample_duration<R: Rng>(rng: &mut R) -> f64 {
+    let lo = GoogleConfig::MIN_TASK_SECONDS.max(1.0).ln();
+    let hi = GoogleConfig::MAX_TASK_SECONDS
+        .max(GoogleConfig::MIN_TASK_SECONDS + 1.0)
+        .ln();
+    rng.gen_range(lo..hi).exp()
 }
 
 /// Geometric sample: number of failures before the first success.

@@ -16,12 +16,12 @@
 //! variance" workloads. A mild diurnal modulation makes burst onset more
 //! likely during the simulated day than at night.
 
-use serde::{Deserialize, Serialize};
-
 use crate::source::{PlanetLabSource, TraceSource};
 use crate::{WorkloadTrace, STEPS_PER_DAY};
 
-/// Configuration for the PlanetLab-like generator.
+/// Configuration for the PlanetLab-like generator: the fleet size and
+/// the seed. The regime parameters are fixed to the paper's calibration
+/// (constants of the streaming source).
 ///
 /// # Examples
 ///
@@ -34,34 +34,18 @@ use crate::{WorkloadTrace, STEPS_PER_DAY};
 /// let mean = trace.overall_mean();
 /// assert!(mean > 6.0 && mean < 20.0, "mean {mean} out of PlanetLab band");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanetLabConfig {
     /// Number of VM workload rows to generate.
     pub n_vms: usize,
     /// RNG seed; equal seeds give byte-identical traces.
     pub seed: u64,
-    /// Long-run probability mass in the bursty regime.
-    pub burst_fraction: f64,
-    /// Expected burst length in steps (5-minute units).
-    pub mean_burst_steps: f64,
-    /// Mean of the quiet-regime base load (percent).
-    pub quiet_mean: f64,
-    /// Mean of the bursty-regime load (percent).
-    pub burst_mean: f64,
 }
 
 impl PlanetLabConfig {
-    /// Creates a configuration with the paper-calibrated defaults.
+    /// Creates a configuration for `n_vms` rows drawn from `seed`.
     pub fn new(n_vms: usize, seed: u64) -> Self {
-        Self {
-            n_vms,
-            seed,
-            // Calibration: mean ≈ (1-f)·quiet + f·burst ≈ 12 %.
-            burst_fraction: 0.075,
-            mean_burst_steps: 8.0, // ≈ 40 minutes of sustained load
-            quiet_mean: 6.5,
-            burst_mean: 82.0,
-        }
+        Self { n_vms, seed }
     }
 
     /// A lazy streaming source of `n_steps` columns; the preferred entry

@@ -240,6 +240,19 @@ impl WorkloadTrace {
 // PlanetLab generator source
 // ---------------------------------------------------------------------------
 
+// Calibration of the PlanetLab regimes (§6.2): the long-run mean is
+// ≈ (1 - BURST_FRACTION)·QUIET_MEAN + BURST_FRACTION·BURST_MEAN ≈ 12 %.
+
+/// Long-run probability mass in the bursty regime.
+const BURST_FRACTION: f64 = 0.075;
+/// Expected burst length in steps (5-minute units): ≈ 40 minutes of
+/// sustained load.
+const MEAN_BURST_STEPS: f64 = 8.0;
+/// Mean of the quiet-regime base load (percent).
+const QUIET_MEAN: f64 = 6.5;
+/// Mean of the bursty-regime load (percent).
+const BURST_MEAN: f64 = 82.0;
+
 /// Per-VM Markov/AR(1) state of the PlanetLab generator.
 #[derive(Debug, Clone)]
 struct PlVm {
@@ -254,7 +267,7 @@ impl PlVm {
     fn init(cfg: &PlanetLabConfig, base_dist: &LogNormal, burst_level: &Normal, vm: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(vm_seed(cfg.seed, vm));
         let base = base_dist.sample(&mut rng).clamp(3.0, 25.0);
-        let bursting = rng.gen_bool(cfg.burst_fraction.clamp(0.0, 1.0));
+        let bursting = rng.gen_bool(BURST_FRACTION.clamp(0.0, 1.0));
         let level = if bursting {
             burst_level.sample(&mut rng).clamp(50.0, 95.0)
         } else {
@@ -319,12 +332,12 @@ pub struct PlanetLabSource {
 impl PlanetLabSource {
     pub(crate) fn new(cfg: PlanetLabConfig, n_steps: usize) -> Self {
         let base_dist =
-            LogNormal::new(cfg.quiet_mean.max(0.1).ln(), 0.45).expect("valid lognormal parameters");
-        let burst_level = Normal::new(cfg.burst_mean, 6.0).expect("valid normal parameters");
+            LogNormal::new(QUIET_MEAN.max(0.1).ln(), 0.45).expect("valid lognormal parameters");
+        let burst_level = Normal::new(BURST_MEAN, 6.0).expect("valid normal parameters");
         let noise = Normal::new(0.0, 1.5).expect("valid normal parameters");
-        let p_exit = 1.0 / cfg.mean_burst_steps.max(1.0);
+        let p_exit = 1.0 / MEAN_BURST_STEPS.max(1.0);
         // Stationarity: f = p_enter / (p_enter + p_exit).
-        let p_enter = (cfg.burst_fraction * p_exit) / (1.0 - cfg.burst_fraction).max(1e-9);
+        let p_enter = (BURST_FRACTION * p_exit) / (1.0 - BURST_FRACTION).max(1e-9);
         let vms = (0..cfg.n_vms)
             .map(|vm| PlVm::init(&cfg, &base_dist, &burst_level, vm))
             .collect();
@@ -393,6 +406,13 @@ impl TraceSource for PlanetLabSource {
 // Google generator source
 // ---------------------------------------------------------------------------
 
+/// Mean of the per-task utilization log-normal (percent): Google tasks
+/// run at low, obfuscated usage (§6.2).
+const TASK_UTIL_MEAN: f64 = 9.0;
+/// Expected idle gap between Google tasks, in steps: each VM runs its
+/// task to completion and then switches to another.
+const MEAN_IDLE_STEPS: f64 = 2.0;
+
 /// Per-VM renewal-process phase of the Google generator.
 #[derive(Debug, Clone, Copy)]
 enum GMode {
@@ -425,7 +445,7 @@ impl GVm {
         }
     }
 
-    fn advance(&mut self, cfg: &GoogleConfig, util_dist: &LogNormal, noise: &Normal) -> f64 {
+    fn advance(&mut self, util_dist: &LogNormal, noise: &Normal) -> f64 {
         loop {
             match self.mode {
                 GMode::Pad { left } if left > 0 => {
@@ -447,13 +467,13 @@ impl GVm {
                 GMode::Pad { .. } | GMode::Task { .. } => {
                     let gap = crate::google::sample_geometric(
                         &mut self.rng,
-                        1.0 / (cfg.mean_idle_steps + 1.0),
+                        1.0 / (MEAN_IDLE_STEPS + 1.0),
                     );
                     self.mode = GMode::Gap { left: gap };
                 }
                 // Gap over: draw the next task.
                 GMode::Gap { .. } => {
-                    let duration_s = cfg.sample_duration(&mut self.rng);
+                    let duration_s = crate::google::sample_duration(&mut self.rng);
                     let duration_steps =
                         ((duration_s / STEP_SECONDS as f64).ceil() as usize).max(1);
                     let level = util_dist.sample(&mut self.rng).clamp(0.5, 60.0);
@@ -480,8 +500,8 @@ pub struct GoogleSource {
 
 impl GoogleSource {
     pub(crate) fn new(cfg: GoogleConfig, n_steps: usize) -> Self {
-        let util_dist = LogNormal::new(cfg.task_util_mean.max(0.1).ln(), 0.6)
-            .expect("valid lognormal parameters");
+        let util_dist =
+            LogNormal::new(TASK_UTIL_MEAN.max(0.1).ln(), 0.6).expect("valid lognormal parameters");
         let noise = Normal::new(0.0, 0.8).expect("valid normal parameters");
         let vms = (0..cfg.n_vms).map(|vm| GVm::init(&cfg, vm)).collect();
         Self {
@@ -509,7 +529,6 @@ impl TraceSource for GoogleSource {
         let cols = columns(buf, self.vms.len(), left);
         let want = cols.len();
         let Self {
-            cfg,
             vms,
             util_dist,
             noise,
@@ -517,7 +536,7 @@ impl TraceSource for GoogleSource {
         } = self;
         for col in cols {
             for (vm, slot) in vms.iter_mut().zip(col.iter_mut()) {
-                *slot = vm.advance(cfg, util_dist, noise);
+                *slot = vm.advance(util_dist, noise);
             }
         }
         self.next_step += want;

@@ -50,13 +50,12 @@ proptest! {
         }
     }
 
-    /// Task durations always live inside the configured support.
+    /// Task durations always live inside the calibrated support.
     #[test]
     fn google_durations_in_support(seed in 0..200u64) {
-        let cfg = GoogleConfig::new(1, seed);
-        for d in cfg.sample_task_durations(200) {
-            prop_assert!(d >= cfg.min_task_seconds * 0.999);
-            prop_assert!(d <= cfg.max_task_seconds * 1.001);
+        for d in GoogleConfig::new(1, seed).sample_task_durations(200) {
+            prop_assert!(d >= GoogleConfig::MIN_TASK_SECONDS * 0.999);
+            prop_assert!(d <= GoogleConfig::MAX_TASK_SECONDS * 1.001);
         }
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example qlearning_offline`
 
-use megh::baselines::{QLearningConfig, QLearningScheduler};
+use megh::baselines::QLearningScheduler;
 use megh::core::{MeghAgent, MeghConfig};
 use megh::sim::{DataCenterConfig, InitialPlacement, Simulation};
 use megh::trace::PlanetLabConfig;
@@ -27,12 +27,10 @@ fn main() {
     let eval_sim = Simulation::new(config, eval_trace).expect("consistent setup");
 
     // Cold Q-learning: acts on an empty table.
-    let cold = eval_sim
-        .run(QLearningScheduler::new(QLearningConfig::default()))
-        .report();
+    let cold = eval_sim.run(QLearningScheduler::new(17)).report();
 
     // Trained Q-learning: 10 offline episodes first.
-    let mut trained_agent = QLearningScheduler::new(QLearningConfig::default());
+    let mut trained_agent = QLearningScheduler::new(17);
     trained_agent.train(&train_sim, 10);
     let trained = eval_sim.run(trained_agent).report();
 

@@ -57,7 +57,7 @@ pub use megh_trace as trace;
 /// assert_eq!(outcome.records().len(), 20);
 /// ```
 pub mod prelude {
-    pub use megh_baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
+    pub use megh_baselines::{MadVmScheduler, MmtFlavor, MmtScheduler};
     pub use megh_core::{MeghAgent, MeghConfig};
     pub use megh_sim::{
         DataCenterConfig, DataCenterView, HostOutage, InitialPlacement, MigrationRequest,

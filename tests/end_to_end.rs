@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: every scheduler, both workload
 //! families, through the public facade API.
 
-use megh::baselines::{
-    MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler, QLearningConfig, QLearningScheduler,
-};
+use megh::baselines::{MadVmScheduler, MmtFlavor, MmtScheduler, QLearningScheduler};
 use megh::core::{MeghAgent, MeghConfig};
 use megh::sim::{
     DataCenterConfig, InitialPlacement, NoOpScheduler, Scheduler, Simulation, SimulationOutcome,
@@ -61,8 +59,8 @@ fn every_scheduler_runs_on_planetlab() {
         Box::new(MmtScheduler::new(MmtFlavor::Mad)),
         Box::new(MmtScheduler::new(MmtFlavor::Lr)),
         Box::new(MmtScheduler::new(MmtFlavor::Lrr)),
-        Box::new(MadVmScheduler::new(MadVmConfig::default())),
-        Box::new(QLearningScheduler::new(QLearningConfig::default())),
+        Box::new(MadVmScheduler::default()),
+        Box::new(QLearningScheduler::new(17)),
         Box::new(MeghAgent::new(MeghConfig::paper_defaults(vms, hosts))),
     ];
     for mut s in schedulers {
@@ -78,7 +76,7 @@ fn every_scheduler_runs_on_google() {
     let schedulers: Vec<Box<dyn Scheduler>> = vec![
         Box::new(NoOpScheduler),
         Box::new(MmtScheduler::new(MmtFlavor::Thr)),
-        Box::new(MadVmScheduler::new(MadVmConfig::default())),
+        Box::new(MadVmScheduler::default()),
         Box::new(MeghAgent::new(MeghConfig::paper_defaults(vms, hosts))),
     ];
     for mut s in schedulers {
@@ -111,7 +109,7 @@ fn runs_are_deterministic_across_all_schedulers() {
         assert_eq!(costs_a, costs_b, "{}", a.scheduler());
     };
     run_pair(&|| Box::new(MmtScheduler::new(MmtFlavor::Lrr)));
-    run_pair(&|| Box::new(MadVmScheduler::new(MadVmConfig::default())));
+    run_pair(&|| Box::new(MadVmScheduler::default()));
     run_pair(&|| Box::new(MeghAgent::new(MeghConfig::paper_defaults(vms, hosts))));
 }
 

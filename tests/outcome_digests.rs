@@ -14,9 +14,7 @@
 //!
 //! [`SimulationOutcome::fingerprint`]: megh::sim::SimulationOutcome::fingerprint
 
-use megh::baselines::{
-    MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler, QLearningConfig, QLearningScheduler,
-};
+use megh::baselines::{MadVmScheduler, MmtFlavor, MmtScheduler, QLearningScheduler};
 use megh::core::{fnv1a64, HierMegh, MeghAgent, MeghConfig};
 use megh::sim::{
     DataCenterConfig, DataCenterView, HostOutage, InitialPlacement, MigrationRequest, PmId,
@@ -97,25 +95,10 @@ fn whole_run_outcomes_are_pinned() {
             digest(&packed, MmtScheduler::new(MmtFlavor::Thr)),
         ),
         ("lr-mmt", digest(&packed, MmtScheduler::new(MmtFlavor::Lr))),
-        (
-            "madvm",
-            digest(&packed, MadVmScheduler::new(MadVmConfig::default())),
-        ),
-        (
-            "madvm-random",
-            digest(&random, MadVmScheduler::new(MadVmConfig::default())),
-        ),
+        ("madvm", digest(&packed, MadVmScheduler::default())),
+        ("madvm-random", digest(&random, MadVmScheduler::default())),
         ("scripted", digest(&packed, Scripted)),
-        (
-            "q-learning",
-            digest(
-                &packed,
-                QLearningScheduler::new(QLearningConfig {
-                    seed: 17,
-                    ..QLearningConfig::default()
-                }),
-            ),
-        ),
+        ("q-learning", digest(&packed, QLearningScheduler::new(17))),
         ("megh-google", digest(&google, MeghAgent::new(megh()))),
     ];
     let want: [(&str, u64); 9] = [

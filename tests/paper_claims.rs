@@ -3,7 +3,7 @@
 //! reproduces in full; here we pin the *directions* so regressions in
 //! any crate surface immediately.
 
-use megh::baselines::{MadVmConfig, MadVmScheduler, MmtFlavor, MmtScheduler};
+use megh::baselines::{MadVmScheduler, MmtFlavor, MmtScheduler};
 use megh::core::{MeghAgent, MeghConfig};
 use megh::sim::{DataCenterConfig, InitialPlacement, Simulation};
 use megh::trace::{GoogleConfig, PlanetLabConfig};
@@ -57,9 +57,7 @@ fn megh_decides_faster_than_thr_mmt() {
 fn madvm_is_orders_of_magnitude_slower_than_megh() {
     let (hosts, vms, steps) = (50, 75, 40);
     let sim = planetlab_sim(hosts, vms, steps, 44);
-    let madvm = sim
-        .run(MadVmScheduler::new(MadVmConfig::default()))
-        .report();
+    let madvm = sim.run(MadVmScheduler::default()).report();
     let megh = sim
         .run(MeghAgent::new(MeghConfig::paper_defaults(vms, hosts)))
         .report();
